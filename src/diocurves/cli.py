@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -43,6 +44,9 @@ EXIT_USAGE = 64
 
 JSONL_VERSION = 1
 
+# naive point search tries about e^(1.5 * height_bound) x-coordinates
+MAX_HEIGHT_BOUND = 8.0
+
 
 @dataclass(frozen=True)
 class Config:
@@ -58,10 +62,15 @@ class Config:
     out: Optional[str] = None
 
     def validated(self) -> "Config":
+        # chained comparisons are False on nan, so nan is rejected too
         if (self.N <= 0 or not 0 < self.keep <= 1 or self.primes <= 0
-                or self.eps <= 0 or self.height_bound < 0
+                or not 0 < self.eps < math.inf
+                or not 0 <= self.height_bound <= MAX_HEIGHT_BOUND
                 or self.factor_budget <= 0 or self.jobs <= 0):
-            raise ValueError("configuration values out of range")
+            raise ValueError(
+                "configuration values out of range: keep must lie in "
+                f"(0, 1], eps be finite and positive, height_bound lie in "
+                f"[0, {MAX_HEIGHT_BOUND}], and the integers be positive")
         return self
 
 
@@ -403,7 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_induce)
 
     p_sieve = subs.add_parser("sieve", help="score a family parameter grid")
-    p_sieve.add_argument("family", choices=sorted(FAMILY_CONSTRUCTORS))
+    # the grid is one-dimensional, so only one-parameter families sieve
+    p_sieve.add_argument("family", choices=sorted(
+        family for family, ctor in FAMILY_CONSTRUCTORS.items()
+        if len(inspect.signature(ctor).parameters) == 1))
     p_sieve.add_argument("--numerators", required=True,
                          help="numerator range LO:HI")
     p_sieve.add_argument("--denominators", required=True,

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import mpmath
-from sympy import Poly, Rational, symbols
 
+from ._poly import gcdex
 from .errors import FactorizationIncomplete, FormMismatch, PointNotOnCurve
 from .factoring import DEFAULT_BUDGET, factor_best_effort
 from .rationals import QQ, log_int, naive_height
@@ -43,8 +42,6 @@ from .weierstrass import (
     map_point,
     sub,
 )
-
-_X = symbols("x")
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +91,6 @@ class _DuplicationData:
 _DUP_CACHE: dict[tuple, _DuplicationData] = {}
 
 
-def _poly_from_int_coeffs(coeffs: list[int]) -> Poly:
-    return Poly([Rational(c) for c in coeffs], _X, domain="QQ")
-
-
 def _duplication_data(E: CurveQ, budget: int) -> _DuplicationData:
     key = E.coefficients()
     hit = _DUP_CACHE.get(key)
@@ -108,14 +101,11 @@ def _duplication_data(E: CurveQ, budget: int) -> _DuplicationData:
     # x(2P) = F(x) / g(x)
     F = [1, 0, -b4, -2 * b6, -b8]
     g = [4, b2, 2 * b4, b6]
-    s, t, h = _poly_from_int_coeffs(F).gcdex(_poly_from_int_coeffs(g))
-    assert h.degree() == 0
-    hc = Fraction(int(h.all_coeffs()[0].p), int(h.all_coeffs()[0].q))
-    sc = [Fraction(int(c.p), int(c.q)) / hc for c in s.all_coeffs()]
-    tc = [Fraction(int(c.p), int(c.q)) / hc for c in t.all_coeffs()]
-    den = 1
-    for c in sc + tc:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    sc, tc, h = gcdex(F, g)
+    if h != [1]:
+        raise ArithmeticError("duplication numerator and denominator "
+                              "share a factor: the curve is singular")
+    den = math.lcm(*(c.denominator for c in sc + tc))
     U = [int(c * den) for c in sc]
     V = [int(c * den) for c in tc]
     C = den
@@ -126,7 +116,8 @@ def _duplication_data(E: CurveQ, budget: int) -> _DuplicationData:
         for i, u in enumerate(poly):
             for j, f in enumerate(other):
                 prod[shift + i + j] += u * f
-    assert prod[:-1] == [0] * 7 and prod[-1] == C, "bezout identity failed"
+    if prod[:-1] != [0] * 7 or prod[-1] != C:
+        raise ArithmeticError("bezout identity of the duplication map failed")
 
     fac = factor_best_effort(abs(C), budget)
     support = sorted(p for p, _ in fac.factors)
@@ -255,7 +246,9 @@ def _height_run(Ei: CurveQ, Pi: PointQ, eps: float, budget: int) -> float:
                 m = p ** k
                 F, G = _eval_pair_mod(data.b, X, Z, m)
                 v = min(_valuation_capped(F, p, k), _valuation_capped(G, p, k))
-                assert v <= data.caps[p]
+                if v > data.caps[p]:
+                    raise ArithmeticError(
+                        f"gcd of a duplication step exceeds its cap at {p}")
                 pending[p] = (F, G, k, v)
                 g *= p ** v
             Fw = Gw = 0
@@ -445,7 +438,8 @@ def _class_bits(cls: int, basis: list[int]) -> int:
         if c % b == 0:
             bits |= 1 << (i + 1)
             c //= b
-    assert c == 1, "square class escaped its basis"
+    if c != 1:
+        raise ArithmeticError("square class escaped its basis")
     return bits
 
 

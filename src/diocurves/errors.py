@@ -33,16 +33,8 @@ class FormMismatch(DiocurvesError):
     """Curve is not in the shape the operation requires."""
 
 
-class NotHalvable(DiocurvesError):
-    """No rational point S with 2S = P exists."""
-
-
 class BadReduction(DiocurvesError):
     """Asked to reduce a curve modulo a prime of bad reduction."""
-
-
-class ZeroEntry(DiocurvesError):
-    """Tuples with a zero entry are outside the domain."""
 
 
 class NotDiophantine(DiocurvesError):
@@ -59,10 +51,6 @@ class NotDiophantinePair(DiocurvesError):
 
 class ZeroExtension(DiocurvesError):
     """The regular extension of a pair collapsed to zero."""
-
-
-class InfiniteSum(DiocurvesError):
-    """A required point combination landed on the point at infinity."""
 
 
 class DegenerateParameter(DiocurvesError):

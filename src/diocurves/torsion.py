@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from sympy import Poly, Rational, symbols
-
+from ._poly import mul, rational_roots, sub
 from .errors import BadReduction, FormMismatch
 from .factoring import DEFAULT_BUDGET, is_probable_prime
 from .rationals import QQ, is_perfect_square, square_class
@@ -33,8 +32,6 @@ from .weierstrass import (
     map_point,
 )
 
-_X = symbols("x")
-
 # every possible shape of the rational torsion group, as invariant factors
 ALLOWED_SHAPES = frozenset(
     [()] + [(n,) for n in (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)]
@@ -43,17 +40,6 @@ ALLOWED_SHAPES = frozenset(
 # element orders are therefore among {1,...,10,12}: prime powers up to 9
 _SEARCH_PRIME_POWERS = (3, 4, 5, 7, 8, 9)
 _MAX_ELEMENT_ORDER = 12
-
-
-def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """All rational roots of sum coeffs[i] x^(n-i), sorted ascending."""
-    cs = [Rational(QQ(c).numerator, QQ(c).denominator) for c in coeffs]
-    while cs and cs[0] == 0:
-        cs = cs[1:]
-    if len(cs) <= 1:
-        return []
-    poly = Poly(cs, _X, domain="QQ")
-    return sorted(QQ(int(r.p), int(r.q)) for r in poly.ground_roots())
 
 
 def points_with_x(E: CurveQ, x0: Fraction) -> list[PointQ]:
@@ -220,34 +206,34 @@ def _point_sort_key(P: PointQ):
 # division polynomials (x-only parts)
 
 
-def _division_poly_roots(E: CurveQ, q: int) -> list[Fraction]:
-    """Rational x-coordinates of points whose order divides q (odd part
-    of the kernel for even q)."""
+def _division_poly(E: CurveQ, q: int) -> list[Fraction]:
+    """x-only part of the q-division polynomial (odd part for even q),
+    leading coefficient first."""
     inv = invariants(E)
-    b2, b4, b6, b8 = (Rational(v.numerator, v.denominator)
-                      for v in (inv.b2, inv.b4, inv.b6, inv.b8))
-    F2 = Poly([4, b2, 2 * b4, b6], _X, domain="QQ")
-    f3 = Poly([3, b2, 3 * b4, 3 * b6, b8], _X, domain="QQ")
-    f4 = Poly([2, b2, 5 * b4, 10 * b6, 10 * b8,
-               b2 * b8 - b4 * b6, b4 * b8 - b6 * b6], _X, domain="QQ")
+    b2, b4, b6, b8 = inv.b2, inv.b4, inv.b6, inv.b8
+    F2 = [4, b2, 2 * b4, b6]
+    f3 = [3, b2, 3 * b4, 3 * b6, b8]
+    f4 = [2, b2, 5 * b4, 10 * b6, 10 * b8,
+          b2 * b8 - b4 * b6, b4 * b8 - b6 * b6]
     polys = {3: f3, 4: f4}
     if q in (5, 7, 8, 9):
-        polys[5] = F2 ** 2 * f4 - f3 ** 3
+        polys[5] = sub(mul(F2, F2, f4), mul(f3, f3, f3))
     if q in (7, 8, 9):
-        polys[6] = f3 * (polys[5] - f4 ** 2)
+        polys[6] = mul(f3, sub(polys[5], mul(f4, f4)))
     if q == 7:
-        polys[7] = polys[5] * f3 ** 3 - F2 ** 2 * f4 ** 3
+        polys[7] = sub(mul(polys[5], f3, f3, f3), mul(F2, F2, f4, f4, f4))
     if q == 8:
-        polys[8] = f4 * (polys[6] * f3 ** 2 - polys[5] ** 2)
+        polys[8] = mul(f4, sub(mul(polys[6], f3, f3),
+                               mul(polys[5], polys[5])))
     if q == 9:
-        polys[9] = F2 ** 2 * polys[6] * f4 ** 3 - f3 * polys[5] ** 3
-    poly = polys[q]
-    return sorted(QQ(int(r.p), int(r.q)) for r in poly.ground_roots())
+        polys[9] = sub(mul(F2, F2, polys[6], f4, f4, f4),
+                       mul(f3, polys[5], polys[5], polys[5]))
+    return polys[q]
 
 
 def _torsion_candidates_from_poly(E: CurveQ, q: int) -> list[PointQ]:
     pts = []
-    for x0 in _division_poly_roots(E, q):
+    for x0 in rational_roots(_division_poly(E, q)):
         pts.extend(points_with_x(E, x0))
     return pts
 
@@ -334,6 +320,8 @@ def torsion_subgroup(E: CurveQ, prime_count: int = 20) -> TorsionSubgroup:
         shape = (order,)
     if shape not in ALLOWED_SHAPES:  # pragma: no cover - would be a defect
         raise ArithmeticError(f"impossible torsion shape {shape}")
-    assert bound % order == 0
+    if bound % order:
+        raise ArithmeticError(
+            f"torsion order {order} does not divide the reduction bound {bound}")
     return TorsionSubgroup(tuple(sorted(pts, key=_point_sort_key)),
                            order, shape, bound, True)

@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import diocurves
 from diocurves.cli import (
     EXIT_INVALID_INPUT,
     EXIT_OK,
@@ -106,6 +111,14 @@ def test_sieve_bad_range():
                  "--denominators", "1:2"]) == EXIT_USAGE
 
 
+def test_sieve_refuses_two_parameter_family(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["sieve", "Z2Z6_UV", "--numerators", "1:3",
+             "--denominators", "1:2"])
+    assert exc.value.code == EXIT_USAGE
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_config_file_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("N = 150\n# comment line\nheight-bound = 3.0\n")
@@ -139,3 +152,27 @@ def test_config_validation():
     with pytest.raises(ValueError):
         Config(jobs=-1).validated()
     assert Config().validated().N == 1000
+
+
+@pytest.mark.parametrize("flags, config_text", [
+    (["--eps", "nan"], None),
+    (["--height-bound", "1000"], None),
+    (["--height-bound", "inf"], None),
+    ([], "height_bound = 9\n"),
+], ids=["eps-nan", "height-bound-1000", "height-bound-inf", "config-file"])
+def test_bad_configuration_is_usage_error(tmp_path, capsys, flags,
+                                          config_text):
+    if config_text is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config_text)
+        flags = ["--config", str(cfg)]
+    assert run(["induce", "{1,3,8}", *flags]) == EXIT_USAGE
+    assert "bad configuration" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    src = pathlib.Path(diocurves.__file__).resolve().parents[1]
+    code = "import sys, diocurves.cli; sys.exit('sympy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert proc.returncode == 0

@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from diocurves import torsion
 from diocurves.errors import FormMismatch
+from diocurves.families import dataset_record, z2z8_family
 from diocurves.torsion import (
+    _division_poly,
     halve_point,
     halving_obstruction,
     point_order,
@@ -30,6 +34,42 @@ def test_rational_roots():
     assert rational_roots([F(1), F(0), F(2)]) == []
     assert rational_roots([F(0), F(1), F(3)]) == [-3]
     assert rational_roots([F(5)]) == []
+    # repeated roots: (x - 1)^2 (x + 2), (2x - 1)^3 and x^3
+    assert rational_roots([F(1), F(0), F(-3), F(2)]) == [-2, 1]
+    assert rational_roots([F(8), F(-12), F(6), F(-1)]) == [F(1, 2)]
+    assert rational_roots([F(1), F(0), F(0), F(0)]) == [0]
+    # rational coefficients: (3x + 1)(x - 1) / 6
+    assert rational_roots([F(1, 2), F(-1, 3), F(-1, 6)]) == [F(-1, 3), 1]
+
+
+def test_rational_roots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def oracle(coeffs):
+        poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in map(F, coeffs)], x, domain="QQ")
+        return sorted(F(int(r.p), int(r.q)) for r in poly.ground_roots())
+
+    rng = random.Random(2007)
+    polys = []
+    for _ in range(200):
+        poly = [F(rng.randint(1, 9), rng.randint(1, 5))] + [
+            F(rng.randint(-9, 9), rng.randint(1, 5))
+            for _ in range(rng.randint(0, 4))]
+        planted = [F(rng.randint(-40, 40), rng.randint(1, 20))
+                   for _ in range(rng.randint(0, 4))]
+        if planted and rng.random() < 0.2:
+            planted.append(planted[0])
+        for r in planted:                       # multiply by (x - r)
+            poly = [a - r * b for a, b in zip(poly + [0], [0] + poly)]
+        polys.append(poly)
+    curves = [induced_curves(make_triple(1, 3, 8)).curve,
+              induced_curves(z2z8_family(3)).curve,
+              dataset_record("s6-connell").curve]
+    polys += [_division_poly(E, q) for E in curves for q in (3, 4, 5, 7, 8, 9)]
+    for poly in polys:
+        assert rational_roots(poly) == oracle(poly)
 
 
 def test_points_with_x():
@@ -78,6 +118,14 @@ def test_torsion_cyclic_groups():
             assert is_on_curve(E, P)
             o = point_order(E, P)
             assert o is not None and n % o == 0
+
+
+def test_torsion_bound_mismatch_raises(monkeypatch):
+    # the reduction bound certifies completeness, also under python -O
+    monkeypatch.setattr(torsion, "reduction_torsion_bound",
+                        lambda E, prime_count=20: 2)
+    with pytest.raises(ArithmeticError):
+        torsion_subgroup(EK)
 
 
 def test_torsion_z2z4():
