@@ -30,7 +30,7 @@ from .factoring import DEFAULT_BUDGET
 from .families import (FAMILY_CONSTRUCTORS, dataset_record, paper_dataset,
                        make_family_member)
 from .rationals import QQ, format_rational, parse_rational
-from .sieve import mestre_nagao_sum
+from .sieve import mestre_nagao_sum, mestre_nagao_sums
 from .torsion import torsion_subgroup
 from .triples import (Triple, canonical_points, extend_to_quadruple,
                       induced_curves, make_triple)
@@ -46,6 +46,9 @@ JSONL_VERSION = 1
 
 # naive point search tries about e^(1.5 * height_bound) x-coordinates
 MAX_HEIGHT_BOUND = 8.0
+# the sieve sum lists every prime up to N in memory, and counts each with
+# arrays of p entries; the package itself never goes beyond 10**4
+MAX_N = 10**6
 
 
 @dataclass(frozen=True)
@@ -63,14 +66,16 @@ class Config:
 
     def validated(self) -> "Config":
         # chained comparisons are False on nan, so nan is rejected too
-        if (self.N <= 0 or not 0 < self.keep <= 1 or self.primes <= 0
+        if (not 0 < self.N <= MAX_N or not 0 < self.keep <= 1
+                or self.primes <= 0
                 or not 0 < self.eps < math.inf
                 or not 0 <= self.height_bound <= MAX_HEIGHT_BOUND
                 or self.factor_budget <= 0 or self.jobs <= 0):
             raise ValueError(
-                "configuration values out of range: keep must lie in "
-                f"(0, 1], eps be finite and positive, height_bound lie in "
-                f"[0, {MAX_HEIGHT_BOUND}], and the integers be positive")
+                "configuration values out of range: N must lie in "
+                f"[1, {MAX_N}], keep in (0, 1], eps be finite and positive, "
+                f"height_bound lie in [0, {MAX_HEIGHT_BOUND}], and the "
+                "integers be positive")
         return self
 
 
@@ -278,7 +283,8 @@ def cmd_sieve(family_id: str, numerators: tuple[int, int],
               denominators: tuple[int, int], cfg: Config) -> int:
     ctor = FAMILY_CONSTRUCTORS[family_id]
     lines: list[str] = []
-    scored: list[tuple[float, QQ]] = []
+    grid: list[QQ] = []
+    curves: list[CurveQ] = []
     for q in _grid(numerators, denominators):
         try:
             triple = ctor(q)
@@ -289,9 +295,10 @@ def cmd_sieve(family_id: str, numerators: tuple[int, int],
                 "parameters": [format_rational(q)],
                 "error": type(exc).__name__, "message": str(exc)}))
             continue
-        score = mestre_nagao_sum(
-            clear_denominators(induced_curves(triple).curve)[0], cfg.N)
-        scored.append((score.value, q))
+        grid.append(q)
+        curves.append(clear_denominators(induced_curves(triple).curve)[0])
+    scored = [(score.value, q) for score, q
+              in zip(mestre_nagao_sums(curves, cfg.N), grid)]
 
     kept_n = min(len(scored), max(1, math.ceil(cfg.keep * len(scored)))) \
         if scored else 0

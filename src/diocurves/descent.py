@@ -81,9 +81,6 @@ class _DuplicationData:
                     v += 1
                 self.caps[p] = v
                 self.support.append(p)
-        if not fac.complete:
-            # keep what is left as the new composite cofactor
-            pass
         self.support.sort()
         self.cofactor = rest
 

@@ -4,13 +4,28 @@ Everything here works on an integer-coefficient model obtained by clearing
 denominators; primes dividing that model's discriminant are treated as bad
 and skipped.  That convention is sound for every use in this package (the
 skipped set can only be slightly too large, never too small).
+
+Every count at an odd prime goes through one batched kernel.  After
+completing the square, #E(F_p) = p + 1 + sum_x chi(4x^3 + b2 x^2 + 2b4 x
++ b6) with chi the quadratic character mod p, so one prime needs the table
+of chi and the rows x^2 and 4x^3 mod p, built once and shared by a whole
+block of curves: the block's polynomial values are formed in one array,
+chi is gathered at them, and the integer row sums are the counts.  Blocks
+hold a bounded number of elements, so memory stays flat however many
+curves are scored.  ``count_points_fp`` is the same kernel with one row.
+
+The counts are exact integers; only the Mestre-Nagao summand is a float.
+``mestre_nagao_sums`` adds it per curve in Python floats, in ascending
+prime order and with the same expression as the one-curve sum, so a
+curve's score is bit-identical whether it is scored alone or in a batch.
+numpy float sums (pairwise summation) or np.log would move the last bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,8 +65,51 @@ def _integral_data(E: CurveQ) -> tuple[tuple[int, ...], tuple[int, int, int], in
     return data
 
 
-# below this, the pure-python loop beats numpy's setup cost
-_NUMPY_THRESHOLD = 1024
+# elements per kernel block; bounds the kernel's temporaries to a few
+# hundred kB whatever the batch size (a row longer than this is one block)
+_BLOCK_ELEMENTS = 1 << 14
+
+
+def _count_mod_two(coeffs: tuple[int, ...]) -> int:
+    """#E(F_2) of the integral model, by trying the four affine points."""
+    a1, a2, a3, a4, a6 = [c % 2 for c in coeffs]
+    count = 1
+    for x in (0, 1):
+        for y in (0, 1):
+            lhs = (y * y + a1 * x * y + a3 * y) % 2
+            rhs = (x ** 3 + a2 * x * x + a4 * x + a6) % 2
+            if lhs == rhs:
+                count += 1
+    return count
+
+
+def _count_odd(bs: Sequence[tuple[int, int, int]], p: int) -> list[int]:
+    """#E(F_p) for each integral (b2, b4, b6) at one odd p of good reduction.
+
+    Completing the square, the fibre over x has 1 + chi(f(x)) points with
+    f = 4x^3 + b2 x^2 + 2b4 x + b6 and chi the quadratic character mod p.
+    Before the final reduction f is below 2p^2 + 2p, exact in int64.
+    """
+    x = np.arange(p, dtype=np.int64)
+    x2 = x * x % p
+    x3 = 4 * x2 % p * x % p
+    chi = np.full(p, -1, dtype=np.int8)
+    chi[x2] = 1
+    chi[0] = 0
+    coeffs = np.array([(b2 % p, 2 * b4 % p, b6 % p) for b2, b4, b6 in bs],
+                      dtype=np.int64).reshape(-1, 3)
+    rows = max(1, _BLOCK_ELEMENTS // p)
+    counts: list[int] = []
+    for lo in range(0, len(coeffs), rows):
+        c = coeffs[lo:lo + rows]
+        f = c[:, 0:1] * x2
+        f += c[:, 1:2] * x
+        f += c[:, 2:3]
+        f += x3
+        f %= p
+        sums = chi[f].sum(axis=1, dtype=np.int64)
+        counts.extend((sums + (p + 1)).tolist())
+    return counts
 
 
 def count_points_fp(E: CurveQ, p: int) -> int:
@@ -59,48 +117,21 @@ def count_points_fp(E: CurveQ, p: int) -> int:
 
     Raises BadReduction when p divides the integral model's discriminant.
     """
-    coeffs, (b2, b4, b6), disc = _integral_data(E)
+    coeffs, b, disc = _integral_data(E)
     if p < 2:
         raise BadReduction(f"{p} is not a prime")
     if disc % p == 0:
         raise BadReduction(f"bad reduction at {p}")
     if p == 2:
-        a1, a2, a3, a4, a6 = [c % 2 for c in coeffs]
-        count = 1
-        for x in (0, 1):
-            for y in (0, 1):
-                lhs = (y * y + a1 * x * y + a3 * y) % 2
-                rhs = (x ** 3 + a2 * x * x + a4 * x + a6) % 2
-                if lhs == rhs:
-                    count += 1
-        return count
-    # odd p: complete the square; fibre sizes come from the quadratic
-    # character of f(x) = 4x^3 + b2 x^2 + 2b4 x + b6
-    c3, c2, c1, c0 = 4 % p, b2 % p, (2 * b4) % p, b6 % p
-    if p >= _NUMPY_THRESHOLD:
-        x = np.arange(p, dtype=np.int64)
-        sq = np.zeros(p, dtype=np.int8)
-        sq[(x * x) % p] = 1
-        f = ((c3 * x + c2) % p * x + c1) % p
-        f = (f * x + c0) % p
-        chi = np.where(f == 0, 0, np.where(sq[f] == 1, 1, -1))
-        return int(p + 1 + chi.sum())
-    sq = bytearray(p)
-    for i in range(p):
-        sq[i * i % p] = 1
-    total = 0
-    for x in range(p):
-        f = ((c3 * x + c2) * x + c1) * x % p
-        f = (f + c0) % p
-        if f:
-            total += 1 if sq[f] else -1
-    return p + 1 + total
+        return _count_mod_two(coeffs)
+    return _count_odd([b], p)[0]
 
 
 def trace_of_frobenius(E: CurveQ, p: int) -> int:
     """a_p = p + 1 - #E(F_p); |a_p| <= 2 sqrt(p) by Hasse."""
     a = p + 1 - count_points_fp(E, p)
-    assert a * a <= 4 * p
+    if a * a > 4 * p:
+        raise ArithmeticError(f"trace {a} at {p} breaks Hasse's bound")
     return a
 
 
@@ -124,24 +155,42 @@ class SieveResult:
     primes_skipped: int
 
 
-def mestre_nagao_sum(E: CurveQ, limit: int) -> SieveResult:
-    """The rank-selection sum over good primes p <= limit.
+def mestre_nagao_sums(curves: Sequence[CurveQ],
+                      limit: int) -> list[SieveResult]:
+    """The rank-selection sum over good primes p <= limit, for each curve.
 
     Each good prime contributes (1 - (p-1)/#E(F_p)) log p; large values
-    correlate with high rank.  Summation is in ascending prime order so
-    the float result is reproducible bit for bit.
+    correlate with high rank.  Primes are visited in ascending order and
+    each curve's terms are added in that order, so every result is
+    reproducible bit for bit and equal to scoring the curve alone.
     """
-    total = 0.0
-    used = skipped = 0
+    data = [_integral_data(E) for E in curves]
+    totals = [0.0] * len(data)
+    used = [0] * len(data)
+    skipped = [0] * len(data)
     for p in primes_upto(limit):
-        try:
-            n = count_points_fp(E, p)
-        except BadReduction:
-            skipped += 1
+        good = []
+        for i, (_, _, disc) in enumerate(data):
+            if disc % p:
+                good.append(i)
+            else:
+                skipped[i] += 1
+        if not good:
             continue
-        used += 1
-        total += (1.0 - (p - 1) / n) * math.log(p)
-    return SieveResult(total, used, skipped)
+        if p == 2:
+            counts = [_count_mod_two(data[i][0]) for i in good]
+        else:
+            counts = _count_odd([data[i][1] for i in good], p)
+        logp = math.log(p)
+        for i, n in zip(good, counts):
+            used[i] += 1
+            totals[i] += (1.0 - (p - 1) / n) * logp
+    return [SieveResult(t, u, s) for t, u, s in zip(totals, used, skipped)]
+
+
+def mestre_nagao_sum(E: CurveQ, limit: int) -> SieveResult:
+    """The rank-selection sum of one curve; see ``mestre_nagao_sums``."""
+    return mestre_nagao_sums([E], limit)[0]
 
 
 @dataclass(frozen=True)
@@ -163,11 +212,9 @@ def sieve_candidates(triples: Sequence[Triple], limit: int = 1000,
     serialized triple so the output order never depends on dict order or
     summation quirks.
     """
-    scored = []
-    for t in triples:
-        E = induced_curves(t).curve
-        s = mestre_nagao_sum(E, limit).value
-        scored.append(ScoredTriple(t, s))
+    results = mestre_nagao_sums([induced_curves(t).curve for t in triples],
+                                limit)
+    scored = [ScoredTriple(t, r.value) for t, r in zip(triples, results)]
     def key(st: ScoredTriple):
         return (-round(st.score / 1e-12), _triple_sort_serial(st.triple))
     scored.sort(key=key)

@@ -169,7 +169,8 @@ def canonical_points(t: Triple, curves: InducedCurves | None = None) -> Canonica
     x_zero = PointQ(0, a * b * c)
     x_one = PointQ(1, r * s * u)
     half = PointQ(r * s + r * u + s * u + 1, (r + s) * (r + u) * (s + u))
-    assert dbl(E, half) == x_one
+    if dbl(E, half) != x_one:
+        raise ArithmeticError("the half point does not double to [1, rsu]")
     return CanonicalPoints(torsion, x_zero, x_one, half)
 
 
@@ -211,5 +212,7 @@ def extend_to_quadruple(t: Triple) -> QuadrupleExtension:
     for d in (plus, minus):
         if not degenerate(d):
             for v in t.elements:
-                assert is_perfect_square(v * d + 1) is not None
+                if is_perfect_square(v * d + 1) is None:
+                    raise ArithmeticError(
+                        f"{v} * {d} + 1 is not a square")
     return QuadrupleExtension(plus, minus, degenerate(plus), degenerate(minus))

@@ -95,11 +95,13 @@ def invariants(E: CurveQ) -> Invariants:
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
     b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-    assert 4 * b8 == b2 * b6 - b4 * b4
+    if 4 * b8 != b2 * b6 - b4 * b4:
+        raise ArithmeticError("invariant identity 4 b8 = b2 b6 - b4^2 failed")
     c4 = b2 * b2 - 24 * b4
     c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
     disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-    assert 1728 * disc == c4 ** 3 - c6 * c6
+    if 1728 * disc != c4 ** 3 - c6 * c6:
+        raise ArithmeticError("invariant identity 1728 D = c4^3 - c6^2 failed")
     inv = Invariants(b2, b4, b6, b8, c4, c6, disc,
                      c4 ** 3 / disc if disc else None)
     if len(_INVARIANT_CACHE) > 4096:

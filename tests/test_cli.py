@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -94,6 +95,9 @@ def test_sieve_small_grid_deterministic(tmp_path):
     assert run(args + ["--out", str(out1)]) == EXIT_OK
     assert run(args + ["--out", str(out2), "--jobs", "2"]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
+    # the exact bytes are part of the output contract
+    assert hashlib.sha256(out1.read_bytes()).hexdigest() == (
+        "36b8181de5e92918e36d51e63404b135b4db4da9f1a9483e8909ab96c5ff1ac0")
 
     rows = [json.loads(line) for line in out1.read_text().splitlines()]
     skips = [r for r in rows if r["kind"] == "skip"]
@@ -159,7 +163,9 @@ def test_config_validation():
     (["--height-bound", "1000"], None),
     (["--height-bound", "inf"], None),
     ([], "height_bound = 9\n"),
-], ids=["eps-nan", "height-bound-1000", "height-bound-inf", "config-file"])
+    (["--N", "3000000000"], None),
+], ids=["eps-nan", "height-bound-1000", "height-bound-inf", "config-file",
+        "N-3e9"])
 def test_bad_configuration_is_usage_error(tmp_path, capsys, flags,
                                           config_text):
     if config_text is not None:
@@ -168,6 +174,17 @@ def test_bad_configuration_is_usage_error(tmp_path, capsys, flags,
         flags = ["--config", str(cfg)]
     assert run(["induce", "{1,3,8}", *flags]) == EXIT_USAGE
     assert "bad configuration" in capsys.readouterr().err
+
+
+def test_verify_all_under_optimize_flag():
+    # python -O strips asserts; every certification must still hold
+    src = pathlib.Path(diocurves.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-O", "-m", "diocurves.cli",
+                           "verify", "all"], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "69/69 checks passed" in proc.stdout
 
 
 def test_cli_import_leaves_sympy_unloaded():

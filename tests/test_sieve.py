@@ -3,16 +3,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from diocurves.errors import BadReduction
+import diocurves.sieve as sieve_mod
+from diocurves.errors import BadReduction, DiocurvesError
+from diocurves.families import FAMILY_CONSTRUCTORS, K_PLUSMINUS
 from diocurves.sieve import (
     count_points_fp,
     mestre_nagao_sum,
+    mestre_nagao_sums,
     primes_upto,
     sieve_candidates,
     trace_of_frobenius,
 )
-from diocurves.triples import make_triple
-from diocurves.weierstrass import CurveQ
+from diocurves.triples import induced_curves, make_triple
+from diocurves.weierstrass import CurveQ, clear_denominators, invariants
 
 E37 = CurveQ(0, 0, 1, -1, 0)
 E11 = CurveQ(0, -1, 1, -10, -20)
@@ -55,20 +58,90 @@ def test_count_points_p2_and_bad_primes():
         count_points_fp(E11, 11)
 
 
-def test_count_points_numpy_path_agrees():
-    # straddle the implementation switch with the same curve
-    small = count_points_fp(E37, 1021)   # python loop
-    big = count_points_fp(E37, 1031)     # vectorized
-    assert abs(small - 1022) <= 2 * math.isqrt(1021) + 1
-    assert abs(big - 1032) <= 2 * math.isqrt(1031) + 1
-    # cross-check the vectorized path against the scalar implementation
-    import diocurves.sieve as sieve_mod
-    saved = sieve_mod._NUMPY_THRESHOLD
-    try:
-        sieve_mod._NUMPY_THRESHOLD = 10**9
-        assert count_points_fp(E37, 1031) == big
-    finally:
-        sieve_mod._NUMPY_THRESHOLD = saved
+def reference_count(E, p):
+    """#E(F_p) by a scalar loop, or None at a prime of bad reduction.
+
+    The integral model is completed to y^2 = 4x^3 + b2 x^2 + 2b4 x + b6
+    and each fibre size is read off the quadratic character; p = 2 is
+    counted by brute force on the integral model.
+    """
+    Ei, _ = clear_denominators(E)
+    inv = invariants(Ei)
+    if int(inv.disc) % p == 0:
+        return None
+    if p == 2:
+        return brute_count([int(a) for a in Ei.coefficients()], 2)
+    b2, b4, b6 = int(inv.b2), int(inv.b4), int(inv.b6)
+    c3, c2, c1, c0 = 4 % p, b2 % p, (2 * b4) % p, b6 % p
+    sq = bytearray(p)
+    for i in range(p):
+        sq[i * i % p] = 1
+    total = 0
+    for x in range(p):
+        f = ((c3 * x + c2) * x + c1) * x % p
+        f = (f + c0) % p
+        if f:
+            total += 1 if sq[f] else -1
+    return p + 1 + total
+
+
+def test_count_points_matches_reference_loop():
+    for E in (E37, E11, CurveQ(0, F(35, 4), 0, 18, 9)):
+        for p in primes_upto(1100):
+            want = reference_count(E, p)
+            if want is None:
+                with pytest.raises(BadReduction):
+                    count_points_fp(E, p)
+            else:
+                assert count_points_fp(E, p) == want, (E, p)
+
+
+def reference_sum(E, limit):
+    """The Mestre-Nagao sum from reference counts, ascending primes."""
+    total = 0.0
+    used = skipped = 0
+    for p in primes_upto(limit):
+        n = reference_count(E, p)
+        if n is None:
+            skipped += 1
+            continue
+        used += 1
+        total += (1.0 - (p - 1) / n) * math.log(p)
+    return total, used, skipped
+
+
+def test_mestre_nagao_sums_bit_identical():
+    limit = 1000
+    curves = []
+    for k in range(2, 60):
+        try:
+            triple = FAMILY_CONSTRUCTORS[K_PLUSMINUS](F(k, 3))
+        except DiocurvesError:
+            continue
+        curves.append(clear_denominators(induced_curves(triple).curve)[0])
+        if len(curves) == 24:
+            break
+    # the batch must fill more than one kernel block at the largest prime
+    p = primes_upto(limit)[-1]
+    good = [E for E in curves if reference_count(E, p) is not None]
+    assert len(good) * p > sieve_mod._BLOCK_ELEMENTS
+    batch = mestre_nagao_sums(curves, limit)
+    assert len(batch) == len(curves)
+    for E, res in zip(curves, batch):
+        total, used, skipped = reference_sum(E, limit)
+        assert repr(res.value) == repr(total)
+        assert (res.primes_used, res.primes_skipped) == (used, skipped)
+        assert mestre_nagao_sums([E], limit)[0] == res
+    # the grid has bad primes beyond p = 2
+    assert any(r.primes_skipped > 1 for r in batch)
+    assert mestre_nagao_sums([], limit) == []
+
+
+def test_trace_of_frobenius_hasse_violation_raises(monkeypatch):
+    # an impossible count must fail loudly, also under python -O
+    monkeypatch.setattr(sieve_mod, "count_points_fp", lambda E, p: 2 * p + 7)
+    with pytest.raises(ArithmeticError):
+        trace_of_frobenius(E37, 101)
 
 
 def test_count_points_rational_model():
