@@ -49,6 +49,9 @@ MAX_HEIGHT_BOUND = 8.0
 # the sieve sum lists every prime up to N in memory, and counts each with
 # arrays of p entries; the package itself never goes beyond 10**4
 MAX_N = 10**6
+# on full two-torsion curves the torsion bound's gcd never drops to 1, so it
+# counts points at every one of the requested primes, each in O(p)
+MAX_PRIMES = 1000
 
 
 @dataclass(frozen=True)
@@ -67,15 +70,15 @@ class Config:
     def validated(self) -> "Config":
         # chained comparisons are False on nan, so nan is rejected too
         if (not 0 < self.N <= MAX_N or not 0 < self.keep <= 1
-                or self.primes <= 0
+                or not 0 < self.primes <= MAX_PRIMES
                 or not 0 < self.eps < math.inf
                 or not 0 <= self.height_bound <= MAX_HEIGHT_BOUND
                 or self.factor_budget <= 0 or self.jobs <= 0):
             raise ValueError(
                 "configuration values out of range: N must lie in "
-                f"[1, {MAX_N}], keep in (0, 1], eps be finite and positive, "
-                f"height_bound lie in [0, {MAX_HEIGHT_BOUND}], and the "
-                "integers be positive")
+                f"[1, {MAX_N}], primes in [1, {MAX_PRIMES}], keep in (0, 1], "
+                "eps be finite and positive, height_bound lie in "
+                f"[0, {MAX_HEIGHT_BOUND}], and the integers be positive")
         return self
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import mpmath
@@ -27,6 +28,7 @@ from .errors import FactorizationIncomplete, FormMismatch, PointNotOnCurve
 from .factoring import DEFAULT_BUDGET, factor_best_effort
 from .rationals import QQ, log_int, naive_height
 from .torsion import (
+    _point_order,
     halving_obstruction,
     point_order,
     points_with_x,
@@ -179,7 +181,7 @@ def canonical_height(E: CurveQ, P: PointQ, eps: float = 1e-6,
     """
     if not is_on_curve(E, P):
         raise PointNotOnCurve(f"{P} is not on {E}")
-    if P.is_infinity or point_order(E, P) is not None:
+    if P.is_infinity or _point_order(E, P) is not None:
         return 0.0
     key = (E.coefficients(), P.x, P.y, eps)
     hit = _HEIGHT_CACHE.get(key)
@@ -321,22 +323,26 @@ class GramCertificate:
     independent: bool
 
 
-def _det(rows: list[list[float]]) -> float:
-    """Plain fraction-keeping Gaussian elimination determinant."""
+def _det(rows: list[list[float]]) -> Fraction:
+    """Exact determinant of a float matrix.
+
+    Every float is a dyadic rational, so elimination on the Fraction values
+    of the entries involves no rounding at all.
+    """
     n = len(rows)
-    a = [row[:] for row in rows]
-    det = 1.0
+    a = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
     for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[pivot][col] == 0.0:
-            return 0.0
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
             det = -det
         det *= a[col][col]
         for r in range(col + 1, n):
             f = a[r][col] / a[col][col]
-            for c in range(col, n):
+            for c in range(col + 1, n):
                 a[r][c] -= f * a[col][c]
     return det
 
@@ -359,15 +365,14 @@ def gram_certificate(E: CurveQ, points: Sequence[PointQ], eps: float = 1e-3,
     entry_err = eps
     big = max((abs(v) for row in mat for v in row), default=0.0)
     ok = n > 0
-    full_det = _det(mat) if n else 0.0
-    full_err = 0.0
+    full_det = full_err = 0.0
     for k in range(1, n + 1):
-        minor = [row[:k] for row in mat[:k]]
-        dk = _det(minor)
+        # exact minors: only the height error is left to bound
+        dk = _det([row[:k] for row in mat[:k]])
         errk = (math.factorial(k) * k * entry_err
                 * (big + entry_err) ** (k - 1))
         if k == n:
-            full_err = errk
+            full_det, full_err = float(dk), errk
         if not dk > errk:
             ok = False
     return GramCertificate(tuple(tuple(row) for row in mat),

@@ -25,9 +25,10 @@ from .weierstrass import (
     CurveQ,
     ModelMap,
     PointQ,
-    add,
+    _add,
+    _coefficient_scale,
+    _require_on_curve,
     complete_the_square,
-    dbl,
     invariants,
     map_point,
 )
@@ -67,13 +68,29 @@ def point_order(E: CurveQ, P: PointQ, cap: int = _MAX_ELEMENT_ORDER) -> int | No
     """The exact order of P, or None when P is of infinite order.
 
     Rational torsion orders never exceed 12, so a short multiple scan
-    settles the question.
+    settles the question; integrality usually settles it sooner.
     """
+    _require_on_curve(E, P)
+    return _point_order(E, P, cap)
+
+
+def _point_order(E: CurveQ, P: PointQ, cap: int = _MAX_ELEMENT_ORDER) -> int | None:
+    """point_order for a P already known to lie on E.
+
+    On the integral model x -> m^2 x of clear_denominators, a torsion point
+    has an integral x, except a point of order two, whose x may have
+    denominator 2 or 4 (Silverman, AEC VII.3.4 and Cor. VIII.7.2).  So a
+    multiple of P whose scaled x has a denominator not dividing 4 proves
+    that P has infinite order.
+    """
+    scale = _coefficient_scale(E) ** 2
     acc = P
     for n in range(1, cap + 1):
         if acc.is_infinity:
             return n
-        acc = add(E, acc, P)
+        if 4 % (acc.x * scale).denominator:
+            return None
+        acc = _add(E, acc, P)
     return None
 
 
@@ -174,7 +191,7 @@ def halve_point(E: CurveQ, P: PointQ) -> list[PointQ]:
         if w2 is not None and w3 is not None:
             for xi in (e + w2 * w3, e - w2 * w3):
                 for S in points_with_x(Es, xi):
-                    if dbl(Es, S) == Ps:
+                    if _add(Es, S, S) == Ps:
                         found.add(S)
     else:
         ws = [is_perfect_square(Ps.x - e) for e in roots]
@@ -188,7 +205,7 @@ def halve_point(E: CurveQ, P: PointQ) -> list[PointQ]:
                         xi = (Ps.x + s1 * s2 * w1 * w2
                               + s1 * s3 * w1 * w3 + s2 * s3 * w2 * w3)
                         for S in points_with_x(Es, xi):
-                            if dbl(Es, S) == Ps:
+                            if _add(Es, S, S) == Ps:
                                 found.add(S)
 
     Minv = M.inverse()
@@ -267,51 +284,41 @@ def torsion_subgroup(E: CurveQ, prime_count: int = 20) -> TorsionSubgroup:
     """
     bound = reduction_torsion_bound(E, prime_count)
     two = two_torsion_points(E)
-    pts: set[PointQ] = {INFINITY, *two}
 
+    # the 2-primary part: halving is exact, so a half of an order-2 point
+    # has order 4 and a half of an order-4 point has order 8
+    two_part = [INFINITY, *two]
     if len(two) == 3:
-        # full two-torsion: grow the 2-Sylow part by halving
         if bound % 4 == 0:
-            order4 = []
-            for T in two:
-                for S in halve_point(E, T):
-                    if point_order(E, S) == 4:
-                        order4.append(S)
-                        pts.add(S)
-            if bound % 8 == 0 and order4:
-                for S in order4:
-                    for R in halve_point(E, S):
-                        if point_order(E, R) == 8:
-                            pts.add(R)
+            order4 = [S for T in two for S in halve_point(E, T)]
+            two_part += order4
+            if bound % 8 == 0:
+                two_part += [R for S in order4 for R in halve_point(E, S)]
     else:
         for q in (4, 8):
             if bound % q == 0:
-                for P in _torsion_candidates_from_poly(E, q):
-                    if point_order(E, P) is not None:
-                        pts.add(P)
+                two_part += [P for P in _torsion_candidates_from_poly(E, q)
+                             if _point_order(E, P) is not None]
 
+    # the odd part is cyclic of order at most 9; close it under addition
+    odd = {INFINITY}
     for q in (3, 5, 7, 9):
         if bound % q == 0:
-            for P in _torsion_candidates_from_poly(E, q):
-                if point_order(E, P) is not None:
-                    pts.add(P)
+            odd.update(P for P in _torsion_candidates_from_poly(E, q)
+                       if _point_order(E, P) is not None)
+    grown = True
+    while grown:
+        members = list(odd)
+        odd.update(_add(E, P, Q) for i, P in enumerate(members)
+                   for Q in members[i:])
+        grown = len(odd) > len(members)
 
-    # close under addition (the group is tiny, a fixpoint pass is enough)
-    changed = True
-    while changed:
-        changed = False
-        frozen = list(pts)
-        for i, P in enumerate(frozen):
-            for Q in frozen[i:]:
-                S = add(E, P, Q)
-                if S not in pts:
-                    pts.add(S)
-                    changed = True
-        if len(pts) > 16:
-            raise ArithmeticError("torsion closure exceeded the rational maximum")
-
+    # the group is the direct sum of its 2-primary and odd parts
+    pts = {_add(E, A, B) for A in two_part for B in odd}
+    if len(pts) > 16:
+        raise ArithmeticError("torsion closure exceeded the rational maximum")
     order = len(pts)
-    n_two = sum(1 for P in pts if not P.is_infinity and dbl(E, P).is_infinity)
+    n_two = len(two)
     if order == 1:
         shape: tuple[int, ...] = ()
     elif n_two == 3:

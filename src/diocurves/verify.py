@@ -347,7 +347,10 @@ def check_record_s6_big_default(**kw) -> CheckResult:
 
 
 def check_record_s6_big_full(**kw) -> CheckResult:
-    """Full certification including the multi-thousand-digit generator."""
+    """Full certification including the third stored generator.
+
+    Its x has a 96-digit numerator and a 74-digit denominator.
+    """
     return _heavy_record_check("s6-big", 3,
                                check_id="record-s6-big-full", **kw)
 

@@ -5,8 +5,13 @@ Curves are the five-coefficient equation
     y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6
 
 with exact rational coefficients.  Points do not hold a reference to their
-curve; every operation takes the curve explicitly and re-checks membership,
-so a point can never silently be used on the wrong model.
+curve; every operation takes the curve explicitly.  Membership is checked
+once, at the boundary: each public entry (`add`, `dbl`, `sub`, `neg`,
+`scalar_mul`, `map_point`) raises PointNotOnCurve on a point off the given
+model, so a point can never silently be used on the wrong model.  Loops
+inside the package whose points are already known to lie on the curve
+(the double-and-add chain, order scans, halving checks) call the unchecked
+`_add` instead of paying for a re-check on every step.
 """
 
 from __future__ import annotations
@@ -125,6 +130,10 @@ def _require_on_curve(E: CurveQ, P: PointQ) -> None:
 
 def neg(E: CurveQ, P: PointQ) -> PointQ:
     _require_on_curve(E, P)
+    return _neg(E, P)
+
+
+def _neg(E: CurveQ, P: PointQ) -> PointQ:
     if P.is_infinity:
         return INFINITY
     return PointQ(P.x, -P.y - E.a1 * P.x - E.a3)
@@ -134,6 +143,11 @@ def add(E: CurveQ, P: PointQ, Q: PointQ) -> PointQ:
     """Chord-and-tangent sum of two points of E."""
     _require_on_curve(E, P)
     _require_on_curve(E, Q)
+    return _add(E, P, Q)
+
+
+def _add(E: CurveQ, P: PointQ, Q: PointQ) -> PointQ:
+    """The group law without membership checks: P and Q must lie on E."""
     if P.is_infinity:
         return Q
     if Q.is_infinity:
@@ -155,11 +169,14 @@ def add(E: CurveQ, P: PointQ, Q: PointQ) -> PointQ:
 
 
 def dbl(E: CurveQ, P: PointQ) -> PointQ:
-    return add(E, P, P)
+    _require_on_curve(E, P)
+    return _add(E, P, P)
 
 
 def sub(E: CurveQ, P: PointQ, Q: PointQ) -> PointQ:
-    return add(E, P, neg(E, Q))
+    _require_on_curve(E, P)
+    _require_on_curve(E, Q)
+    return _add(E, P, _neg(E, Q))
 
 
 def scalar_mul(E: CurveQ, n: int, P: PointQ) -> PointQ:
@@ -168,15 +185,15 @@ def scalar_mul(E: CurveQ, n: int, P: PointQ) -> PointQ:
     if n == 0 or P.is_infinity:
         return INFINITY
     if n < 0:
-        return scalar_mul(E, -n, neg(E, P))
+        n, P = -n, _neg(E, P)
     acc = INFINITY
     step = P
     while n:
         if n & 1:
-            acc = add(E, acc, step)
+            acc = _add(E, acc, step)
         n >>= 1
         if n:
-            step = dbl(E, step)
+            step = _add(E, step, step)
     return acc
 
 
@@ -320,11 +337,13 @@ def clear_denominators(E: CurveQ) -> tuple[CurveQ, ModelMap]:
     Uses the scaling x -> x / m^2 with m the lcm of the coefficient
     denominators, so a_i picks up the factor m^i.
     """
-    m = 1
-    for a in E.coefficients():
-        m = m * a.denominator // math.gcd(m, a.denominator)
-    M = ModelMap(Fraction(1, m), 0, 0, 0)
+    M = ModelMap(Fraction(1, _coefficient_scale(E)), 0, 0, 0)
     return apply_map(E, M), M
+
+
+def _coefficient_scale(E: CurveQ) -> int:
+    """m of clear_denominators: the lcm of the coefficient denominators."""
+    return math.lcm(*(a.denominator for a in E.coefficients()))
 
 
 def complete_the_square(E: CurveQ) -> tuple[CurveQ, ModelMap]:

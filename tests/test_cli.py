@@ -164,8 +164,9 @@ def test_config_validation():
     (["--height-bound", "inf"], None),
     ([], "height_bound = 9\n"),
     (["--N", "3000000000"], None),
+    (["--primes", "100000"], None),
 ], ids=["eps-nan", "height-bound-1000", "height-bound-inf", "config-file",
-        "N-3e9"])
+        "N-3e9", "primes-100000"])
 def test_bad_configuration_is_usage_error(tmp_path, capsys, flags,
                                           config_text):
     if config_text is not None:
@@ -181,10 +182,10 @@ def test_verify_all_under_optimize_flag():
     src = pathlib.Path(diocurves.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-O", "-m", "diocurves.cli",
-                           "verify", "all"], env=env, capture_output=True,
-                          text=True, timeout=600)
+                           "verify", "all", "--long"], env=env,
+                          capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "69/69 checks passed" in proc.stdout
+    assert "70/70 checks passed" in proc.stdout
 
 
 def test_cli_import_leaves_sympy_unloaded():

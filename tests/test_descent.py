@@ -4,9 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from diocurves import descent
 from diocurves.descent import (
     GramCertificate,
     _coprime_basis,
+    _det,
     _duplication_data,
     canonical_height,
     canonical_height_reference,
@@ -117,6 +119,49 @@ def test_gram_certificate_permutation_stable():
     assert g1.independent and g2.independent
     assert abs(g1.determinant - g2.determinant) <= \
         g1.error_bound + g2.error_bound
+
+
+def _float_det(rows):
+    """The float Gaussian elimination gram_certificate used before."""
+    n = len(rows)
+    a = [row[:] for row in rows]
+    det = 1.0
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if a[pivot][col] == 0.0:
+            return 0.0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            for c in range(col, n):
+                a[r][c] -= f * a[col][c]
+    return det
+
+
+# near-singular Gram matrices on which float elimination gets the sign,
+# or the zero-ness, of the determinant wrong
+NEG_DET = [[0.4, 0.08, 0.56], [0.08, 0.02, 0.1], [0.56, 0.1, 0.82]]
+POS_DET = [[0.2, 0.16, 0.06], [0.16, 0.37, 0.07], [0.06, 0.07, 0.02]]
+
+
+def test_exact_det_where_float_elimination_fails(monkeypatch):
+    assert _float_det(NEG_DET) > 0 and _det(NEG_DET) < 0
+    assert _float_det(POS_DET) == 0 and _det(POS_DET) > 0
+    assert _det([[2.0, 1.0], [1.0, 2.0]]) == 3
+    assert _det([[0.0, 1.0], [1.0, 0.0]]) == -1
+    # the certificate reads the exact minor: with a tiny eps the float
+    # determinant would clear its error bound and certify a false rank 3
+    monkeypatch.setattr(descent, "canonical_height",
+                        lambda E, P, eps, budget: NEG_DET[P][P])
+    monkeypatch.setattr(descent, "height_pairing",
+                        lambda E, P, Q, eps, budget: NEG_DET[P][Q])
+    cert = gram_certificate(E37, [0, 1, 2], eps=1e-30)
+    assert _float_det(NEG_DET) > cert.error_bound
+    assert not cert.independent and cert.determinant < 0
+    assert gram_certificate(E37, [0, 1], eps=1e-30).independent
 
 
 def test_descent_support_contains_two_and_bad_primes():

@@ -5,9 +5,11 @@ import pytest
 
 from diocurves import torsion
 from diocurves.errors import FormMismatch
-from diocurves.families import dataset_record, z2z8_family
+from diocurves.families import dataset_record, paper_dataset, z2z8_family
 from diocurves.torsion import (
+    ALLOWED_SHAPES,
     _division_poly,
+    _torsion_candidates_from_poly,
     halve_point,
     halving_obstruction,
     point_order,
@@ -17,8 +19,10 @@ from diocurves.torsion import (
     torsion_subgroup,
     two_torsion_points,
 )
-from diocurves.triples import induced_curves, make_triple
-from diocurves.weierstrass import INFINITY, CurveQ, PointQ, dbl, is_on_curve
+from diocurves.triples import canonical_points, induced_curves, make_triple
+from diocurves.verify import HEAVY_RECORDS
+from diocurves.weierstrass import (INFINITY, CurveQ, PointQ, add, dbl,
+                                   is_on_curve, scalar_mul)
 
 E37 = CurveQ(0, 0, 1, -1, 0)          # trivial torsion
 E11 = CurveQ(0, -1, 1, -10, -20)      # Z/5
@@ -26,6 +30,35 @@ E14 = CurveQ(1, 0, 1, 4, -6)          # Z/6
 E15 = CurveQ(1, 1, 1, 0, 0)           # Z/4
 E27 = CurveQ(0, 0, 1, 0, 0)           # Z/3
 EK = CurveQ(0, 2, 0, -3, 0)           # y^2 = x(x-1)(x+3), Z/2 x Z/4
+# integral, with the order-2 point (-1/4, 1/8): x may have denominator 4
+EQ4 = CurveQ(1, 4, 0, 1, 0)
+
+
+def tate_normal_form(n, d):
+    """Kubert's curve y^2 + (1-c)xy - by = x^3 - bx^2 with (0, 0) of order n."""
+    d = F(d)
+    if n == 7:
+        b, c = d ** 3 - d ** 2, d ** 2 - d
+    elif n == 8:
+        b = (2 * d - 1) * (d - 1)
+        c = b / d
+    elif n == 9:
+        c = d ** 2 * (d - 1)
+        b = c * (d ** 2 - d + 1)
+    elif n == 10:
+        c = d * (d - 1) * (2 * d - 1) / (d - (d - 1) ** 2)
+        b = c * d ** 2 / (d - (d - 1) ** 2)
+    else:
+        m = (3 * d - 3 * d ** 2 - 1) / (d - 1)
+        f = m / (1 - d)
+        c = f * (m + d - 1)
+        b = c * (m + d)
+    return CurveQ(1 - c, -b, -b, 0, 0)
+
+
+# integral (d = 2) and non-integral (d = 5/3) models
+KUBERT = [(n, tate_normal_form(n, d)) for n in (7, 8, 9, 10, 12)
+          for d in (2, F(5, 3))]
 
 
 def test_rational_roots():
@@ -214,3 +247,135 @@ def test_halving_obstruction_supported_path():
     for P in pts.all_points():
         assert halving_obstruction(E, P, support=support) == \
             halving_obstruction(E, P)
+
+
+def _reference_point_order(E, P, cap=12):
+    """The plain add-chain scan, without the integrality exit."""
+    acc = P
+    for n in range(1, cap + 1):
+        if acc.is_infinity:
+            return n
+        acc = add(E, acc, P)
+    return None
+
+
+def _reference_torsion(E, prime_count=20):
+    """The fixpoint-closure assembly torsion_subgroup used before it built
+    the group as the direct sum of its 2-primary and odd parts."""
+    bound = reduction_torsion_bound(E, prime_count)
+    two = two_torsion_points(E)
+    pts = {INFINITY, *two}
+    if len(two) == 3:
+        if bound % 4 == 0:
+            order4 = []
+            for T in two:
+                for S in halve_point(E, T):
+                    if _reference_point_order(E, S) == 4:
+                        order4.append(S)
+                        pts.add(S)
+            if bound % 8 == 0 and order4:
+                for S in order4:
+                    for R in halve_point(E, S):
+                        if _reference_point_order(E, R) == 8:
+                            pts.add(R)
+    else:
+        for q in (4, 8):
+            if bound % q == 0:
+                for P in _torsion_candidates_from_poly(E, q):
+                    if _reference_point_order(E, P) is not None:
+                        pts.add(P)
+    for q in (3, 5, 7, 9):
+        if bound % q == 0:
+            for P in _torsion_candidates_from_poly(E, q):
+                if _reference_point_order(E, P) is not None:
+                    pts.add(P)
+    changed = True
+    while changed:
+        changed = False
+        frozen = list(pts)
+        for i, P in enumerate(frozen):
+            for Q in frozen[i:]:
+                S = add(E, P, Q)
+                if S not in pts:
+                    pts.add(S)
+                    changed = True
+        assert len(pts) <= 16
+    order = len(pts)
+    n_two = sum(1 for P in pts if not P.is_infinity and dbl(E, P).is_infinity)
+    if order == 1:
+        shape = ()
+    elif n_two == 3:
+        shape = (2, order // 2)
+    else:
+        shape = (order,)
+    assert shape in ALLOWED_SHAPES and bound % order == 0
+    points = sorted(pts, key=lambda P: (0, 0, 0) if P.is_infinity
+                    else (1, P.x, P.y))
+    return tuple(points), order, shape, bound
+
+
+def _z2z8_members(count=30, seed=404):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        T = F(rng.randint(-60, 60), rng.randint(1, 60))
+        if T not in (0, 1, -1):
+            out.append(induced_curves(z2z8_family(T)).curve)
+    return out
+
+
+def _light_record_curves():
+    return [induced_curves(rec.triple).curve for rec in paper_dataset()
+            if rec.record_id not in HEAVY_RECORDS]
+
+
+TORSION_CASES = {
+    "small": lambda: [E11, E14, E15, E27, EK, E37, EQ4],
+    "heavy-records": lambda: [dataset_record(r).curve
+                              for r in sorted(HEAVY_RECORDS)],
+    "light-records": _light_record_curves,
+    "z2z8-family": _z2z8_members,
+    "kubert": lambda: [E for _, E in KUBERT],
+}
+
+
+@pytest.mark.parametrize("case", sorted(TORSION_CASES))
+def test_torsion_subgroup_matches_reference(case):
+    for E in TORSION_CASES[case]():
+        T = torsion_subgroup(E)
+        assert (T.points, T.order, T.invariants, T.reduction_bound) == \
+            _reference_torsion(E), E
+
+
+def test_kubert_curves_have_their_torsion():
+    for n, E in KUBERT:
+        assert _reference_point_order(E, PointQ(0, 0)) == n
+        T = torsion_subgroup(E)
+        assert T.order % n == 0 and PointQ(0, 0) in T.points
+
+
+def test_point_order_matches_add_chain():
+    cases = []                                  # (curve, points)
+    for E in (E11, E14, E15, E27, EK, E37, EQ4):
+        pts = [P for x in range(-5, 6) for P in points_with_x(E, F(x))]
+        pts += [scalar_mul(E, k, P) for P in pts[:4] for k in (2, 3)]
+        cases.append((E, list(torsion_subgroup(E).points) + pts))
+    for rid in sorted(HEAVY_RECORDS):
+        rec = dataset_record(rid)
+        cases.append((rec.curve, list(rec.torsion_points + rec.points[:3])))
+    for rec in paper_dataset()[:20]:
+        t = rec.triple
+        ic = induced_curves(t)
+        cases.append((ic.curve, list(canonical_points(t, ic).all_points())))
+    for _, E in KUBERT:
+        cases.append((E, list(torsion_subgroup(E).points)))
+    integral = non_integral = 0
+    for E, pts in cases:
+        if all(a.denominator == 1 for a in E.coefficients()):
+            integral += 1
+        else:
+            non_integral += 1
+        for P in pts:
+            assert point_order(E, P) == _reference_point_order(E, P), (E, P)
+    assert integral and non_integral
+    assert point_order(EQ4, PointQ(F(-1, 4), F(1, 8))) == 2

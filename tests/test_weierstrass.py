@@ -83,6 +83,44 @@ def test_off_curve_point_rejected():
         neg(E37, PointQ(5, 5))
 
 
+# y^2 = x(x-1)(x+3) has full two-torsion, so halving accepts the curve and
+# only the point can be at fault; (2, 1) is off it, (-1, 2) on it
+EK = CurveQ(0, 2, 0, -3, 0)
+ON_EK, OFF_EK = PointQ(-1, 2), PointQ(2, 1)
+
+
+def _public_entries():
+    from diocurves import descent, torsion
+    return {
+        "add": lambda P, Q: add(EK, P, Q),
+        "dbl": lambda P, Q: dbl(EK, P),
+        "sub": lambda P, Q: sub(EK, P, Q),
+        "neg": lambda P, Q: neg(EK, P),
+        "scalar_mul": lambda P, Q: scalar_mul(EK, 3, P),
+        "map_point": lambda P, Q: map_point(EK, ModelMap(2, 1, 0, 0), P),
+        "point_order": lambda P, Q: torsion.point_order(EK, P),
+        "halve_point": lambda P, Q: torsion.halve_point(EK, P),
+        "halving_obstruction":
+            lambda P, Q: torsion.halving_obstruction(EK, P),
+        "canonical_height": lambda P, Q: descent.canonical_height(EK, P),
+        "height_pairing": lambda P, Q: descent.height_pairing(EK, P, Q),
+        "gram_certificate":
+            lambda P, Q: descent.gram_certificate(EK, [P, Q]),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_public_entries()))
+def test_public_entries_reject_off_curve_points(entry):
+    # membership is checked once at the boundary; internal loops skip it
+    fn = _public_entries()[entry]
+    fn(ON_EK, ON_EK)
+    with pytest.raises(PointNotOnCurve):
+        fn(OFF_EK, ON_EK)
+    if entry in ("add", "sub", "height_pairing", "gram_certificate"):
+        with pytest.raises(PointNotOnCurve):
+            fn(ON_EK, OFF_EK)
+
+
 def test_two_torsion_doubles_to_infinity():
     # y^2 = x(x-1)(x+3)
     E = CurveQ(0, 2, 0, -3, 0)
