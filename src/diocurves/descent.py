@@ -26,17 +26,17 @@ import mpmath
 from ._poly import gcdex
 from .errors import FactorizationIncomplete, FormMismatch, PointNotOnCurve
 from .factoring import DEFAULT_BUDGET, factor_best_effort
-from .rationals import QQ, log_int, naive_height
+from .rationals import log_int, naive_height
 from .torsion import (
     _point_order,
     halving_obstruction,
     point_order,
-    points_with_x,
     torsion_subgroup,
 )
 from .weierstrass import (
     CurveQ,
     PointQ,
+    _map_point,
     add,
     clear_denominators,
     invariants,
@@ -505,6 +505,13 @@ def independent_mod_two(E: CurveQ, points: Sequence[PointQ],
 # ---------------------------------------------------------------------------
 # rank lower bounds and naive search
 
+# odd primes of the residue sieve in naive_point_search; each one rejects
+# about half of the x-coordinates that survive the primes before it
+_SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# _SQUARES[p][r]: r is a square mod p, zero included (Euler's criterion)
+_SQUARES = {p: tuple(pow(r, (p - 1) // 2, p) != p - 1 for r in range(p))
+            for p in _SIEVE_PRIMES}
+
 
 @dataclass(frozen=True)
 class RankBound:
@@ -549,23 +556,53 @@ def rank_lower_bound(E: CurveQ, points: Sequence[PointQ], *,
 
 def naive_point_search(E: CurveQ, height_bound: float,
                        max_den: int | None = None) -> list[PointQ]:
-    """All affine points with naive x-height below the bound.
+    """All affine points of E in a naive-height box, sorted by (x, y).
 
-    Searches x = m / e^2 on the cleared-denominator model (integral models
-    only ever have square denominators in x) and maps hits back.
+    Every affine point of the integral model Ei of clear_denominators has
+    x = m / e^2 with gcd(m, e) = 1.  With cap = floor(exp(height_bound)),
+    the box is |m| <= cap, e^2 <= cap (and e <= max_den when given),
+    gcd(m, e) = 1, all bounds inclusive; hits are mapped back to E.
+
+    x = m / e^2 has a rational y exactly when the integer
+
+        D(m) = 4 m^3 + b2 e^2 m^2 + 2 b4 e^4 m + b6 e^6,
+
+    e^6 times the discriminant of the quadratic in y, is a square.  As in
+    Stoll's ratpoints, m is first sieved by quadratic residues: for each
+    prime p of _SIEVE_PRIMES, D(m) must be a square mod p (zero included).
+    Only the few m that pass every prime get an exact isqrt.
     """
     Ei, M = clear_denominators(E)
     Minv = M.inverse()
+    a1, a3 = int(Ei.a1), int(Ei.a3)
+    inv = invariants(Ei)
+    b2, b4, b6 = int(inv.b2), int(inv.b4), int(inv.b6)
     cap = math.floor(math.exp(height_bound))
-    out = []
     emax = math.isqrt(cap)
     if max_den is not None:
         emax = min(emax, max_den)
+    found: set[PointQ] = set()
     for e in range(1, emax + 1):
-        e2 = e * e
-        for m in range(-cap, cap + 1):
+        e2, e3 = e * e, e * e * e
+        c2, c1, c0 = b2 * e2, 2 * b4 * e2 * e2, b6 * e3 * e3
+        ms: Sequence[int] = range(-cap, cap + 1)
+        for p in _SIEVE_PRIMES:
+            square = _SQUARES[p]
+            k2, k1, k0 = c2 % p, c1 % p, c0 % p
+            ok = [square[(((4 * r + k2) * r + k1) * r + k0) % p]
+                  for r in range(p)]
+            ms = [m for m in ms if ok[m % p]]
+        for m in ms:
             if math.gcd(m, e) != 1:
                 continue
-            for P in points_with_x(Ei, QQ(m, e2)):
-                out.append(map_point(Ei, Minv, P))
-    return sorted(set(out), key=lambda P: (P.x, P.y))
+            D = ((4 * m + c2) * m + c1) * m + c0
+            if D < 0:
+                continue
+            r = math.isqrt(D)
+            if r * r != D:
+                continue
+            x = Fraction(m, e2)
+            t = a1 * m * e + a3 * e3
+            for y in {r - t, -r - t}:
+                found.add(_map_point(Minv, PointQ(x, Fraction(y, 2 * e3))))
+    return sorted(found, key=lambda P: (P.x, P.y))

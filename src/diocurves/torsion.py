@@ -27,6 +27,7 @@ from .weierstrass import (
     PointQ,
     _add,
     _coefficient_scale,
+    _map_point,
     _require_on_curve,
     complete_the_square,
     invariants,
@@ -209,7 +210,8 @@ def halve_point(E: CurveQ, P: PointQ) -> list[PointQ]:
                                 found.add(S)
 
     Minv = M.inverse()
-    out = [map_point(Es, Minv, S) for S in found]
+    # each S was built on Es by points_with_x and passed the doubling check
+    out = [_map_point(Minv, S) for S in found]
     return sorted(out, key=_point_sort_key)
 
 

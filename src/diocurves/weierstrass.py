@@ -10,8 +10,9 @@ once, at the boundary: each public entry (`add`, `dbl`, `sub`, `neg`,
 `scalar_mul`, `map_point`) raises PointNotOnCurve on a point off the given
 model, so a point can never silently be used on the wrong model.  Loops
 inside the package whose points are already known to lie on the curve
-(the double-and-add chain, order scans, halving checks) call the unchecked
-`_add` instead of paying for a re-check on every step.
+(the double-and-add chain, order scans, halving checks, search hits) call
+the unchecked `_add` and `_map_point` instead of paying for a re-check on
+every step.
 """
 
 from __future__ import annotations
@@ -252,6 +253,11 @@ def apply_map(E: CurveQ, M: ModelMap) -> CurveQ:
 def map_point(E: CurveQ, M: ModelMap, P: PointQ) -> PointQ:
     """Carry a point of E to the model apply_map(E, M)."""
     _require_on_curve(E, P)
+    return _map_point(M, P)
+
+
+def _map_point(M: ModelMap, P: PointQ) -> PointQ:
+    """map_point without the membership check: P must lie on the source."""
     if P.is_infinity:
         return INFINITY
     u, r, s, t = M.u, M.r, M.s, M.t

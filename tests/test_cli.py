@@ -35,6 +35,19 @@ def test_induce_happy_path(capsys):
     assert payload["quadruple_extension"]["values"] == ["0", "120"]
 
 
+@pytest.mark.parametrize("flags, digest", [
+    ([], "ab9f0acbb47818bc24b0938fed32c45530bcfd0b2e2b442b9b603fb22143790e"),
+    (["--height-bound", "8"],
+     "7cfb7c39969deecfc82daf382e1befa2d2b30e74897c36c2bacf01d42c73c78c"),
+], ids=["default", "height-bound-8"])
+def test_induce_output_bytes_pinned(capsys, flags, digest):
+    # the exact bytes are part of the output contract; the height bound 8
+    # is MAX_HEIGHT_BOUND, where the point search runs e up to 54
+    assert run(["induce", "{1,3,8}", *flags]) == EXIT_OK
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
 def test_induce_rejects_non_diophantine(capsys):
     assert run(["induce", "{1,2,3}"]) == EXIT_INVALID_INPUT
     assert run(["induce", "{1,2"]) == EXIT_INVALID_INPUT

@@ -20,14 +20,20 @@ from diocurves.descent import (
     naive_point_search,
     rank_lower_bound,
 )
-from diocurves.families import dataset_record
+from diocurves.errors import SingularCurve
+from diocurves.families import FAMILY_CONSTRUCTORS, K_PLUSMINUS, dataset_record
+from diocurves.torsion import points_with_x
 from diocurves.triples import canonical_points, induced_curves, make_triple
 from diocurves.weierstrass import (
     INFINITY,
     CurveQ,
     PointQ,
     add,
+    clear_denominators,
     dbl,
+    invariants,
+    map_point,
+    minimal_model,
     scalar_mul,
     sub,
 )
@@ -281,6 +287,80 @@ def test_naive_point_search_bound_zero():
     pts = naive_point_search(IC.curve, 0.0)
     assert pts
     assert all(abs(P.x) <= 1 for P in pts)
+
+
+def reference_search(E, height_bound, max_den=None):
+    """The search loop the residue sieve replaced: a Fraction square test
+    on every x = m / e^2 of the box, kept as the reference."""
+    Ei, M = clear_denominators(E)
+    Minv = M.inverse()
+    cap = math.floor(math.exp(height_bound))
+    out = []
+    emax = math.isqrt(cap)
+    if max_den is not None:
+        emax = min(emax, max_den)
+    for e in range(1, emax + 1):
+        for m in range(-cap, cap + 1):
+            if math.gcd(m, e) != 1:
+                continue
+            for P in points_with_x(Ei, F(m, e * e)):
+                out.append(map_point(Ei, Minv, P))
+    return sorted(set(out), key=lambda P: (P.x, P.y))
+
+
+# the parameters kept by the README grid, sieve K_PLUSMINUS
+# --numerators 1:50 --denominators 1:10 --keep 0.05
+README_KEPT = ("36/7", "7/3", "47/2", "31/5", "3/7", "46/5", "48", "40/9",
+               "33/8", "32/3", "21/8", "29/9", "11", "29/4", "41/2", "43")
+
+
+def _random_integral_curves():
+    rng = random.Random(7)
+    curves = []
+    while len(curves) < 8:
+        try:
+            curves.append(CurveQ(*(rng.randint(-30, 30) for _ in range(5))))
+        except SingularCurve:
+            continue
+    return curves
+
+
+def _readme_kept_curves():
+    return [minimal_model(induced_curves(
+        FAMILY_CONSTRUCTORS[K_PLUSMINUS](F(q))).curve).curve
+        for q in README_KEPT]
+
+
+def _small_curves():
+    # {1,3,8} as the companion model and minimal; E11; E37; and a model
+    # with a1, a3 != 0 and non-integral coefficients
+    return [IC.curve, minimal_model(IC.curve).curve,
+            CurveQ(0, -1, 1, -10, -20), E37,
+            CurveQ(F(3, 2), F(-9, 2), 1, F(3, 2), 2)]
+
+
+def _heavy_record_curves():
+    # the s3-rank9 companion model: b6 e^6 leaves int64 already at e = 1
+    E = induced_curves(dataset_record("s3-rank9").triple).curve
+    assert abs(invariants(clear_denominators(E)[0]).b6) > 2 ** 63
+    return [E]
+
+
+SEARCH_BOUNDS = (0.0, 2.0, 4.5, 5.0)
+
+
+@pytest.mark.parametrize("curves, bounds, max_den", [
+    (_readme_kept_curves, (5.0,), None),
+    (_small_curves, SEARCH_BOUNDS, None),
+    (_small_curves, (5.0,), 3),
+    (_random_integral_curves, SEARCH_BOUNDS, None),
+    (_heavy_record_curves, (0.0, 2.0), None),
+], ids=["readme-kept", "small", "small-max-den", "random", "heavy-record"])
+def test_naive_point_search_matches_reference(curves, bounds, max_den):
+    for E in curves():
+        for h in bounds:
+            want = reference_search(E, h, max_den)
+            assert naive_point_search(E, h, max_den) == want, (E, h)
 
 
 def test_quadruple_point_correspondence():
