@@ -24,9 +24,9 @@ from .families import (FAMILY_CONSTRUCTORS, FamilyMember, PaperRecord,
                        z2z6_triple, z2z6_triple_uv, z2z8_family)
 from .rationals import (QQ, format_rational, is_perfect_square,
                         naive_height, parse_rational, square_class)
-from .sieve import (ScoredTriple, SieveResult, count_points_fp,
-                    mestre_nagao_sum, mestre_nagao_sums, primes_upto,
-                    sieve_candidates, summand_forms, trace_of_frobenius)
+from .sieve import (SieveResult, count_points_fp, mestre_nagao_sum,
+                    mestre_nagao_sums, primes_upto, summand_forms,
+                    trace_of_frobenius)
 from .torsion import (TorsionSubgroup, halve_point, halving_obstruction,
                       point_order, points_with_x, reduction_torsion_bound,
                       torsion_subgroup, two_torsion_points)

@@ -9,7 +9,8 @@ command and configuration the bytes are identical run to run, whatever
 the worker count.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-64 usage error.
+64 usage error, 70 internal error (a bug or a failed internal check,
+reported on one line of stderr).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70
 
 JSONL_VERSION = 1
 
@@ -480,6 +482,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DiocurvesError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
     raise AssertionError("unreachable")
 
 

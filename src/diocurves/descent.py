@@ -37,6 +37,7 @@ from .weierstrass import (
     CurveQ,
     PointQ,
     _map_point,
+    _memo,
     add,
     clear_denominators,
     invariants,
@@ -87,14 +88,17 @@ class _DuplicationData:
         self.cofactor = rest
 
 
-_DUP_CACHE: dict[tuple, _DuplicationData] = {}
-
-
 def _duplication_data(E: CurveQ, budget: int) -> _DuplicationData:
-    key = E.coefficients()
-    hit = _DUP_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """The duplication data of the integral model E, built once per curve.
+
+    The first call's budget factors the Bezout constant; later calls return
+    the same object, which `refine` updates in place.
+    """
+    return _memo(E, "_duplication_data",
+                 lambda E: _build_duplication_data(E, budget))
+
+
+def _build_duplication_data(E: CurveQ, budget: int) -> _DuplicationData:
     inv = invariants(E)
     b2, b4, b6, b8 = (int(inv.b2), int(inv.b4), int(inv.b6), int(inv.b8))
     # x(2P) = F(x) / g(x)
@@ -136,12 +140,8 @@ def _duplication_data(E: CurveQ, budget: int) -> _DuplicationData:
                       log_int(abs(C)) + 3.5 * log_zeta0_sq
                       - log_int(norm_u + norm_v))
     step_bound = max(log_rho_max, -log_rho_min) + log_int(abs(C))
-    data = _DuplicationData((b2, b4, b6, b8), C, support, caps, cofactor,
+    return _DuplicationData((b2, b4, b6, b8), C, support, caps, cofactor,
                             log_rho_max, log_rho_min, step_bound)
-    if len(_DUP_CACHE) > 512:
-        _DUP_CACHE.clear()
-    _DUP_CACHE[key] = data
-    return data
 
 
 def _eval_pair_mod(b: tuple[int, int, int, int], X: int, Z: int,
@@ -169,9 +169,6 @@ def _valuation_capped(n: int, p: int, cap: int) -> int:
     return v
 
 
-_HEIGHT_CACHE: dict[tuple, float] = {}
-
-
 def canonical_height(E: CurveQ, P: PointQ, eps: float = 1e-6,
                      budget: int = DEFAULT_BUDGET) -> float:
     """Canonical height of P with absolute error at most eps.
@@ -183,8 +180,8 @@ def canonical_height(E: CurveQ, P: PointQ, eps: float = 1e-6,
         raise PointNotOnCurve(f"{P} is not on {E}")
     if P.is_infinity or _point_order(E, P) is not None:
         return 0.0
-    key = (E.coefficients(), P.x, P.y, eps)
-    hit = _HEIGHT_CACHE.get(key)
+    heights = _memo(E, "_heights", lambda E: {})
+    hit = heights.get((P, eps))
     if hit is not None:
         return hit
     Ei, M = clear_denominators(E)
@@ -203,9 +200,7 @@ def canonical_height(E: CurveQ, P: PointQ, eps: float = 1e-6,
     else:
         raise FactorizationIncomplete(
             "gcd support of the duplication step would not stabilize")
-    if len(_HEIGHT_CACHE) > 4096:
-        _HEIGHT_CACHE.clear()
-    _HEIGHT_CACHE[key] = value
+    heights[P, eps] = value
     return value
 
 

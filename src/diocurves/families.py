@@ -235,7 +235,7 @@ def torsion_condition(kind: str, t: Triple) -> ConditionWitness:
 
 DATASET_RESOURCE = "paper_records.json"
 DATASET_SHA256 = (
-    "fa4f632223ad757f6ad7885fb72c79ece6a83fcda6795d265929a58bb7ecd3b0")
+    "62b66ff66fdd68115442aac415cdb751d97864c75da8d2b666bf4ebab1b504a7")
 
 FAMILY_TORSION_SHAPES: dict[str, tuple[int, int]] = {
     K_PLUSMINUS: (2, 2),

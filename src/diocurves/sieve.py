@@ -27,11 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import BadReduction
-from .triples import Triple, induced_curves
-from .weierstrass import CurveQ, clear_denominators, invariants
+from .weierstrass import CurveQ, _memo, clear_denominators, invariants
 
 
 def primes_upto(n: int) -> list[int]:
@@ -46,23 +43,16 @@ def primes_upto(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if flags[i]]
 
 
-_INTEGRAL_CACHE: dict[tuple, tuple] = {}
-
-
 def _integral_data(E: CurveQ) -> tuple[tuple[int, ...], tuple[int, int, int], int]:
     """Integer model coefficients, its (b2, b4, b6), and its discriminant."""
-    key = E.coefficients()
-    hit = _INTEGRAL_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _memo(E, "_integral_data", _build_integral_data)
+
+
+def _build_integral_data(E: CurveQ) -> tuple:
     Ei, _ = clear_denominators(E)
-    coeffs = tuple(int(a) for a in Ei.coefficients())
     inv = invariants(Ei)
-    data = (coeffs, (int(inv.b2), int(inv.b4), int(inv.b6)), int(inv.disc))
-    if len(_INTEGRAL_CACHE) > 4096:
-        _INTEGRAL_CACHE.clear()
-    _INTEGRAL_CACHE[key] = data
-    return data
+    return (tuple(int(a) for a in Ei.coefficients()),
+            (int(inv.b2), int(inv.b4), int(inv.b6)), int(inv.disc))
 
 
 # elements per kernel block; bounds the kernel's temporaries to a few
@@ -89,7 +79,10 @@ def _count_odd(bs: Sequence[tuple[int, int, int]], p: int) -> list[int]:
     Completing the square, the fibre over x has 1 + chi(f(x)) points with
     f = 4x^3 + b2 x^2 + 2b4 x + b6 and chi the quadratic character mod p.
     Before the final reduction f is below 2p^2 + 2p, exact in int64.
+    numpy is imported here, so commands that count no points never load it.
     """
+    import numpy as np
+
     x = np.arange(p, dtype=np.int64)
     x2 = x * x % p
     x3 = 4 * x2 % p * x % p
@@ -191,32 +184,3 @@ def mestre_nagao_sums(curves: Sequence[CurveQ],
 def mestre_nagao_sum(E: CurveQ, limit: int) -> SieveResult:
     """The rank-selection sum of one curve; see ``mestre_nagao_sums``."""
     return mestre_nagao_sums([E], limit)[0]
-
-
-@dataclass(frozen=True)
-class ScoredTriple:
-    triple: Triple
-    score: float
-
-
-def _triple_sort_serial(t: Triple) -> str:
-    from .rationals import format_rational
-    return ",".join(format_rational(v) for v in t.elements)
-
-
-def sieve_candidates(triples: Sequence[Triple], limit: int = 1000,
-                     keep: float = 0.1) -> list[ScoredTriple]:
-    """Score triples by the rank-selection sum and keep the top fraction.
-
-    Scores within 1e-12 of each other count as tied; ties break by the
-    serialized triple so the output order never depends on dict order or
-    summation quirks.
-    """
-    results = mestre_nagao_sums([induced_curves(t).curve for t in triples],
-                                limit)
-    scored = [ScoredTriple(t, r.value) for t, r in zip(triples, results)]
-    def key(st: ScoredTriple):
-        return (-round(st.score / 1e-12), _triple_sort_serial(st.triple))
-    scored.sort(key=key)
-    count = max(1, math.ceil(keep * len(scored))) if scored else 0
-    return scored[:count]

@@ -28,6 +28,7 @@ from .weierstrass import (
     _add,
     _coefficient_scale,
     _map_point,
+    _memo,
     _require_on_curve,
     complete_the_square,
     invariants,
@@ -123,14 +124,19 @@ def reduction_torsion_bound(E: CurveQ, prime_count: int = 20) -> int:
 # halving
 
 
-def _square_completed(E: CurveQ) -> tuple[CurveQ, ModelMap, list[Fraction]]:
-    Es, M = complete_the_square(E)
-    roots = rational_roots([QQ(1), Es.a2, Es.a4, Es.a6])
+def _square_completed(E: CurveQ) -> tuple[CurveQ, ModelMap, tuple]:
+    """complete_the_square(E) and the rational roots of its cubic."""
+    Es, M, roots = _memo(E, "_square_completed", _build_square_completed)
     if len(roots) != 3:
         raise FormMismatch(
             "operation needs all three two-torsion x-coordinates rational "
             f"(found {len(roots)})")
     return Es, M, roots
+
+
+def _build_square_completed(E: CurveQ) -> tuple:
+    Es, M = complete_the_square(E)
+    return Es, M, tuple(rational_roots([QQ(1), Es.a2, Es.a4, Es.a6]))
 
 
 def halving_obstruction(E: CurveQ, P: PointQ,

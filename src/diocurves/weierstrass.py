@@ -13,6 +13,12 @@ inside the package whose points are already known to lie on the curve
 (the double-and-add chain, order scans, halving checks, search hits) call
 the unchecked `_add` and `_map_point` instead of paying for a re-check on
 every step.
+
+Data derived from a curve (its invariants, its integral and square-completed
+models, the duplication data and canonical heights of the descent layer) is
+built once, on first use, and kept on the curve object by `_memo`; it is
+dropped with the curve.  The package has no module-level caches and no size
+caps: two equal curves built separately each build their own copy.
 """
 
 from __future__ import annotations
@@ -21,10 +27,26 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, TypeVar
 
 from .errors import ParseError, PointNotOnCurve, SingularCurve
 from .factoring import factor_best_effort, DEFAULT_BUDGET
 from .rationals import QQ, is_perfect_square, format_rational, parse_rational
+
+_T = TypeVar("_T")
+
+
+def _memo(E: CurveQ, name: str, build: Callable[[CurveQ], _T]) -> _T:
+    """build(E), computed once per curve object and kept on it.
+
+    The value lives in the frozen instance's __dict__ under `name`, not in
+    a dataclass field, so ==, hash and repr never see it.
+    """
+    try:
+        return E.__dict__[name]
+    except KeyError:
+        value = E.__dict__[name] = build(E)
+        return value
 
 
 @dataclass(frozen=True)
@@ -87,16 +109,13 @@ class Invariants:
     j: Fraction | None  # None only transiently while disc == 0 is detected
 
 
-_INVARIANT_CACHE: dict[tuple, Invariants] = {}
-
-
 def invariants(E: CurveQ) -> Invariants:
     """The b-, c-invariants, discriminant and j-invariant of the model."""
-    key = (E.a1, E.a2, E.a3, E.a4, E.a6)
-    hit = _INVARIANT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    a1, a2, a3, a4, a6 = key
+    return _memo(E, "_invariants", _invariants)
+
+
+def _invariants(E: CurveQ) -> Invariants:
+    a1, a2, a3, a4, a6 = E.coefficients()
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
@@ -108,12 +127,8 @@ def invariants(E: CurveQ) -> Invariants:
     disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
     if 1728 * disc != c4 ** 3 - c6 * c6:
         raise ArithmeticError("invariant identity 1728 D = c4^3 - c6^2 failed")
-    inv = Invariants(b2, b4, b6, b8, c4, c6, disc,
-                     c4 ** 3 / disc if disc else None)
-    if len(_INVARIANT_CACHE) > 4096:
-        _INVARIANT_CACHE.clear()
-    _INVARIANT_CACHE[key] = inv
-    return inv
+    return Invariants(b2, b4, b6, b8, c4, c6, disc,
+                      c4 ** 3 / disc if disc else None)
 
 
 def is_on_curve(E: CurveQ, P: PointQ) -> bool:
@@ -341,8 +356,15 @@ def clear_denominators(E: CurveQ) -> tuple[CurveQ, ModelMap]:
     """An isomorphic model with integer coefficients, and the map onto it.
 
     Uses the scaling x -> x / m^2 with m the lcm of the coefficient
-    denominators, so a_i picks up the factor m^i.
+    denominators, so a_i picks up the factor m^i.  An integral E is its
+    own integral model.
     """
+    if _coefficient_scale(E) == 1:
+        return E, IDENTITY_MAP
+    return _memo(E, "_cleared", _clear_denominators)
+
+
+def _clear_denominators(E: CurveQ) -> tuple[CurveQ, ModelMap]:
     M = ModelMap(Fraction(1, _coefficient_scale(E)), 0, 0, 0)
     return apply_map(E, M), M
 

@@ -8,9 +8,11 @@ import sys
 import pytest
 
 import diocurves
+import diocurves.cli as cli
 from diocurves.cli import (
     EXIT_INVALID_INPUT,
     EXIT_OK,
+    EXIT_SOFTWARE,
     EXIT_USAGE,
     Config,
     _read_config_file,
@@ -201,9 +203,26 @@ def test_verify_all_under_optimize_flag():
     assert "70/70 checks passed" in proc.stdout
 
 
-def test_cli_import_leaves_sympy_unloaded():
+@pytest.mark.parametrize("module", ["sympy", "numpy"])
+def test_cli_import_leaves_module_unloaded(module):
+    # numpy is loaded by the point-counting kernel alone, so the import and
+    # `dataset` never pay for it; sympy is a test-only oracle
     src = pathlib.Path(diocurves.__file__).resolve().parents[1]
-    code = "import sys, diocurves.cli; sys.exit('sympy' in sys.modules)"
+    code = ("import sys, diocurves.cli as c; "
+            f"c.main(['dataset', '--out', {os.devnull!r}]); "
+            f"sys.exit({module!r} in sys.modules)")
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
     assert proc.returncode == 0
+
+
+def test_internal_error_is_exit_70_without_traceback(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ArithmeticError("forced certification failure")
+
+    monkeypatch.setattr(cli, "torsion_subgroup", broken)
+    assert run(["induce", "{1,3,8}"]) == EXIT_SOFTWARE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal error: ArithmeticError: "
+                            "forced certification failure\n")

@@ -11,11 +11,11 @@ from diocurves.sieve import (
     mestre_nagao_sum,
     mestre_nagao_sums,
     primes_upto,
-    sieve_candidates,
     trace_of_frobenius,
 )
-from diocurves.triples import induced_curves, make_triple
-from diocurves.weierstrass import CurveQ, clear_denominators, invariants
+from diocurves.triples import induced_curves
+from diocurves.weierstrass import (IDENTITY_MAP, CurveQ, clear_denominators,
+                                   invariants)
 
 E37 = CurveQ(0, 0, 1, -1, 0)
 E11 = CurveQ(0, -1, 1, -10, -20)
@@ -191,19 +191,13 @@ def test_mestre_nagao_reproducible():
     assert a == b
 
 
-def test_sieve_candidates_orders_and_trims():
-    triples = [make_triple(1, 3, 8), make_triple(2, 4, 12),
-               make_triple(3, 8, 21), make_triple(1, 8, 15),
-               make_triple(F(1, 4), F(33, 4), 12)]
-    out = sieve_candidates(triples, limit=200, keep=0.4)
-    assert len(out) == 2
-    assert out[0].score >= out[1].score
-    full = sieve_candidates(triples, limit=200, keep=1.0)
-    assert len(full) == 5
-    scores = [st.score for st in full]
-    assert scores == sorted(scores, reverse=True)
-    # determinism
-    again = sieve_candidates(triples, limit=200, keep=1.0)
-    assert [(st.triple, st.score) for st in again] == [
-        (st.triple, st.score) for st in full]
-    assert sieve_candidates([], keep=0.5) == []
+def test_clear_denominators_builds_each_model_once():
+    # an integral curve is its own integral model, so scoring cmd_sieve's
+    # cleared curves rebuilds nothing; a rational one is cleared once
+    E = CurveQ(0, F(35, 4), 0, 18, 9)
+    Ei, _ = clear_denominators(E)
+    assert Ei.coefficients() == (0, 140, 0, 4608, 36864)
+    assert clear_denominators(E)[0] is Ei
+    assert clear_denominators(Ei)[0] is Ei
+    assert clear_denominators(Ei)[1] == IDENTITY_MAP
+    assert clear_denominators(E37)[0] is E37

@@ -161,6 +161,22 @@ def test_torsion_bound_mismatch_raises(monkeypatch):
         torsion_subgroup(EK)
 
 
+def test_torsion_subgroup_completes_the_square_once(monkeypatch):
+    # the square-completed model and its roots are built once per curve,
+    # not again for every halve_point call
+    calls = []
+    real = torsion.complete_the_square
+
+    def counting(E):
+        calls.append(E)
+        return real(E)
+
+    monkeypatch.setattr(torsion, "complete_the_square", counting)
+    E = induced_curves(z2z8_family(F(7, 5))).curve
+    assert torsion_subgroup(E).invariants == (2, 8)
+    assert calls == [E]
+
+
 def test_torsion_z2z4():
     T = torsion_subgroup(EK)
     assert T.invariants == (2, 4)

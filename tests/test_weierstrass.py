@@ -1,8 +1,11 @@
+import pickle
 from fractions import Fraction as F
 
 import pytest
 
+from diocurves.descent import canonical_height
 from diocurves.errors import ParseError, PointNotOnCurve, SingularCurve
+from diocurves.torsion import torsion_subgroup
 from diocurves.weierstrass import (
     INFINITY,
     IDENTITY_MAP,
@@ -11,6 +14,7 @@ from diocurves.weierstrass import (
     PointQ,
     add,
     apply_map,
+    clear_denominators,
     complete_the_square,
     curve_from_c4c6,
     curve_to_str,
@@ -258,3 +262,23 @@ def test_parsing_round_trips():
         parse_curve("[1,2,3]")
     with pytest.raises(ParseError):
         parse_point("[1;2]")
+
+
+def test_memo_is_invisible_to_equality_hash_repr_and_pickle():
+    # a rational model with full two-torsion, so clearing, completing the
+    # square and the heights all leave data on the curve object
+    coeffs = (0, F(35, 4), 0, 18, 9)     # the {1,3,8} curve, x scaled by 4
+    E = CurveQ(*coeffs)
+    P = PointQ(0, 3)
+    h = canonical_height(E, P)
+    assert torsion_subgroup(E).invariants == (2, 2)
+    assert set(vars(E)) > {"a1", "a2", "a3", "a4", "a6"}
+    fresh = CurveQ(*coeffs)
+    assert (E == fresh and hash(E) == hash(fresh)
+            and repr(E) == repr(fresh))
+    back = pickle.loads(pickle.dumps(E))
+    assert (back == fresh and hash(back) == hash(fresh)
+            and repr(back) == repr(fresh))
+    assert invariants(back) == invariants(fresh)
+    assert clear_denominators(back) == clear_denominators(fresh)
+    assert canonical_height(back, P) == canonical_height(fresh, P) == h
