@@ -183,7 +183,7 @@ def _search_record(triple: Triple, cfg: Config,
     score = mestre_nagao_sum(E, cfg.N)
     tors = torsion_subgroup(E, prime_count=cfg.primes)
     rank = rank_lower_bound(E, candidates, eps=cfg.eps,
-                            budget=cfg.factor_budget)
+                            budget=cfg.factor_budget, torsion=tors)
 
     record = {
         "version": JSONL_VERSION,

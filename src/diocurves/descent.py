@@ -28,21 +28,24 @@ from .errors import FactorizationIncomplete, FormMismatch, PointNotOnCurve
 from .factoring import DEFAULT_BUDGET, factor_best_effort
 from .rationals import log_int, naive_height
 from .torsion import (
+    TorsionSubgroup,
     _point_order,
     halving_obstruction,
     point_order,
     torsion_subgroup,
 )
 from .weierstrass import (
+    INFINITY,
     CurveQ,
     PointQ,
+    _add,
     _map_point,
     _memo,
+    _neg,
     add,
     clear_denominators,
     invariants,
     is_on_curve,
-    map_point,
     sub,
 )
 
@@ -185,7 +188,7 @@ def canonical_height(E: CurveQ, P: PointQ, eps: float = 1e-6,
     if hit is not None:
         return hit
     Ei, M = clear_denominators(E)
-    Pi = map_point(E, M, P)
+    Pi = _map_point(M, P)
     for _ in range(12):
         try:
             value = _height_run(Ei, Pi, eps, budget)
@@ -449,20 +452,24 @@ class IndependenceResult:
 
 def independent_mod_two(E: CurveQ, points: Sequence[PointQ],
                         support: Sequence[int] | None = None,
-                        budget: int = DEFAULT_BUDGET) -> IndependenceResult:
+                        budget: int = DEFAULT_BUDGET,
+                        torsion: TorsionSubgroup | None = None
+                        ) -> IndependenceResult:
     """Certify independence of points modulo torsion and doubling.
 
     Images live in a product of three square-class groups; Gaussian
     elimination over F2 counts the dimensions the points add on top of
     the torsion image.  A full count certifies rank >= len(points); less
     than that proves nothing (the map forgets everything divisible by 2).
+    `torsion`, when given, is E's torsion subgroup (computed if omitted).
     """
     if support is None:
         try:
             support = descent_support(E, budget)
         except FactorizationIncomplete:
             support = None
-    torsion = torsion_subgroup(E)
+    if torsion is None:
+        torsion = torsion_subgroup(E)
     tors_imgs = [descent_image(E, T, support, budget) for T in torsion.points]
     pt_imgs = [descent_image(E, P, support, budget) for P in points]
     all_classes = [c for img in tors_imgs + pt_imgs for c in img]
@@ -506,22 +513,53 @@ _SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 # _SQUARES[p][r]: r is a square mod p, zero included (Euler's criterion)
 _SQUARES = {p: tuple(pow(r, (p - 1) // 2, p) != p - 1 for r in range(p))
             for p in _SIEVE_PRIMES}
+# most descent pivots the span check of rank_lower_bound combines:
+# its table holds the 3^r sums of pivots with coefficients in {-1, 0, 1}
+_SPAN_MAX_PIVOTS = 6
 
 
 @dataclass(frozen=True)
 class RankBound:
     bound: int
-    method: str                      # "descent", "heights", "descent+heights"
+    method: str                      # "descent" or "heights"
     certificate_indices: tuple[int, ...]
+
+
+def _spanned_by(E: CurveQ, pivots: Sequence[PointQ],
+                points: Sequence[PointQ],
+                torsion: TorsionSubgroup) -> bool:
+    """True when every point is S - T or 2S - T, with T torsion and S a sum
+    of the pivots with coefficients in {-1, 0, 1}; False proves nothing."""
+    sums = {INFINITY}
+    for piv in pivots:
+        minus = _neg(E, piv)
+        sums |= ({_add(E, S, piv) for S in sums}
+                 | {_add(E, S, minus) for S in sums})
+    table = sums | {_add(E, S, S) for S in sums}
+    return all(any(_add(E, P, T) in table for T in torsion.points)
+               for P in points)
 
 
 def rank_lower_bound(E: CurveQ, points: Sequence[PointQ], *,
                      eps: float = 1e-3, budget: int = DEFAULT_BUDGET,
-                     support: Sequence[int] | None = None) -> RankBound:
+                     support: Sequence[int] | None = None,
+                     torsion: TorsionSubgroup | None = None) -> RankBound:
     """A certified lower bound for the rank from the given points.
 
-    Tries the two-descent image first (cheap, exact); any points it
-    cannot separate are retried with height Gram certificates.
+    Tries the two-descent image first (cheap, exact).  When it separates
+    every point, the bound is their number.  Otherwise the points it does
+    separate, piv_1..piv_r, are independent modulo torsion and span a
+    rank-r subgroup.  Before any height is computed, an exact span check
+    (only for r <= _SPAN_MAX_PIVOTS) asks whether each other point P has
+    P + T in {S, 2S} for a torsion point T and some S = sum c_i piv_i,
+    c_i in {-1, 0, 1}.  If every point passes, all of them lie in the
+    pivots' subgroup plus torsion, which has rank exactly r, so no more
+    than r of them are independent.  A True Gram certificate certifies
+    independence, so the height loop could keep at most r points and
+    would return the descent bound: that bound is returned without
+    heights.  Otherwise the points are retried greedily with height Gram
+    certificates, and the larger bound wins.
+    `torsion`, when given, is E's torsion subgroup (computed if omitted).
     """
     infinite = [(i, P) for i, P in enumerate(points)
                 if not P.is_infinity and point_order(E, P) is None]
@@ -531,11 +569,23 @@ def rank_lower_bound(E: CurveQ, points: Sequence[PointQ], *,
     pts = [P for _, P in infinite]
 
     try:
-        res = independent_mod_two(E, pts, support=support, budget=budget)
+        if torsion is None:
+            torsion = torsion_subgroup(E)
+        res = independent_mod_two(E, pts, support=support, budget=budget,
+                                  torsion=torsion)
     except (FormMismatch, FactorizationIncomplete):
         res = IndependenceResult(False, 0, ())
     if res.independent:
         return RankBound(len(pts), "descent", tuple(idxs))
+    by_descent = RankBound(res.rank_gain, "descent",
+                           tuple(idxs[j] for j in res.pivot_indices))
+
+    if 0 < res.rank_gain <= _SPAN_MAX_PIVOTS:
+        pivots = [pts[j] for j in res.pivot_indices]
+        others = [P for j, P in enumerate(pts)
+                  if j not in res.pivot_indices]
+        if _spanned_by(E, pivots, others, torsion):
+            return by_descent
 
     kept: list[int] = []
     for j in range(len(pts)):
@@ -544,8 +594,7 @@ def rank_lower_bound(E: CurveQ, points: Sequence[PointQ], *,
         if cert.independent:
             kept.append(j)
     if res.rank_gain >= len(kept):
-        return RankBound(res.rank_gain, "descent",
-                         tuple(idxs[j] for j in res.pivot_indices))
+        return by_descent
     return RankBound(len(kept), "heights", tuple(idxs[j] for j in kept))
 
 

@@ -306,7 +306,7 @@ def _heavy_record_check(rid: str, expect_rank: int, *,
 
     pts = list(rec.points if points_slice is None
                else rec.points[:points_slice])
-    rb = rank_lower_bound(E, pts, eps=eps, budget=budget)
+    rb = rank_lower_bound(E, pts, eps=eps, budget=budget, torsion=ts)
     rank_ok = (rb.bound >= expect_rank if expect_at_least
                else rb.bound == expect_rank)
     if not rank_ok:

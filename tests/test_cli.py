@@ -9,6 +9,7 @@ import pytest
 
 import diocurves
 import diocurves.cli as cli
+from diocurves import descent
 from diocurves.cli import (
     EXIT_INVALID_INPUT,
     EXIT_OK,
@@ -18,6 +19,7 @@ from diocurves.cli import (
     _read_config_file,
     main,
 )
+from diocurves.triples import make_triple
 from diocurves.verify import RANK_DISCLAIMER
 
 
@@ -226,3 +228,20 @@ def test_internal_error_is_exit_70_without_traceback(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == ("internal error: ArithmeticError: "
                             "forced certification failure\n")
+
+
+def test_search_record_computes_torsion_once(monkeypatch):
+    # the search record's torsion group is handed to the rank bound, which
+    # computed it a second time (with the default prime count) before
+    calls = []
+    real = cli.torsion_subgroup
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "torsion_subgroup", counted)
+    monkeypatch.setattr(descent, "torsion_subgroup", counted)
+    record = cli._search_record(make_triple(1, 3, 8), Config(N=200))
+    assert record["rank"]["lower_bound"] >= 1
+    assert len(calls) == 1

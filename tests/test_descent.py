@@ -7,6 +7,8 @@ import pytest
 from diocurves import descent
 from diocurves.descent import (
     GramCertificate,
+    IndependenceResult,
+    RankBound,
     _coprime_basis,
     _det,
     _duplication_data,
@@ -20,9 +22,15 @@ from diocurves.descent import (
     naive_point_search,
     rank_lower_bound,
 )
-from diocurves.errors import SingularCurve
+from diocurves.errors import (
+    DiocurvesError,
+    FactorizationIncomplete,
+    FormMismatch,
+    SingularCurve,
+)
+from diocurves.factoring import DEFAULT_BUDGET
 from diocurves.families import FAMILY_CONSTRUCTORS, K_PLUSMINUS, dataset_record
-from diocurves.torsion import points_with_x
+from diocurves.torsion import point_order, points_with_x
 from diocurves.triples import canonical_points, induced_curves, make_triple
 from diocurves.weierstrass import (
     INFINITY,
@@ -274,6 +282,110 @@ def test_rank_lower_bound_record_curves():
         rb = rank_lower_bound(rec.curve, list(rec.points))
         assert rb.bound == want
         assert rb.method == "descent"
+
+
+def reference_rank_lower_bound(E, points, *, eps=1e-3,
+                               budget=DEFAULT_BUDGET):
+    """rank_lower_bound before the span check: the greedy height Gram loop
+    runs whenever descent does not separate every point."""
+    infinite = [(i, P) for i, P in enumerate(points)
+                if not P.is_infinity and point_order(E, P) is None]
+    if not infinite:
+        return RankBound(0, "descent", ())
+    idxs = [i for i, _ in infinite]
+    pts = [P for _, P in infinite]
+    try:
+        res = independent_mod_two(E, pts, budget=budget)
+    except (FormMismatch, FactorizationIncomplete):
+        res = IndependenceResult(False, 0, ())
+    if res.independent:
+        return RankBound(len(pts), "descent", tuple(idxs))
+    kept = []
+    for j in range(len(pts)):
+        trial = [pts[k] for k in kept] + [pts[j]]
+        if gram_certificate(E, trial, eps, budget).independent:
+            kept.append(j)
+    if res.rank_gain >= len(kept):
+        return RankBound(res.rank_gain, "descent",
+                         tuple(idxs[j] for j in res.pivot_indices))
+    return RankBound(len(kept), "heights", tuple(idxs[j] for j in kept))
+
+
+def _search_input(triple, height_bound=5.0):
+    """The curve and candidate points the CLI's search record certifies:
+    the minimal model (or the cleared one), the stock points and a naive
+    search."""
+    ic = induced_curves(triple)
+    cp = canonical_points(triple, ic)
+    try:
+        mm = minimal_model(ic.curve)
+        E, to_E = mm.curve, mm.map
+    except DiocurvesError:
+        E, to_E = clear_denominators(ic.curve)
+    stock = [map_point(ic.curve, to_E, P)
+             for P in (cp.x_zero, cp.x_one, cp.half_x_one)]
+    found = naive_point_search(E, height_bound)
+    return E, sorted(set(found) | set(stock), key=lambda P: (P.x, P.y))
+
+
+def _euler_triples():
+    # b = (r^2 - 1) / a and c = a + b + 2r, as in the cli-cold bench mix
+    return [make_triple(F(a), F(r * r - 1, a), a + F(r * r - 1, a) + 2 * r)
+            for a in range(1, 7) for r in range(2, 7)]
+
+
+# induce runs whose rank bound comes from heights, not descent
+HEIGHTS_WINNING = ((F(3, 4), F(7), F(315, 4)),
+                   (F(12, 5), F(-5, 12), F(116, 375)))
+
+
+def _readme_kept_inputs():
+    return [_search_input(FAMILY_CONSTRUCTORS[K_PLUSMINUS](F(q)))
+            for q in README_KEPT]
+
+
+def _rank_inputs():
+    cases = _readme_kept_inputs()
+    cases += [_search_input(FERMAT, h) for h in (5.0, 7.0)]
+    cases += [_search_input(t) for t in _euler_triples()]
+    for rid in ("s3-rank9", "s4-rank7", "s5-rank4", "s6-connell", "s6-big"):
+        rec = dataset_record(rid)
+        cases += [(rec.curve, list(rec.points[:n]))
+                  for n in range(1, len(rec.points) + 1)]
+    cases += [_search_input(make_triple(*t)) for t in HEIGHTS_WINNING]
+    return cases
+
+
+def test_rank_lower_bound_matches_reference():
+    for E, pts in _rank_inputs():
+        assert rank_lower_bound(E, pts) == \
+            reference_rank_lower_bound(E, pts), (E, len(pts))
+
+
+def _counting_gram(monkeypatch):
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return gram_certificate(*args, **kw)
+
+    monkeypatch.setattr(descent, "gram_certificate", counted)
+    return calls
+
+
+def test_span_check_skips_heights_on_readme_kept_curves(monkeypatch):
+    calls = _counting_gram(monkeypatch)
+    for E, pts in _readme_kept_inputs():
+        assert rank_lower_bound(E, pts).method == "descent"
+    assert calls == []
+
+
+def test_span_check_falls_back_to_heights(monkeypatch):
+    calls = _counting_gram(monkeypatch)
+    E, pts = _search_input(make_triple(*HEIGHTS_WINNING[0]))
+    rb = rank_lower_bound(E, pts)
+    assert rb.method == "heights"
+    assert calls
 
 
 def test_naive_point_search_fermat_curve():
