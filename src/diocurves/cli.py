@@ -21,7 +21,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, Sequence, TextIO
 
 from .descent import naive_point_search, rank_lower_bound
@@ -84,6 +84,12 @@ class Config:
         return self
 
 
+# config-file key -> parser of its value text, one per Config field; the
+# flags and the key=value file use the same names
+_CONFIG_KEYS = {f.name: str if f.default is None else type(f.default)
+                for f in fields(Config)}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):       # argparse default exits with 2
         self.print_usage(sys.stderr)
@@ -94,8 +100,6 @@ class _Parser(argparse.ArgumentParser):
 def _read_config_file(path: str) -> dict:
     """Flat key=value file, # comments; same keys as the flags."""
     values: dict = {}
-    names = {f: f for f in ("N", "keep", "primes", "eps", "height_bound",
-                            "factor_budget", "jobs", "out")}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -106,7 +110,7 @@ def _read_config_file(path: str) -> dict:
                     raise ValueError(f"line {lineno}: expected key=value")
                 key, val = (part.strip() for part in line.split("=", 1))
                 key = key.replace("-", "_")
-                if key not in names:
+                if key not in _CONFIG_KEYS:
                     raise ValueError(f"line {lineno}: unknown key {key!r}")
                 values[key] = val
     except OSError as exc:
@@ -118,18 +122,9 @@ def _build_config(args) -> Config:
     cfg = Config()
     if args.config:
         raw = _read_config_file(args.config)
-        casts = {"N": int, "keep": float, "primes": int, "eps": float,
-                 "height_bound": float, "factor_budget": int, "jobs": int,
-                 "out": str}
-        cfg = replace(cfg, **{k: casts[k](v) for k, v in raw.items()})
-    overrides = {}
-    for field, attr in (("N", "N"), ("keep", "keep"), ("primes", "primes"),
-                        ("eps", "eps"), ("height_bound", "height_bound"),
-                        ("factor_budget", "factor_budget"),
-                        ("jobs", "jobs"), ("out", "out")):
-        val = getattr(args, attr, None)
-        if val is not None:
-            overrides[field] = val
+        cfg = replace(cfg, **{k: _CONFIG_KEYS[k](v) for k, v in raw.items()})
+    overrides = {k: getattr(args, k) for k in _CONFIG_KEYS
+                 if getattr(args, k, None) is not None}
     return replace(cfg, **overrides).validated()
 
 
@@ -276,8 +271,7 @@ def _grid(numerators: tuple[int, int],
 
 
 def _sieve_worker(payload) -> str:
-    family_id, params, cfg_fields = payload
-    cfg = Config(**cfg_fields)
+    family_id, params, cfg = payload
     member = make_family_member(family_id, *params)
     record = _search_record(member.triple, cfg, family_id=family_id,
                             parameters=member.parameters)
@@ -312,10 +306,7 @@ def cmd_sieve(family_id: str, numerators: tuple[int, int],
                                 sq[1].numerator, sq[1].denominator))
     kept = [q for _, q in scored[:kept_n]]
 
-    payloads = [(family_id, (format_rational(q),),
-                 {"N": cfg.N, "keep": cfg.keep, "primes": cfg.primes,
-                  "eps": cfg.eps, "height_bound": cfg.height_bound,
-                  "factor_budget": cfg.factor_budget}) for q in kept]
+    payloads = [(family_id, (format_rational(q),), cfg) for q in kept]
     if cfg.jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             lines.extend(pool.map(_sieve_worker, payloads))

@@ -8,9 +8,10 @@ so the implementation telescopes the limit instead:
 
 where rho_n is the scale-invariant growth factor of one duplication step
 and g_n the integer cancellation between its numerator and denominator.
-rho_n comes from a normalized floating shadow of the orbit; g_n has
-support in a fixed, curve-dependent prime set and is read off exactly
-from p-adic shadows.  Every constant in the tail bound is explicit, so a
+rho_n comes from a max-normalized fixed-point shadow of the orbit, in
+plain integers.  g_n divides the Bezout constant C of the duplication
+map, so it is read off exactly from the orbit kept modulo a power of C,
+with no factoring.  Every constant in the tail bound is explicit, so a
 requested absolute accuracy is honest, not heuristic.
 """
 
@@ -20,8 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import mpmath
 
 from ._poly import gcdex
 from .errors import FactorizationIncomplete, FormMismatch, PointNotOnCurve
@@ -51,57 +50,29 @@ from .weierstrass import (
 
 
 # ---------------------------------------------------------------------------
-# duplication data: Bezout cofactors, growth bounds, gcd support
+# duplication data: Bezout constant and growth bounds
 
 
-class _Refine(Exception):
-    """Internal: a hidden prime of the gcd support surfaced; retry."""
-
-    def __init__(self, factor: int):
-        self.factor = factor
-
-
-@dataclass
+@dataclass(frozen=True)
 class _DuplicationData:
     b: tuple[int, int, int, int]          # b2, b4, b6, b8 of the integral model
     bezout_constant: int                  # C with U F + V g = C, U, V in Z[x]
-    support: list[int]                    # known primes of C
-    caps: dict[int, int]                  # p -> v_p(C)
-    cofactor: int                         # unfactored part of C (1 if none)
     log_rho_max: float
     log_rho_min: float
     step_bound: float                     # |log rho_n - log g_n| <= this
 
-    def refine(self, factor: int, budget: int) -> None:
-        """Move newly discovered factors out of the composite cofactor."""
-        fac = factor_best_effort(factor, budget)
-        rest = self.cofactor
-        for p, _ in fac.factors:
-            while rest % p == 0:
-                rest //= p
-            if p not in self.caps:
-                v = 0
-                c = abs(self.bezout_constant)
-                while c % p == 0:
-                    c //= p
-                    v += 1
-                self.caps[p] = v
-                self.support.append(p)
-        self.support.sort()
-        self.cofactor = rest
 
-
-def _duplication_data(E: CurveQ, budget: int) -> _DuplicationData:
+def _duplication_data(E: CurveQ) -> _DuplicationData:
     """The duplication data of the integral model E, built once per curve.
 
-    The first call's budget factors the Bezout constant; later calls return
-    the same object, which `refine` updates in place.
+    It is read off E's coefficients alone and never changes afterwards:
+    the gcd of a duplication step divides C, and `_height_run` finds it
+    without factoring C.
     """
-    return _memo(E, "_duplication_data",
-                 lambda E: _build_duplication_data(E, budget))
+    return _memo(E, "_duplication_data", _build_duplication_data)
 
 
-def _build_duplication_data(E: CurveQ, budget: int) -> _DuplicationData:
+def _build_duplication_data(E: CurveQ) -> _DuplicationData:
     inv = invariants(E)
     b2, b4, b6, b8 = (int(inv.b2), int(inv.b4), int(inv.b6), int(inv.b8))
     # x(2P) = F(x) / g(x)
@@ -125,11 +96,6 @@ def _build_duplication_data(E: CurveQ, budget: int) -> _DuplicationData:
     if prod[:-1] != [0] * 7 or prod[-1] != C:
         raise ArithmeticError("bezout identity of the duplication map failed")
 
-    fac = factor_best_effort(abs(C), budget)
-    support = sorted(p for p, _ in fac.factors)
-    caps = {p: e for p, e in fac.factors}
-    cofactor = fac.cofactor
-
     norm_u = sum(abs(c) for c in U)
     norm_v = sum(abs(c) for c in V)
     norm_f = sum(abs(c) for c in F)
@@ -143,8 +109,8 @@ def _build_duplication_data(E: CurveQ, budget: int) -> _DuplicationData:
                       log_int(abs(C)) + 3.5 * log_zeta0_sq
                       - log_int(norm_u + norm_v))
     step_bound = max(log_rho_max, -log_rho_min) + log_int(abs(C))
-    return _DuplicationData((b2, b4, b6, b8), C, support, caps, cofactor,
-                            log_rho_max, log_rho_min, step_bound)
+    return _DuplicationData((b2, b4, b6, b8), C, log_rho_max, log_rho_min,
+                            step_bound)
 
 
 def _eval_pair_mod(b: tuple[int, int, int, int], X: int, Z: int,
@@ -162,18 +128,7 @@ def _eval_pair_mod(b: tuple[int, int, int, int], X: int, Z: int,
     return F, G
 
 
-def _valuation_capped(n: int, p: int, cap: int) -> int:
-    if n == 0:
-        return cap
-    v = 0
-    while v < cap and n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def canonical_height(E: CurveQ, P: PointQ, eps: float = 1e-6,
-                     budget: int = DEFAULT_BUDGET) -> float:
+def canonical_height(E: CurveQ, P: PointQ, eps: float = 1e-6) -> float:
     """Canonical height of P with absolute error at most eps.
 
     Torsion points get exactly 0.0.  The value is normalized so that
@@ -188,94 +143,65 @@ def canonical_height(E: CurveQ, P: PointQ, eps: float = 1e-6,
     if hit is not None:
         return hit
     Ei, M = clear_denominators(E)
-    Pi = _map_point(M, P)
-    for _ in range(12):
-        try:
-            value = _height_run(Ei, Pi, eps, budget)
-            break
-        except _Refine as r:
-            data = _duplication_data(Ei, budget)
-            before = (len(data.support), data.cofactor)
-            data.refine(r.factor, budget)
-            if (len(data.support), data.cofactor) == before:
-                raise FactorizationIncomplete(
-                    "gcd support of the duplication step would not split")
-    else:
-        raise FactorizationIncomplete(
-            "gcd support of the duplication step would not stabilize")
-    heights[P, eps] = value
-    return value
+    heights[P, eps] = _height_run(Ei, _map_point(M, P), eps)
+    return heights[P, eps]
 
 
-def _height_run(Ei: CurveQ, Pi: PointQ, eps: float, budget: int) -> float:
-    data = _duplication_data(Ei, budget)
+def _height_run(Ei: CurveQ, Pi: PointQ, eps: float) -> float:
+    """The telescoped height series of Pi on the integral model Ei.
+
+    X_n and Z_n are coprime, and the Bezout identity homogenizes to
+    U F + V G = C Z^7 with F = X^4 (mod Z), so g_n = gcd(F, G) divides C.
+    The exact orbit (X_n, Z_n) is therefore kept only modulo m, starting
+    from m = C^(steps+1) and divided by g_n at each step: m keeps a factor
+    C through every step, and gcd(F mod m, G mod m, C) is g_n exactly.
+
+    The archimedean orbit is kept max-normalized in fixed point: integers
+    scaled by 2^prec, with prec = ceil(dps log2 10) for dps = 40 + steps
+    + (log rho_max - log rho_min) / log 10, the last term rounded down.
+    Each rounded point is again max-normalized (its larger coordinate is
+    exactly +-2^prec), so its rho lies in [rho_min, rho_max].  One
+    rounding moves the smaller coordinate by less than 2^-prec; the
+    partial derivatives of F and G are at most 4 rho_max there, so it
+    changes the next log rho by at most
+    4 (rho_max / rho_min) 2^-prec <= 4 * 10^-(39 + steps).
+    """
+    data = _duplication_data(Ei)
     steps = max(3, math.ceil(math.log(max(data.step_bound, 1.0) / (3 * eps))
                              / math.log(4.0)))
 
     a, b = Pi.x.numerator, Pi.x.denominator
-    total = log_int(max(abs(a), b)) if max(abs(a), b) > 1 else 0.0
+    scale = max(abs(a), b)
+    total = log_int(scale) if scale > 1 else 0.0
 
-    # p-adic shadows: value pair, modulus, remaining exponent
-    shadows: dict[int, tuple[int, int, int]] = {}
-    for p in data.support:
-        cap = data.caps[p]
-        k = (steps + 2) * cap + 8
-        m = p ** k
-        shadows[p] = (a % m, b % m, k)
-    wshadow = None
-    W = data.cofactor
-    if W > 1:
-        wshadow = (a % W, b % W)
+    C = data.bezout_constant
+    m = C ** (steps + 1)
+    X, Z = a % m, b % m
 
     dps = 40 + steps + int(
         (data.log_rho_max - min(0.0, data.log_rho_min)) / math.log(10))
-    with mpmath.workdps(dps):
-        scale = mpmath.mpf(max(abs(a), b))
-        xr = mpmath.mpf(a) / scale
-        zr = mpmath.mpf(b) / scale
-        b2, b4, b6, b8 = data.b
-        weight = 0.25
-        for _ in range(steps):
-            # exact gcd of the step, prime by prime
-            g = 1
-            pending: dict[int, tuple[int, int, int, int]] = {}
-            for p, (X, Z, k) in shadows.items():
-                m = p ** k
-                F, G = _eval_pair_mod(data.b, X, Z, m)
-                v = min(_valuation_capped(F, p, k), _valuation_capped(G, p, k))
-                if v > data.caps[p]:
-                    raise ArithmeticError(
-                        f"gcd of a duplication step exceeds its cap at {p}")
-                pending[p] = (F, G, k, v)
-                g *= p ** v
-            Fw = Gw = 0
-            if wshadow is not None:
-                Fw, Gw = _eval_pair_mod(data.b, wshadow[0], wshadow[1], W)
-                d = math.gcd(math.gcd(Fw, Gw), W)
-                if d > 1:
-                    raise _Refine(d)
+    prec = math.ceil(dps * math.log2(10))
+    xr, zr = (a << prec) // scale, (b << prec) // scale
+    b2, b4, b6, b8 = data.b
+    weight = 0.25
+    for _ in range(steps):
+        F, G = _eval_pair_mod(data.b, X, Z, m)
+        g = math.gcd(F, G, C)
+        m //= g
+        X, Z = F // g % m, G // g % m
 
-            Fr = ((xr * xr - b4 * zr * zr) * xr - 2 * b6 * zr ** 3) * xr \
-                - b8 * zr ** 4
-            Gr = ((4 * xr + b2 * zr) * xr + 2 * b4 * zr * zr) * xr * zr \
-                + b6 * zr ** 4
-            rho = max(abs(Fr), abs(Gr))
-            total += weight * (float(mpmath.log(rho))
-                               - (log_int(g) if g > 1 else 0.0))
-            xr, zr = Fr / rho, Gr / rho
-
-            for p, (F, G, k, v) in pending.items():
-                k2 = k - v
-                m2 = p ** k2
-                unit = g // p ** v
-                inv_unit = pow(unit, -1, m2)
-                shadows[p] = ((F // p ** v) % m2 * inv_unit % m2,
-                              (G // p ** v) % m2 * inv_unit % m2, k2)
-            if wshadow is not None:
-                inv_g = pow(g, -1, W)
-                wshadow = (Fw * inv_g % W, Gw * inv_g % W)
-            weight /= 4.0
-    return float(total)
+        # both are 2^(4 prec) times the values at the normalized point
+        Fr = ((xr * xr - b4 * zr * zr) * xr - 2 * b6 * zr ** 3) * xr \
+            - b8 * zr ** 4
+        Gr = ((4 * xr + b2 * zr) * xr + 2 * b4 * zr * zr) * xr * zr \
+            + b6 * zr ** 4
+        rho = max(abs(Fr), abs(Gr))
+        shift = rho.bit_length() - 64
+        log_rho = math.log(rho >> shift) + (shift - 4 * prec) * math.log(2)
+        total += weight * (log_rho - (log_int(g) if g > 1 else 0.0))
+        xr, zr = (Fr << prec) // rho, (Gr << prec) // rho
+        weight /= 4.0
+    return total
 
 
 def canonical_height_reference(E: CurveQ, P: PointQ, doublings: int = 8) -> float:
@@ -296,21 +222,21 @@ def canonical_height_reference(E: CurveQ, P: PointQ, doublings: int = 8) -> floa
 # height pairing and Gram certificates
 
 
-def height_pairing(E: CurveQ, P: PointQ, Q: PointQ, eps: float = 1e-3,
-                   budget: int = DEFAULT_BUDGET) -> float:
+def height_pairing(E: CurveQ, P: PointQ, Q: PointQ,
+                   eps: float = 1e-3) -> float:
     """The bilinear pairing <P, Q> = (h(P+Q) - h(P) - h(Q)) / 2."""
     each = 2.0 * eps / 3.0
     S = add(E, P, Q)
     if not S.is_infinity:
-        return (canonical_height(E, S, each, budget)
-                - canonical_height(E, P, each, budget)
-                - canonical_height(E, Q, each, budget)) / 2.0
+        return (canonical_height(E, S, each)
+                - canonical_height(E, P, each)
+                - canonical_height(E, Q, each)) / 2.0
     D = sub(E, P, Q)
     if D.is_infinity:
         return 0.0  # P = Q = -Q: torsion on both slots
-    return (canonical_height(E, P, each, budget)
-            + canonical_height(E, Q, each, budget)
-            - canonical_height(E, D, each, budget)) / 2.0
+    return (canonical_height(E, P, each)
+            + canonical_height(E, Q, each)
+            - canonical_height(E, D, each)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -345,8 +271,8 @@ def _det(rows: list[list[float]]) -> Fraction:
     return det
 
 
-def gram_certificate(E: CurveQ, points: Sequence[PointQ], eps: float = 1e-3,
-                     budget: int = DEFAULT_BUDGET) -> GramCertificate:
+def gram_certificate(E: CurveQ, points: Sequence[PointQ],
+                     eps: float = 1e-3) -> GramCertificate:
     """Height Gram matrix with a rigorous positive-definiteness verdict.
 
     `independent` is True only when every leading principal minor clears
@@ -356,10 +282,10 @@ def gram_certificate(E: CurveQ, points: Sequence[PointQ], eps: float = 1e-3,
     n = len(points)
     mat = [[0.0] * n for _ in range(n)]
     for i in range(n):
-        mat[i][i] = canonical_height(E, points[i], 2.0 * eps / 3.0, budget)
+        mat[i][i] = canonical_height(E, points[i], 2.0 * eps / 3.0)
         for j in range(i + 1, n):
             mat[i][j] = mat[j][i] = height_pairing(E, points[i], points[j],
-                                                   eps, budget)
+                                                   eps)
     entry_err = eps
     big = max((abs(v) for row in mat for v in row), default=0.0)
     ok = n > 0
@@ -590,7 +516,7 @@ def rank_lower_bound(E: CurveQ, points: Sequence[PointQ], *,
     kept: list[int] = []
     for j in range(len(pts)):
         trial = [pts[k] for k in kept] + [pts[j]]
-        cert = gram_certificate(E, trial, eps, budget)
+        cert = gram_certificate(E, trial, eps)
         if cert.independent:
             kept.append(j)
     if res.rank_gain >= len(kept):

@@ -9,7 +9,7 @@ import pytest
 
 import diocurves
 import diocurves.cli as cli
-from diocurves import descent
+from diocurves import descent, verify
 from diocurves.cli import (
     EXIT_INVALID_INPUT,
     EXIT_OK,
@@ -39,17 +39,42 @@ def test_induce_happy_path(capsys):
     assert payload["quadruple_extension"]["values"] == ["0", "120"]
 
 
-@pytest.mark.parametrize("flags, digest", [
-    ([], "ab9f0acbb47818bc24b0938fed32c45530bcfd0b2e2b442b9b603fb22143790e"),
-    (["--height-bound", "8"],
+# the two triples whose rank bound comes from heights, not descent
+HEIGHTS_PINS = {
+    "{3/4,7,315/4}":
+        "64623306328331051cdeb63e2bbb9c524b752b737f3aae5f85655d2569425fc2",
+    "{12/5,-5/12,116/375}":
+        "714c92754d71ea89ffdddaf71c21f4c86bbe4192d15c7a92858ff31246ef8433",
+}
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["{1,3,8}"],
+     "ab9f0acbb47818bc24b0938fed32c45530bcfd0b2e2b442b9b603fb22143790e"),
+    (["{1,3,8}", "--height-bound", "8"],
      "7cfb7c39969deecfc82daf382e1befa2d2b30e74897c36c2bacf01d42c73c78c"),
-], ids=["default", "height-bound-8"])
-def test_induce_output_bytes_pinned(capsys, flags, digest):
+    *(([t], d) for t, d in HEIGHTS_PINS.items()),
+], ids=["default", "height-bound-8", "heights-3_4", "heights-12_5"])
+def test_induce_output_bytes_pinned(capsys, argv, digest):
     # the exact bytes are part of the output contract; the height bound 8
     # is MAX_HEIGHT_BOUND, where the point search runs e up to 54
-    assert run(["induce", "{1,3,8}", *flags]) == EXIT_OK
+    assert run(["induce", *argv]) == EXIT_OK
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+def test_heights_run_without_mpmath():
+    # mpmath is a test-only oracle: the height path must not import it
+    src = pathlib.Path(diocurves.__file__).resolve().parents[1]
+    triple, digest = next(iter(HEIGHTS_PINS.items()))
+    code = ("import sys; sys.modules['mpmath'] = None; "
+            "import diocurves.cli as c; "
+            f"sys.exit(c.main(['induce', {triple!r}]))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_induce_rejects_non_diophantine(capsys):
@@ -205,10 +230,10 @@ def test_verify_all_under_optimize_flag():
     assert "70/70 checks passed" in proc.stdout
 
 
-@pytest.mark.parametrize("module", ["sympy", "numpy"])
+@pytest.mark.parametrize("module", ["sympy", "numpy", "mpmath"])
 def test_cli_import_leaves_module_unloaded(module):
     # numpy is loaded by the point-counting kernel alone, so the import and
-    # `dataset` never pay for it; sympy is a test-only oracle
+    # `dataset` never pay for it; sympy and mpmath are test-only oracles
     src = pathlib.Path(diocurves.__file__).resolve().parents[1]
     code = ("import sys, diocurves.cli as c; "
             f"c.main(['dataset', '--out', {os.devnull!r}]); "
@@ -245,3 +270,20 @@ def test_search_record_computes_torsion_once(monkeypatch):
     record = cli._search_record(make_triple(1, 3, 8), Config(N=200))
     assert record["rank"]["lower_bound"] >= 1
     assert len(calls) == 1
+
+
+def test_verify_check_propagates_internal_errors(monkeypatch):
+    # only BadReduction means "skip this prime"; anything else is a bug and
+    # must not be retried away
+    real = verify.summand_forms
+    calls = []
+
+    def flaky(E, p):
+        calls.append(p)
+        if len(calls) == 1:
+            raise ArithmeticError("forced internal failure")
+        return real(E, p)
+
+    monkeypatch.setattr(verify, "summand_forms", flaky)
+    with pytest.raises(ArithmeticError, match="forced internal failure"):
+        verify.check_summand_forms(count=5)
