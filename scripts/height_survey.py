@@ -8,12 +8,7 @@ regulator of the span.
 
 import argparse
 
-from diocurves import (
-    canonical_height,
-    dataset_record,
-    gram_certificate,
-    height_pairing,
-)
+from diocurves import dataset_record, gram_certificate
 
 
 def main() -> None:
@@ -30,19 +25,16 @@ def main() -> None:
         raise SystemExit(f"{args.record} stores no curve")
     E, points = rec.curve, rec.points
 
+    # the heights are the diagonal of the certificate's own pairing matrix
+    cert = gram_certificate(E, points, eps=args.eps)
     print(f"{rec.record_id}: {len(points)} stored points\n")
-    for i, P in enumerate(points, 1):
-        h = canonical_height(E, P, eps=args.eps)
-        print(f"  P{i}  height {h:.6f}  x = {P.x}")
+    for i, P in enumerate(points):
+        print(f"  P{i + 1}  height {cert.matrix[i][i]:.6f}  x = {P.x}")
 
-    n = len(points)
     print("\npairing matrix:")
-    for i in range(n):
-        row = [height_pairing(E, points[i], points[j], eps=args.eps)
-               for j in range(n)]
+    for row in cert.matrix:
         print("  " + "  ".join(f"{v:9.4f}" for v in row))
 
-    cert = gram_certificate(E, points, eps=args.eps)
     print(f"\ndet = {cert.determinant:.4f}  error bound "
           f"{cert.error_bound:.4f}  independent: {cert.independent}")
 

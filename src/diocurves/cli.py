@@ -51,9 +51,6 @@ MAX_HEIGHT_BOUND = 8.0
 # the sieve sum lists every prime up to N in memory, and counts each with
 # arrays of p entries; the package itself never goes beyond 10**4
 MAX_N = 10**6
-# on full two-torsion curves the torsion bound's gcd never drops to 1, so it
-# counts points at every one of the requested primes, each in O(p)
-MAX_PRIMES = 1000
 
 
 @dataclass(frozen=True)
@@ -62,7 +59,6 @@ class Config:
 
     N: int = 1000                 # sieve sum depth
     keep: float = 0.01            # fraction of scored candidates kept
-    primes: int = 20              # reduction primes for the torsion bound
     eps: float = 1e-3             # canonical height accuracy
     height_bound: float = 5.0     # naive point search cutoff
     factor_budget: int = DEFAULT_BUDGET
@@ -72,13 +68,12 @@ class Config:
     def validated(self) -> "Config":
         # chained comparisons are False on nan, so nan is rejected too
         if (not 0 < self.N <= MAX_N or not 0 < self.keep <= 1
-                or not 0 < self.primes <= MAX_PRIMES
                 or not 0 < self.eps < math.inf
                 or not 0 <= self.height_bound <= MAX_HEIGHT_BOUND
                 or self.factor_budget <= 0 or self.jobs <= 0):
             raise ValueError(
                 "configuration values out of range: N must lie in "
-                f"[1, {MAX_N}], primes in [1, {MAX_PRIMES}], keep in (0, 1], "
+                f"[1, {MAX_N}], keep in (0, 1], "
                 "eps be finite and positive, height_bound lie in "
                 f"[0, {MAX_HEIGHT_BOUND}], and the integers be positive")
         return self
@@ -98,7 +93,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_config_file(path: str) -> dict:
-    """Flat key=value file, # comments; same keys as the flags."""
+    """Flat key=value file, # comments; the keys are the Config fields."""
     values: dict = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -120,8 +115,9 @@ def _read_config_file(path: str) -> dict:
 
 def _build_config(args) -> Config:
     cfg = Config()
-    if args.config:
-        raw = _read_config_file(args.config)
+    path = getattr(args, "config", None)
+    if path:
+        raw = _read_config_file(path)
         cfg = replace(cfg, **{k: _CONFIG_KEYS[k](v) for k, v in raw.items()})
     overrides = {k: getattr(args, k) for k in _CONFIG_KEYS
                  if getattr(args, k, None) is not None}
@@ -176,9 +172,9 @@ def _search_record(triple: Triple, cfg: Config,
     candidates = sorted(set(found) | set(stock), key=lambda P: (P.x, P.y))
 
     score = mestre_nagao_sum(E, cfg.N)
-    tors = torsion_subgroup(E, prime_count=cfg.primes)
+    tors = torsion_subgroup(E)
     rank = rank_lower_bound(E, candidates, eps=cfg.eps,
-                            budget=cfg.factor_budget, torsion=tors)
+                            budget=cfg.factor_budget)
 
     record = {
         "version": JSONL_VERSION,
@@ -382,25 +378,29 @@ def cmd_dataset(record_id: Optional[str], cfg: Config) -> int:
 # Entry point
 # --------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--N", type=int, default=None,
-                     help="sieve sum depth (default 1000)")
-    sub.add_argument("--keep", type=float, default=None,
-                     help="kept fraction of scored candidates (default 0.01)")
-    sub.add_argument("--primes", type=int, default=None,
-                     help="reduction primes for the torsion bound")
-    sub.add_argument("--eps", type=float, default=None,
-                     help="canonical height accuracy")
-    sub.add_argument("--height-bound", dest="height_bound", type=float,
-                     default=None, help="naive point search cutoff")
-    sub.add_argument("--factor-budget", dest="factor_budget", type=int,
-                     default=None, help="factoring effort cap")
-    sub.add_argument("--jobs", type=int, default=None,
-                     help="worker processes (sieve only)")
-    sub.add_argument("--out", default=None,
-                     help="write JSON lines here instead of stdout")
+_FLAG_HELP = {
+    "N": "sieve sum depth (default 1000)",
+    "keep": "kept fraction of scored candidates (default 0.01)",
+    "eps": "canonical height accuracy",
+    "height_bound": "naive point search cutoff",
+    "factor_budget": "factoring effort cap",
+    "jobs": "worker processes",
+    "out": "write JSON lines here instead of stdout",
+}
+# the Config fields each subcommand reads; it offers exactly these flags
+_INDUCE_FLAGS = ("N", "eps", "height_bound", "factor_budget", "out")
+_SIEVE_FLAGS = _INDUCE_FLAGS + ("keep", "jobs")
+_DATASET_FLAGS = ("out",)
+
+
+def _add_flags(sub: argparse.ArgumentParser, names: Sequence[str]) -> None:
+    for name in names:
+        sub.add_argument("--" + name.replace("_", "-"), dest=name,
+                         type=_CONFIG_KEYS[name], default=None,
+                         help=_FLAG_HELP[name])
     sub.add_argument("--config", default=None,
-                     help="key=value file with the same keys as the flags")
+                     help="key=value file keyed by the flag names of any "
+                          "subcommand; flags override it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_induce = subs.add_parser("induce", help="full pipeline on one triple")
     p_induce.add_argument("triple", help='e.g. "{1,3,8}" or "1,3,8"')
-    _add_common(p_induce)
+    _add_flags(p_induce, _INDUCE_FLAGS)
 
     p_sieve = subs.add_parser("sieve", help="score a family parameter grid")
     # the grid is one-dimensional, so only one-parameter families sieve
@@ -423,18 +423,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="numerator range LO:HI")
     p_sieve.add_argument("--denominators", required=True,
                          help="denominator range LO:HI")
-    _add_common(p_sieve)
+    _add_flags(p_sieve, _SIEVE_FLAGS)
 
     p_verify = subs.add_parser("verify", help="re-derive record claims")
     p_verify.add_argument("scope", nargs="?", default="all",
                           help="all, a section tag s1..s6, or a record id")
     p_verify.add_argument("--long", action="store_true",
                           help="include the slowest certifications")
-    _add_common(p_verify)
 
     p_dataset = subs.add_parser("dataset", help="dump the bundled records")
     p_dataset.add_argument("record_id", nargs="?", default=None)
-    _add_common(p_dataset)
+    _add_flags(p_dataset, _DATASET_FLAGS)
 
     return parser
 

@@ -377,26 +377,20 @@ class IndependenceResult:
 
 
 def independent_mod_two(E: CurveQ, points: Sequence[PointQ],
-                        support: Sequence[int] | None = None,
-                        budget: int = DEFAULT_BUDGET,
-                        torsion: TorsionSubgroup | None = None
-                        ) -> IndependenceResult:
+                        budget: int = DEFAULT_BUDGET) -> IndependenceResult:
     """Certify independence of points modulo torsion and doubling.
 
     Images live in a product of three square-class groups; Gaussian
     elimination over F2 counts the dimensions the points add on top of
     the torsion image.  A full count certifies rank >= len(points); less
     than that proves nothing (the map forgets everything divisible by 2).
-    `torsion`, when given, is E's torsion subgroup (computed if omitted).
     """
-    if support is None:
-        try:
-            support = descent_support(E, budget)
-        except FactorizationIncomplete:
-            support = None
-    if torsion is None:
-        torsion = torsion_subgroup(E)
-    tors_imgs = [descent_image(E, T, support, budget) for T in torsion.points]
+    try:
+        support = descent_support(E, budget)
+    except FactorizationIncomplete:
+        support = None
+    tors_imgs = [descent_image(E, T, support, budget)
+                 for T in torsion_subgroup(E).points]
     pt_imgs = [descent_image(E, P, support, budget) for P in points]
     all_classes = [c for img in tors_imgs + pt_imgs for c in img]
     basis = _coprime_basis(all_classes)
@@ -467,9 +461,8 @@ def _spanned_by(E: CurveQ, pivots: Sequence[PointQ],
 
 
 def rank_lower_bound(E: CurveQ, points: Sequence[PointQ], *,
-                     eps: float = 1e-3, budget: int = DEFAULT_BUDGET,
-                     support: Sequence[int] | None = None,
-                     torsion: TorsionSubgroup | None = None) -> RankBound:
+                     eps: float = 1e-3, budget: int = DEFAULT_BUDGET
+                     ) -> RankBound:
     """A certified lower bound for the rank from the given points.
 
     Tries the two-descent image first (cheap, exact).  When it separates
@@ -485,7 +478,6 @@ def rank_lower_bound(E: CurveQ, points: Sequence[PointQ], *,
     would return the descent bound: that bound is returned without
     heights.  Otherwise the points are retried greedily with height Gram
     certificates, and the larger bound wins.
-    `torsion`, when given, is E's torsion subgroup (computed if omitted).
     """
     infinite = [(i, P) for i, P in enumerate(points)
                 if not P.is_infinity and point_order(E, P) is None]
@@ -495,10 +487,7 @@ def rank_lower_bound(E: CurveQ, points: Sequence[PointQ], *,
     pts = [P for _, P in infinite]
 
     try:
-        if torsion is None:
-            torsion = torsion_subgroup(E)
-        res = independent_mod_two(E, pts, support=support, budget=budget,
-                                  torsion=torsion)
+        res = independent_mod_two(E, pts, budget=budget)
     except (FormMismatch, FactorizationIncomplete):
         res = IndependenceResult(False, 0, ())
     if res.independent:
@@ -510,7 +499,7 @@ def rank_lower_bound(E: CurveQ, points: Sequence[PointQ], *,
         pivots = [pts[j] for j in res.pivot_indices]
         others = [P for j, P in enumerate(pts)
                   if j not in res.pivot_indices]
-        if _spanned_by(E, pivots, others, torsion):
+        if _spanned_by(E, pivots, others, torsion_subgroup(E)):
             return by_descent
 
     kept: list[int] = []

@@ -282,15 +282,21 @@ class TorsionSubgroup:
             "Z/%d" % d for d in self.invariants)
 
 
-def torsion_subgroup(E: CurveQ, prime_count: int = 20) -> TorsionSubgroup:
-    """The full rational torsion subgroup of E.
+def torsion_subgroup(E: CurveQ) -> TorsionSubgroup:
+    """The full rational torsion subgroup of E, built once per curve object.
 
     Every prime-power element order that divides the reduction bound and
     can occur at all is searched, and the group order always divides the
     bound, so the returned group is complete; `exact` records that.  The
-    bound itself stays available for independent cross-checks.
+    bound (over the default 20 reduction primes) only prunes the search,
+    never the result, so the group is an invariant of the curve and is kept
+    on it by `_memo`.  The bound stays available for cross-checks.
     """
-    bound = reduction_torsion_bound(E, prime_count)
+    return _memo(E, "_torsion_subgroup", _build_torsion_subgroup)
+
+
+def _build_torsion_subgroup(E: CurveQ) -> TorsionSubgroup:
+    bound = reduction_torsion_bound(E)
     two = two_torsion_points(E)
 
     # the 2-primary part: halving is exact, so a half of an order-2 point

@@ -23,7 +23,6 @@ from typing import Callable, Iterable, Optional
 from .descent import rank_lower_bound
 from .errors import (BadReduction, DegenerateParameter, DegenerateTriple,
                      NotDiophantine)
-from .factoring import DEFAULT_BUDGET
 from .families import (F_uv, dataset_record, family_k, paper_dataset,
                        z2z6_triple, z2z8_family, K_PLUSMINUS, K_4K)
 from .rationals import QQ, is_perfect_square
@@ -278,9 +277,7 @@ def check_sieve_reproducibility(limit: int = 10000) -> CheckResult:
 def _heavy_record_check(rid: str, expect_rank: int, *,
                         points_slice: Optional[int] = None,
                         expect_at_least: bool = False,
-                        check_id: Optional[str] = None,
-                        eps: float = 1e-3,
-                        budget: int = DEFAULT_BUDGET) -> CheckResult:
+                        check_id: Optional[str] = None) -> CheckResult:
     """Full reproduction of one record with stored curve and points.
 
     Rebuilds the companion curve from the triple and matches it to the
@@ -311,7 +308,7 @@ def _heavy_record_check(rid: str, expect_rank: int, *,
 
     pts = list(rec.points if points_slice is None
                else rec.points[:points_slice])
-    rb = rank_lower_bound(E, pts, eps=eps, budget=budget, torsion=ts)
+    rb = rank_lower_bound(E, pts)
     rank_ok = (rb.bound >= expect_rank if expect_at_least
                else rb.bound == expect_rank)
     if not rank_ok:
@@ -328,36 +325,36 @@ def _heavy_record_check(rid: str, expect_rank: int, *,
                    not problems, detail)
 
 
-def check_record_s3_rank9(**kw) -> CheckResult:
-    return _heavy_record_check("s3-rank9", 9, **kw)
+def check_record_s3_rank9() -> CheckResult:
+    return _heavy_record_check("s3-rank9", 9)
 
 
-def check_record_s4_rank7(**kw) -> CheckResult:
-    return _heavy_record_check("s4-rank7", 7, **kw)
+def check_record_s4_rank7() -> CheckResult:
+    return _heavy_record_check("s4-rank7", 7)
 
 
-def check_record_s5_rank4(**kw) -> CheckResult:
-    return _heavy_record_check("s5-rank4", 4, **kw)
+def check_record_s5_rank4() -> CheckResult:
+    return _heavy_record_check("s5-rank4", 4)
 
 
-def check_record_s6_connell(**kw) -> CheckResult:
-    return _heavy_record_check("s6-connell", 3, **kw)
+def check_record_s6_connell() -> CheckResult:
+    return _heavy_record_check("s6-connell", 3)
 
 
-def check_record_s6_big_default(**kw) -> CheckResult:
+def check_record_s6_big_default() -> CheckResult:
     """Default slice of the largest record: first two generators only."""
     return _heavy_record_check("s6-big", 2, points_slice=2,
                                expect_at_least=True,
-                               check_id="record-s6-big-default", **kw)
+                               check_id="record-s6-big-default")
 
 
-def check_record_s6_big_full(**kw) -> CheckResult:
+def check_record_s6_big_full() -> CheckResult:
     """Full certification including the third stored generator.
 
     Its x has a 96-digit numerator and a 74-digit denominator.
     """
     return _heavy_record_check("s6-big", 3,
-                               check_id="record-s6-big-full", **kw)
+                               check_id="record-s6-big-full")
 
 
 HEAVY_RECORDS = {"s3-rank9", "s4-rank7", "s5-rank4", "s6-connell", "s6-big"}

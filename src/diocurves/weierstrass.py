@@ -15,10 +15,11 @@ the unchecked `_add` and `_map_point` instead of paying for a re-check on
 every step.
 
 Data derived from a curve (its invariants, its integral and square-completed
-models, the duplication data and canonical heights of the descent layer) is
-built once, on first use, and kept on the curve object by `_memo`; it is
-dropped with the curve.  The package has no module-level caches and no size
-caps: two equal curves built separately each build their own copy.
+models, its torsion subgroup, the duplication data and canonical heights of
+the descent layer) is built once, on first use, and kept on the curve object
+by `_memo`; it is dropped with the curve.  The package has no module-level
+caches and no size caps: two equal curves built separately each build their
+own copy.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 
 import diocurves
 import diocurves.cli as cli
-from diocurves import descent, verify
+from diocurves import torsion, verify
 from diocurves.cli import (
     EXIT_INVALID_INPUT,
     EXIT_OK,
@@ -206,9 +207,8 @@ def test_config_validation():
     (["--height-bound", "inf"], None),
     ([], "height_bound = 9\n"),
     (["--N", "3000000000"], None),
-    (["--primes", "100000"], None),
 ], ids=["eps-nan", "height-bound-1000", "height-bound-inf", "config-file",
-        "N-3e9", "primes-100000"])
+        "N-3e9"])
 def test_bad_configuration_is_usage_error(tmp_path, capsys, flags,
                                           config_text):
     if config_text is not None:
@@ -256,20 +256,61 @@ def test_internal_error_is_exit_70_without_traceback(monkeypatch, capsys):
 
 
 def test_search_record_computes_torsion_once(monkeypatch):
-    # the search record's torsion group is handed to the rank bound, which
-    # computed it a second time (with the default prime count) before
+    # the record and the rank bound both ask for the torsion group; the
+    # curve keeps it, so its reduction bound is counted once, not per call
     calls = []
-    real = cli.torsion_subgroup
+    real = torsion.reduction_torsion_bound
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "torsion_subgroup", counted)
-    monkeypatch.setattr(descent, "torsion_subgroup", counted)
+    monkeypatch.setattr(torsion, "reduction_torsion_bound", counted)
     record = cli._search_record(make_triple(1, 3, 8), Config(N=200))
     assert record["rank"]["lower_bound"] >= 1
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "s1", "--out", "{out}"],
+    ["dataset", "--N", "5"],
+    ["induce", "{{1,3,8}}", "--jobs", "2"],
+    ["induce", "{{1,3,8}}", "--primes", "20"],
+], ids=["verify-out", "dataset-N", "induce-jobs", "induce-primes"])
+def test_unread_flags_are_usage_errors(tmp_path, capsys, argv):
+    # a subcommand offers only the flags it reads, so an ignored flag is
+    # refused instead of silently doing nothing
+    out = tmp_path / "never.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        run([arg.format(out=out) for arg in argv])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_removed_config_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("primes = 20\n")
+    assert run(["induce", "{1,3,8}", "--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "bad configuration" in err and "unknown key 'primes'" in err
+
+
+def test_every_config_field_has_a_reader():
+    # every Config field is a flag of some subcommand, and no subcommand
+    # offers a flag that is neither a Config field nor its own argument
+    own = {"induce": set(), "sieve": {"numerators", "denominators"},
+           "verify": {"long"}, "dataset": set()}
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert set(subs.choices) == set(own)
+    offered = set()
+    for name, sub in subs.choices.items():
+        flags = {a.dest for a in sub._actions
+                 if a.option_strings and a.dest != "help"}
+        assert flags <= set(cli._CONFIG_KEYS) | {"config"} | own[name], name
+        offered |= flags
+    assert set(cli._CONFIG_KEYS) <= offered
 
 
 def test_verify_check_propagates_internal_errors(monkeypatch):

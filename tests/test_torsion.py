@@ -154,11 +154,34 @@ def test_torsion_cyclic_groups():
 
 
 def test_torsion_bound_mismatch_raises(monkeypatch):
-    # the reduction bound certifies completeness, also under python -O
+    # the reduction bound certifies completeness, also under python -O; a
+    # fresh curve, since EK may already keep the group from an earlier test
     monkeypatch.setattr(torsion, "reduction_torsion_bound",
                         lambda E, prime_count=20: 2)
     with pytest.raises(ArithmeticError):
-        torsion_subgroup(EK)
+        torsion_subgroup(CurveQ(*EK.coefficients()))
+
+
+def test_torsion_subgroup_is_memoized(monkeypatch):
+    # the group is an invariant of the curve, computed once per curve object
+    calls = []
+    real = torsion.reduction_torsion_bound
+
+    def counting(E, *args):
+        calls.append(E)
+        return real(E, *args)
+
+    monkeypatch.setattr(torsion, "reduction_torsion_bound", counting)
+    E = CurveQ(*EK.coefficients())
+    T = torsion_subgroup(E)
+    assert torsion_subgroup(E) is T
+    assert len(calls) == 1
+    # an equal curve built separately computes its own group
+    twin = CurveQ(*EK.coefficients())
+    assert twin == E
+    T2 = torsion_subgroup(twin)
+    assert T2 == T and T2 is not T
+    assert len(calls) == 2
 
 
 def test_torsion_subgroup_completes_the_square_once(monkeypatch):
