@@ -27,8 +27,8 @@ from .rationals import (QQ, format_rational, is_perfect_square,
 from .sieve import (SieveResult, count_points_fp, mestre_nagao_sum,
                     mestre_nagao_sums, primes_upto, summand_forms,
                     trace_of_frobenius)
-from .torsion import (TorsionSubgroup, halve_point, halving_obstruction,
-                      point_order, points_with_x, reduction_torsion_bound,
+from .torsion import (TorsionSubgroup, halve_point, point_order,
+                      points_with_x, reduction_torsion_bound,
                       torsion_subgroup, two_torsion_points)
 from .triples import (CanonicalPoints, InducedCurves, QuadrupleExtension,
                       Triple, canonical_points, euler_extension,

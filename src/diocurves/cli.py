@@ -27,7 +27,6 @@ from typing import Iterable, Optional, Sequence, TextIO
 from .descent import naive_point_search, rank_lower_bound
 from .errors import (DatasetCorrupt, DegenerateParameter, DegenerateTriple,
                      DiocurvesError, NotDiophantine, ParseError)
-from .factoring import DEFAULT_BUDGET
 from .families import (FAMILY_CONSTRUCTORS, dataset_record, paper_dataset,
                        make_family_member)
 from .rationals import QQ, format_rational, parse_rational
@@ -61,7 +60,6 @@ class Config:
     keep: float = 0.01            # fraction of scored candidates kept
     eps: float = 1e-3             # canonical height accuracy
     height_bound: float = 5.0     # naive point search cutoff
-    factor_budget: int = DEFAULT_BUDGET
     jobs: int = 1
     out: Optional[str] = None
 
@@ -70,7 +68,7 @@ class Config:
         if (not 0 < self.N <= MAX_N or not 0 < self.keep <= 1
                 or not 0 < self.eps < math.inf
                 or not 0 <= self.height_bound <= MAX_HEIGHT_BOUND
-                or self.factor_budget <= 0 or self.jobs <= 0):
+                or self.jobs <= 0):
             raise ValueError(
                 "configuration values out of range: N must lie in "
                 f"[1, {MAX_N}], keep in (0, 1], "
@@ -153,14 +151,14 @@ def _search_record(triple: Triple, cfg: Config,
                    with_extension: bool = False) -> dict:
     """Run the whole pipeline on one triple and collect the outcome.
 
-    The working model is the cleared-denominator companion curve when no
-    minimal model is reachable within the factor budget, otherwise the
-    minimal model; all emitted points live on the emitted curve.
+    The working model is the minimal model, or the cleared-denominator
+    companion curve when `minimal_model` fails; all emitted points live on
+    the emitted curve.
     """
     ic = induced_curves(triple)
     cp = canonical_points(triple, ic)
     try:
-        mm = minimal_model(ic.curve, budget=cfg.factor_budget)
+        mm = minimal_model(ic.curve)
         E, to_E, minimal = mm.curve, mm.map, mm.complete
     except DiocurvesError:
         E, to_E = clear_denominators(ic.curve)
@@ -173,8 +171,7 @@ def _search_record(triple: Triple, cfg: Config,
 
     score = mestre_nagao_sum(E, cfg.N)
     tors = torsion_subgroup(E)
-    rank = rank_lower_bound(E, candidates, eps=cfg.eps,
-                            budget=cfg.factor_budget)
+    rank = rank_lower_bound(E, candidates, eps=cfg.eps)
 
     record = {
         "version": JSONL_VERSION,
@@ -315,7 +312,7 @@ def cmd_sieve(family_id: str, numerators: tuple[int, int],
     return EXIT_OK
 
 
-def cmd_verify(scope: str, long: bool, cfg: Config,
+def cmd_verify(scope: str, long: bool,
                stream: Optional[TextIO] = None) -> int:
     stream = sys.stdout if stream is None else stream
     scope = scope.replace("§", "s")
@@ -383,12 +380,11 @@ _FLAG_HELP = {
     "keep": "kept fraction of scored candidates (default 0.01)",
     "eps": "canonical height accuracy",
     "height_bound": "naive point search cutoff",
-    "factor_budget": "factoring effort cap",
     "jobs": "worker processes",
     "out": "write JSON lines here instead of stdout",
 }
 # the Config fields each subcommand reads; it offers exactly these flags
-_INDUCE_FLAGS = ("N", "eps", "height_bound", "factor_budget", "out")
+_INDUCE_FLAGS = ("N", "eps", "height_bound", "out")
 _SIEVE_FLAGS = _INDUCE_FLAGS + ("keep", "jobs")
 _DATASET_FLAGS = ("out",)
 
@@ -442,7 +438,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _build_config(args)
+        # verify takes no configuration
+        cfg = None if args.command == "verify" else _build_config(args)
     except (ValueError, TypeError) as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -460,7 +457,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_sieve(args.family, nums, dens, cfg)
         if args.command == "verify":
             try:
-                return cmd_verify(args.scope, args.long, cfg)
+                return cmd_verify(args.scope, args.long)
             except KeyError:
                 print(f"unknown scope: {args.scope}", file=sys.stderr)
                 return EXIT_USAGE

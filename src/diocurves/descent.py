@@ -24,12 +24,13 @@ from typing import Sequence
 
 from ._poly import gcdex
 from .errors import FactorizationIncomplete, FormMismatch, PointNotOnCurve
-from .factoring import DEFAULT_BUDGET, factor_best_effort
-from .rationals import log_int, naive_height
+from .factoring import Factorization, factor_best_effort
+from .rationals import (log_int, naive_height, square_class,
+                        square_class_supported)
 from .torsion import (
     TorsionSubgroup,
     _point_order,
-    halving_obstruction,
+    _square_completed,
     point_order,
     torsion_subgroup,
 )
@@ -45,6 +46,7 @@ from .weierstrass import (
     clear_denominators,
     invariants,
     is_on_curve,
+    map_point,
     sub,
 )
 
@@ -307,31 +309,59 @@ def gram_certificate(E: CurveQ, points: Sequence[PointQ],
 # descent into square classes
 
 
-def descent_support(E: CurveQ, budget: int = DEFAULT_BUDGET) -> list[int]:
+def descent_support(E: CurveQ) -> list[int]:
     """Primes at which an on-curve x - e_i difference can have odd valuation.
 
     2 and everything dividing the integral discriminant (numerator or the
-    scaling used to clear denominators).  Raises FactorizationIncomplete
-    when the discriminant will not factor within budget.
+    scaling used to clear denominators), built once per curve object.
+    Raises FactorizationIncomplete, with the discriminant's partial
+    factorization, when the discriminant will not factor.
     """
-    Ei, M = clear_denominators(E)
-    disc = int(invariants(Ei).disc)
-    fac = factor_best_effort(abs(disc), budget)
-    if not fac.complete:
+    support = _memo(E, "_descent_support", _build_descent_support)
+    if isinstance(support, Factorization):
         raise FactorizationIncomplete(
             "could not factor the discriminant for descent support",
-            partial=fac)
+            partial=support)
+    return list(support)
+
+
+def _build_descent_support(E: CurveQ) -> tuple[int, ...] | Factorization:
+    """The sorted support, or the discriminant's incomplete factorization."""
+    Ei, M = clear_denominators(E)
+    fac = factor_best_effort(abs(int(invariants(Ei).disc)))
+    if not fac.complete:
+        return fac
     primes = {2}
     primes.update(p for p, _ in fac.factors)
-    primes.update(p for p, _ in factor_best_effort(
-        int(1 / M.u), budget).factors)
-    return sorted(primes)
+    primes.update(p for p, _ in factor_best_effort(int(1 / M.u)).factors)
+    return tuple(sorted(primes))
 
 
-def descent_image(E: CurveQ, P: PointQ, support: Sequence[int] | None = None,
-                  budget: int = DEFAULT_BUDGET) -> tuple[int, int, int]:
-    """Square-class vector of P under the full two-torsion descent map."""
-    return halving_obstruction(E, P, support=support, budget=budget)
+def descent_image(E: CurveQ, P: PointQ) -> tuple[int, int, int]:
+    """Square classes of (x - e_i) at P on a full two-torsion curve.
+
+    This is the two-descent map (Silverman, AEC X.1): P is in 2 E(Q)
+    exactly when the result is (1, 1, 1).  At a two-torsion point the
+    vanishing coordinate is replaced by the product of the other two
+    differences, keeping the vector a group homomorphism image.
+
+    Classes are read by stripping the curve's descent support, never by
+    factoring the point, unless the discriminant would not factor.
+    """
+    _, M, roots = _square_completed(E)
+    if P.is_infinity:
+        return (1, 1, 1)
+    x0 = map_point(E, M, P).x
+    diffs = [x0 - e for e in roots]
+    if 0 in diffs:
+        i = diffs.index(0)
+        diffs[i] = math.prod(roots[i] - roots[j] for j in range(3) if j != i)
+    support = _memo(E, "_descent_support", _build_descent_support)
+    if isinstance(support, Factorization):
+        return tuple(square_class(d) for d in diffs)
+    classes = [square_class_supported(d, support) for d in diffs]
+    return tuple(square_class(d) if c is None else c
+                 for d, c in zip(diffs, classes))
 
 
 def _coprime_basis(values: Sequence[int]) -> list[int]:
@@ -376,8 +406,8 @@ class IndependenceResult:
     pivot_indices: tuple[int, ...]
 
 
-def independent_mod_two(E: CurveQ, points: Sequence[PointQ],
-                        budget: int = DEFAULT_BUDGET) -> IndependenceResult:
+def independent_mod_two(E: CurveQ,
+                        points: Sequence[PointQ]) -> IndependenceResult:
     """Certify independence of points modulo torsion and doubling.
 
     Images live in a product of three square-class groups; Gaussian
@@ -385,13 +415,8 @@ def independent_mod_two(E: CurveQ, points: Sequence[PointQ],
     the torsion image.  A full count certifies rank >= len(points); less
     than that proves nothing (the map forgets everything divisible by 2).
     """
-    try:
-        support = descent_support(E, budget)
-    except FactorizationIncomplete:
-        support = None
-    tors_imgs = [descent_image(E, T, support, budget)
-                 for T in torsion_subgroup(E).points]
-    pt_imgs = [descent_image(E, P, support, budget) for P in points]
+    tors_imgs = [descent_image(E, T) for T in torsion_subgroup(E).points]
+    pt_imgs = [descent_image(E, P) for P in points]
     all_classes = [c for img in tors_imgs + pt_imgs for c in img]
     basis = _coprime_basis(all_classes)
     width = len(basis) + 1
@@ -461,8 +486,7 @@ def _spanned_by(E: CurveQ, pivots: Sequence[PointQ],
 
 
 def rank_lower_bound(E: CurveQ, points: Sequence[PointQ], *,
-                     eps: float = 1e-3, budget: int = DEFAULT_BUDGET
-                     ) -> RankBound:
+                     eps: float = 1e-3) -> RankBound:
     """A certified lower bound for the rank from the given points.
 
     Tries the two-descent image first (cheap, exact).  When it separates
@@ -487,7 +511,7 @@ def rank_lower_bound(E: CurveQ, points: Sequence[PointQ], *,
     pts = [P for _, P in infinite]
 
     try:
-        res = independent_mod_two(E, pts, budget=budget)
+        res = independent_mod_two(E, pts)
     except (FormMismatch, FactorizationIncomplete):
         res = IndependenceResult(False, 0, ())
     if res.independent:

@@ -1,8 +1,10 @@
-"""Integer factorization with an explicit effort budget.
+"""Integer factorization with a fixed bound on its work.
 
 Trial division handles the smooth part, Brent-cycle Pollard rho splits what
-is left, and Miller-Rabin decides primality.  Nothing here is probabilistic
-in behaviour: the rho parameters and the witness sets are fixed, so a given
+is left within DEFAULT_BUDGET steps per number (one step is a multiplication
+mod n; on a 40-digit n the budget lasts about half a second), and
+Miller-Rabin decides primality.  Nothing here is probabilistic in
+behaviour: the rho parameters and the witness sets are fixed, so a given
 input always produces the same output.
 """
 
@@ -21,7 +23,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXTRA_BASES = (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 TRIAL_DIVISION_BOUND = 1_000_000
-DEFAULT_BUDGET = 200
+DEFAULT_BUDGET = 2 ** 20
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -54,13 +56,21 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def _brent_rho(n: int, c: int) -> int:
-    """One Brent-cycle rho attempt on odd composite n; returns a divisor or n."""
-    if n % 2 == 0:
-        return 2
+def _brent_rho(n: int, c: int, steps: int) -> tuple[int, int]:
+    """One Brent-cycle rho attempt on odd composite n, within `steps` steps.
+
+    Returns (d, used): d > 1 divides n, and d == n when the attempt failed.
+    A round of cycle length r costs at most 3r steps: r to move x ahead, r
+    in blocks of m, and a backtrack through one block.  When the next round
+    would not fit in `steps`, the attempt gives up with (n, steps), which
+    spends what is left.
+    """
     y, m, g, r, q = 2, 128, 1, 1, 1
     x = ys = y
+    used = 0
     while g == 1:
+        if used + 3 * r > steps:
+            return n, steps
         x = y
         for _ in range(r):
             y = (y * y + c) % n
@@ -72,13 +82,15 @@ def _brent_rho(n: int, c: int) -> int:
                 q = q * abs(x - y) % n
             g = math.gcd(q, n)
             k += m
+        used += r + min(k, r)
         r *= 2
     if g == n:
         g = 1
         while g == 1:
             ys = (ys * ys + c) % n
             g = math.gcd(abs(x - ys), n)
-    return g
+            used += 1
+    return g, used
 
 
 @dataclass
@@ -86,7 +98,7 @@ class Factorization:
     """Best-effort factorization: prime powers plus an unfactored cofactor.
 
     Invariant: sign * prod(p**e) * cofactor == n, with every listed p prime
-    and cofactor either 1 or a composite the budget could not split.
+    and cofactor either 1 or a composite the rho budget could not split.
     """
 
     sign: int
@@ -112,9 +124,11 @@ class Factorization:
 
 def factor_best_effort(n: int, budget: int = DEFAULT_BUDGET,
                        trial_bound: int = TRIAL_DIVISION_BOUND) -> Factorization:
-    """Factor n as far as trial division plus `budget` rho attempts allow.
+    """Factor n as far as trial division plus `budget` rho steps allow.
 
-    Never raises on hard inputs; the leftover lands in .cofactor.
+    The steps are shared by every rho attempt of the call; budget=0 means
+    no rho at all.  Never raises on hard inputs; the leftover lands in
+    .cofactor.
     """
     if n == 0:
         raise ZeroInput("cannot factor 0")
@@ -156,12 +170,10 @@ def factor_best_effort(n: int, budget: int = DEFAULT_BUDGET,
             stack.extend([r, r])
             continue
         split = m
-        while attempts < budget:
+        while split == m and budget > 0:
             attempts += 1
-            d = _brent_rho(m, attempts)
-            if 1 < d < m:
-                split = d
-                break
+            split, used = _brent_rho(m, attempts, budget)
+            budget -= used
         if split == m:
             cofactor *= m
         else:

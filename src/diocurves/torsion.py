@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from ._poly import mul, rational_roots, sub
 from .errors import BadReduction, FormMismatch
-from .factoring import DEFAULT_BUDGET, is_probable_prime
-from .rationals import QQ, is_perfect_square, square_class
+from .factoring import is_probable_prime
+from .rationals import QQ, is_perfect_square
 from .sieve import count_points_fp
 from .weierstrass import (
     INFINITY,
@@ -58,12 +57,12 @@ def points_with_x(E: CurveQ, x0: Fraction) -> list[PointQ]:
 
 
 def two_torsion_points(E: CurveQ) -> list[PointQ]:
-    """The rational points of order exactly two, sorted by x."""
-    inv = invariants(E)
-    out = []
-    for x0 in rational_roots([QQ(4), inv.b2, 2 * inv.b4, inv.b6]):
-        out.append(PointQ(x0, -(E.a1 * x0 + E.a3) / 2))
-    return out
+    """The rational points of order exactly two, sorted by x.
+
+    Completing the square keeps x, so their x are the cubic's roots that
+    `_square_completed` solves once per curve."""
+    roots = _memo(E, "_square_completed", _build_square_completed)[2]
+    return [PointQ(x0, -(E.a1 * x0 + E.a3) / 2) for x0 in roots]
 
 
 def point_order(E: CurveQ, P: PointQ, cap: int = _MAX_ELEMENT_ORDER) -> int | None:
@@ -137,42 +136,6 @@ def _square_completed(E: CurveQ) -> tuple[CurveQ, ModelMap, tuple]:
 def _build_square_completed(E: CurveQ) -> tuple:
     Es, M = complete_the_square(E)
     return Es, M, tuple(rational_roots([QQ(1), Es.a2, Es.a4, Es.a6]))
-
-
-def halving_obstruction(E: CurveQ, P: PointQ,
-                        support: Sequence[int] | None = None,
-                        budget: int = DEFAULT_BUDGET) -> tuple[int, int, int]:
-    """Square classes of (x - e_i) at P on a full two-torsion curve.
-
-    P is in 2 E(Q) exactly when the result is (1, 1, 1).  At a two-torsion
-    point the vanishing coordinate is replaced by the product of the other
-    two differences, keeping the vector a group homomorphism image.
-
-    When the support of the curve's discriminant is supplied, classes are
-    computed by stripping those primes and never factoring the point
-    coordinates themselves.
-    """
-    Es, M, roots = _square_completed(E)
-    if P.is_infinity:
-        return (1, 1, 1)
-    Ps = map_point(E, M, P)
-    x0 = Ps.x
-    diffs = [x0 - e for e in roots]
-    if 0 in diffs:
-        i = diffs.index(0)
-        e = roots[i]
-        diffs[i] = math.prod(e - roots[j] for j in range(3) if j != i)
-    return tuple(_square_class_in_support(d, support, budget) for d in diffs)
-
-
-def _square_class_in_support(q: Fraction, support: Sequence[int] | None,
-                             budget: int) -> int:
-    from .rationals import square_class_supported
-    if support is not None:
-        cls = square_class_supported(q, support)
-        if cls is not None:
-            return cls
-    return square_class(q, budget)
 
 
 def halve_point(E: CurveQ, P: PointQ) -> list[PointQ]:

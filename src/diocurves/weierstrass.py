@@ -15,11 +15,11 @@ the unchecked `_add` and `_map_point` instead of paying for a re-check on
 every step.
 
 Data derived from a curve (its invariants, its integral and square-completed
-models, its torsion subgroup, the duplication data and canonical heights of
-the descent layer) is built once, on first use, and kept on the curve object
-by `_memo`; it is dropped with the curve.  The package has no module-level
-caches and no size caps: two equal curves built separately each build their
-own copy.
+models, its torsion subgroup, and the descent support, duplication data and
+canonical heights of the descent layer) is built once, on first use, and
+kept on the curve object by `_memo`; it is dropped with the curve.  The
+package has no module-level caches and no size caps: two equal curves built
+separately each build their own copy.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, TypeVar
 
 from .errors import ParseError, PointNotOnCurve, SingularCurve
-from .factoring import factor_best_effort, DEFAULT_BUDGET
+from .factoring import factor_best_effort
 from .rationals import QQ, is_perfect_square, format_rational, parse_rational
 
 _T = TypeVar("_T")
@@ -386,7 +386,7 @@ def complete_the_square(E: CurveQ) -> tuple[CurveQ, ModelMap]:
 
 
 # ---------------------------------------------------------------------------
-# minimal models (Laska-Kraus-Connell, best effort under a factoring budget)
+# minimal models (Laska-Kraus-Connell, best effort within the factoring bound)
 
 
 @dataclass(frozen=True)
@@ -440,7 +440,7 @@ def curve_from_c4c6(c4: int, c6: int) -> CurveQ:
     return CurveQ(a1, a2, a3, a4, a6)
 
 
-def minimal_model(E: CurveQ, budget: int = DEFAULT_BUDGET) -> MinimalModelResult:
+def minimal_model(E: CurveQ) -> MinimalModelResult:
     """Reduce E toward its global minimal model.
 
     Factoring shortfalls degrade the result to "reduced as far as the known
@@ -455,7 +455,7 @@ def minimal_model(E: CurveQ, budget: int = DEFAULT_BUDGET) -> MinimalModelResult
     for den, weight in ((c4.denominator, 4), (c6.denominator, 6)):
         if den == 1:
             continue
-        fac = factor_best_effort(den, budget)
+        fac = factor_best_effort(den)
         if not fac.complete:
             # fall back to the denominator itself; correct, maybe oversized
             complete = False
@@ -483,7 +483,7 @@ def minimal_model(E: CurveQ, budget: int = DEFAULT_BUDGET) -> MinimalModelResult
         target = math.gcd(abs(c4i), abs(c6i))
     exps: dict[int, int] = {}
     if target > 1:
-        fac = factor_best_effort(target, budget)
+        fac = factor_best_effort(target)
         if not fac.complete:
             complete = False
         for p, _ in fac.factors:

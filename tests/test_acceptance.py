@@ -10,7 +10,7 @@ import pathlib
 import time
 
 from diocurves import verify as V
-from diocurves.cli import cmd_verify, Config
+from diocurves.cli import cmd_verify
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -88,8 +88,7 @@ def test_criterion_8_rank_equality_disclaimer():
     # external descent software and are NOT re-derived; the limitation
     # must be stated in the verification report and in the README.
     stream = io.StringIO()
-    code = cmd_verify("s6-connell", False, Config().validated(),
-                      stream=stream)
+    code = cmd_verify("s6-connell", False, stream=stream)
     report = stream.getvalue()
     assert code == 0
     assert V.RANK_DISCLAIMER in report

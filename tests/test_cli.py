@@ -276,7 +276,9 @@ def test_search_record_computes_torsion_once(monkeypatch):
     ["dataset", "--N", "5"],
     ["induce", "{{1,3,8}}", "--jobs", "2"],
     ["induce", "{{1,3,8}}", "--primes", "20"],
-], ids=["verify-out", "dataset-N", "induce-jobs", "induce-primes"])
+    ["induce", "{{1,3,8}}", "--factor-budget", "5"],
+], ids=["verify-out", "dataset-N", "induce-jobs", "induce-primes",
+        "induce-factor-budget"])
 def test_unread_flags_are_usage_errors(tmp_path, capsys, argv):
     # a subcommand offers only the flags it reads, so an ignored flag is
     # refused instead of silently doing nothing
@@ -288,12 +290,28 @@ def test_unread_flags_are_usage_errors(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_removed_config_key_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("key", ["primes", "factor_budget"])
+def test_removed_config_key_is_usage_error(tmp_path, capsys, key):
     cfg = tmp_path / "old.cfg"
-    cfg.write_text("primes = 20\n")
+    cfg.write_text(f"{key} = 20\n")
     assert run(["induce", "{1,3,8}", "--config", str(cfg)]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "bad configuration" in err and "unknown key 'primes'" in err
+    assert "bad configuration" in err and f"unknown key {key!r}" in err
+
+
+def test_induce_hard_discriminant_finishes():
+    # N = pq with 10-digit primes makes the discriminant of the triple
+    # {1, N^2 - 1, N^2 + 2N} a hard composite; factoring work is bounded,
+    # so the pipeline still ends (the timeout fails a hang, not a slow run)
+    N = 1000000007 * 3000000019
+    src = pathlib.Path(diocurves.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "diocurves.cli", "induce",
+         f"{{1,{N * N - 1},{N * N + 2 * N}}}"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["rank"]["lower_bound"] >= 1
 
 
 def test_every_config_field_has_a_reader():

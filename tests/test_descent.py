@@ -341,9 +341,46 @@ def test_descent_image_x_one_trivial():
 
 def test_descent_image_kernel_contains_doubles():
     pts = naive_point_search(IC.curve, math.log(40))
-    supp = descent_support(IC.curve)
     for P in pts[:6]:
-        assert descent_image(IC.curve, dbl(IC.curve, P), supp) == (1, 1, 1)
+        assert descent_image(IC.curve, dbl(IC.curve, P)) == (1, 1, 1)
+
+
+def test_descent_support_is_memoized(monkeypatch):
+    # the support is an invariant of the curve: two independence checks on
+    # one curve object factor its discriminant once; an equal curve built
+    # separately computes its own
+    disc = abs(int(invariants(clear_denominators(IC.curve)[0]).disc))
+    calls = []
+    real = descent.factor_best_effort
+
+    def counted(n, *args, **kwargs):
+        calls.append(n)
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(descent, "factor_best_effort", counted)
+    E = CurveQ(*IC.curve.coefficients())
+    pts = naive_point_search(E, math.log(40))[:4]
+    independent_mod_two(E, pts)
+    independent_mod_two(E, pts)
+    assert calls.count(disc) == 1
+    independent_mod_two(CurveQ(*E.coefficients()), pts)
+    assert calls.count(disc) == 2
+
+
+def test_descent_image_without_support_factors_each_difference(monkeypatch):
+    # when the discriminant does not factor, every class comes from
+    # factoring its difference, with the same values
+    E = IC.curve
+    pts = naive_point_search(E, math.log(40))[:6]
+    want = [descent_image(E, P) for P in pts]
+    real = descent.factor_best_effort
+    monkeypatch.setattr(descent, "factor_best_effort",
+                        lambda n: real(n, budget=0, trial_bound=2))
+    E2 = CurveQ(*E.coefficients())
+    with pytest.raises(FactorizationIncomplete) as exc:
+        descent_support(E2)
+    assert not exc.value.partial.complete
+    assert [descent_image(E2, P) for P in pts] == want
 
 
 def _class_product(c1: int, c2: int) -> int:
@@ -357,13 +394,12 @@ def _class_product(c1: int, c2: int) -> int:
 
 def test_descent_image_homomorphism():
     E = IC.curve
-    supp = descent_support(E)
     pts = naive_point_search(E, math.log(40))
     rng = random.Random(7)
     for _ in range(25):
         P, Q = rng.choice(pts), rng.choice(pts)
         S = add(E, P, Q)
-        iP, iQ, iS = (descent_image(E, X, supp) for X in (P, Q, S))
+        iP, iQ, iS = (descent_image(E, X) for X in (P, Q, S))
         assert iS == tuple(_class_product(a, b) for a, b in zip(iP, iQ))
 
 
@@ -425,8 +461,7 @@ def test_rank_lower_bound_record_curves():
         assert rb.method == "descent"
 
 
-def reference_rank_lower_bound(E, points, *, eps=1e-3,
-                               budget=DEFAULT_BUDGET):
+def reference_rank_lower_bound(E, points, *, eps=1e-3):
     """rank_lower_bound before the span check: the greedy height Gram loop
     runs whenever descent does not separate every point."""
     infinite = [(i, P) for i, P in enumerate(points)
@@ -436,7 +471,7 @@ def reference_rank_lower_bound(E, points, *, eps=1e-3,
     idxs = [i for i, _ in infinite]
     pts = [P for _, P in infinite]
     try:
-        res = independent_mod_two(E, pts, budget=budget)
+        res = independent_mod_two(E, pts)
     except (FormMismatch, FactorizationIncomplete):
         res = IndependenceResult(False, 0, ())
     if res.independent:

@@ -1,5 +1,14 @@
+import importlib
+import inspect
+import os
+import pathlib
+import pkgutil
+import subprocess
+import sys
+
 import pytest
 
+import diocurves
 from diocurves.errors import ZeroInput
 from diocurves.factoring import Factorization, factor_best_effort, is_probable_prime
 
@@ -79,3 +88,33 @@ def test_factor_mixed_completes_known_part():
     assert f.factors == [(2, 2), (3, 1), (5, 1)]
     assert not f.complete
     assert f.value() == 60 * p * q
+
+
+def test_factor_work_is_bounded():
+    # rho cannot split a product of two 19-digit primes within the default
+    # budget of steps, so the call ends with the product as its cofactor;
+    # it runs in a subprocess, so that a hang fails at the timeout
+    code = ("import sys; from diocurves.factoring import factor_best_effort; "
+            "n = 1000000000000000003 * 3000000000000000037; "
+            "f = factor_best_effort(n); "
+            "sys.exit(f.complete or f.cofactor != n)")
+    src = pathlib.Path(diocurves.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
+
+
+def test_no_budget_above_factoring():
+    # factoring bounds its own work, and the descent support lives on the
+    # curve: no public function above `factoring` and `rationals` takes a
+    # budget or a precomputed support
+    for info in pkgutil.iter_modules(diocurves.__path__):
+        if info.name in ("factoring", "rationals"):
+            continue
+        module = importlib.import_module(f"diocurves.{info.name}")
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if name.startswith("_") or fn.__module__ != module.__name__:
+                continue
+            params = set(inspect.signature(fn).parameters)
+            assert not params & {"budget", "support"}, \
+                f"{info.name}.{name} takes {params & {'budget', 'support'}}"

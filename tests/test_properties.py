@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 from hypothesis import assume, given, settings, strategies as st
 
-from diocurves.descent import descent_image, descent_support
+from diocurves.descent import descent_image
 from diocurves.families import F_uv, K_PLUSMINUS, family_k, z2z8_family
 from diocurves.errors import DegenerateParameter, DegenerateTriple
 from diocurves.rationals import is_perfect_square
@@ -109,12 +109,11 @@ def test_descent_image_is_multiplicative(m, n):
     t = make_triple(F(1), F(3), F(8))
     E = induced_curves(t).curve
     pts = canonical_points(t)
-    support = descent_support(E)
     P = scalar_mul(E, m, pts.x_zero)
     Q = scalar_mul(E, n, pts.x_one)
-    im_p = descent_image(E, P, support)
-    im_q = descent_image(E, Q, support)
-    im_sum = descent_image(E, add(E, P, Q), support)
+    im_p = descent_image(E, P)
+    im_q = descent_image(E, Q)
+    im_sum = descent_image(E, add(E, P, Q))
     for cp, cq, cs in zip(im_p, im_q, im_sum):
         prod = cp * cq * cs
         assert prod != 0 and is_perfect_square(F(prod)) is not None

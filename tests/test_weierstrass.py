@@ -104,8 +104,7 @@ def _public_entries():
         "map_point": lambda P, Q: map_point(EK, ModelMap(2, 1, 0, 0), P),
         "point_order": lambda P, Q: torsion.point_order(EK, P),
         "halve_point": lambda P, Q: torsion.halve_point(EK, P),
-        "halving_obstruction":
-            lambda P, Q: torsion.halving_obstruction(EK, P),
+        "descent_image": lambda P, Q: descent.descent_image(EK, P),
         "canonical_height": lambda P, Q: descent.canonical_height(EK, P),
         "height_pairing": lambda P, Q: descent.height_pairing(EK, P, Q),
         "gram_certificate":
