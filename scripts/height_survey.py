@@ -8,7 +8,8 @@ regulator of the span.
 
 import argparse
 
-from diocurves import dataset_record, gram_certificate
+from diocurves import dataset_record
+from diocurves.heights import gram_certificate
 
 
 def main() -> None:

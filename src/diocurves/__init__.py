@@ -6,10 +6,8 @@ classification, certified rank lower bounds, a candidate sieve, and a
 bundled dataset of published record curves.
 """
 
-from .descent import (GramCertificate, IndependenceResult, RankBound,
-                      canonical_height, canonical_height_reference,
-                      descent_image, descent_support, gram_certificate,
-                      height_pairing, independent_mod_two, naive_point_search,
+from .descent import (IndependenceResult, RankBound, descent_image,
+                      independent_mod_two, naive_point_search,
                       rank_lower_bound)
 from .errors import (DatasetCorrupt, DegenerateParameter, DegenerateTriple,
                      DiocurvesError, FactorizationIncomplete, NotDiophantine,

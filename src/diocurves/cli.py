@@ -58,7 +58,6 @@ class Config:
 
     N: int = 1000                 # sieve sum depth
     keep: float = 0.01            # fraction of scored candidates kept
-    eps: float = 1e-3             # canonical height accuracy
     height_bound: float = 5.0     # naive point search cutoff
     jobs: int = 1
     out: Optional[str] = None
@@ -66,13 +65,11 @@ class Config:
     def validated(self) -> "Config":
         # chained comparisons are False on nan, so nan is rejected too
         if (not 0 < self.N <= MAX_N or not 0 < self.keep <= 1
-                or not 0 < self.eps < math.inf
                 or not 0 <= self.height_bound <= MAX_HEIGHT_BOUND
                 or self.jobs <= 0):
             raise ValueError(
                 "configuration values out of range: N must lie in "
-                f"[1, {MAX_N}], keep in (0, 1], "
-                "eps be finite and positive, height_bound lie in "
+                f"[1, {MAX_N}], keep in (0, 1], height_bound in "
                 f"[0, {MAX_HEIGHT_BOUND}], and the integers be positive")
         return self
 
@@ -171,7 +168,7 @@ def _search_record(triple: Triple, cfg: Config,
 
     score = mestre_nagao_sum(E, cfg.N)
     tors = torsion_subgroup(E)
-    rank = rank_lower_bound(E, candidates, eps=cfg.eps)
+    rank = rank_lower_bound(E, candidates)
 
     record = {
         "version": JSONL_VERSION,
@@ -378,13 +375,12 @@ def cmd_dataset(record_id: Optional[str], cfg: Config) -> int:
 _FLAG_HELP = {
     "N": "sieve sum depth (default 1000)",
     "keep": "kept fraction of scored candidates (default 0.01)",
-    "eps": "canonical height accuracy",
     "height_bound": "naive point search cutoff",
     "jobs": "worker processes",
     "out": "write JSON lines here instead of stdout",
 }
 # the Config fields each subcommand reads; it offers exactly these flags
-_INDUCE_FLAGS = ("N", "eps", "height_bound", "out")
+_INDUCE_FLAGS = ("N", "height_bound", "out")
 _SIEVE_FLAGS = _INDUCE_FLAGS + ("keep", "jobs")
 _DATASET_FLAGS = ("out",)
 

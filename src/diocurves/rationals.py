@@ -109,41 +109,3 @@ def square_class(q: Fraction, budget: int = DEFAULT_BUDGET) -> int:
         if e % 2:
             d *= p
     return -d if m < 0 else d
-
-
-def strip_primes(n: int, primes) -> tuple[dict[int, int], int]:
-    """Split n into valuations over `primes` and the remaining cofactor."""
-    if n == 0:
-        raise ZeroInput("cannot strip primes from 0")
-    vals: dict[int, int] = {}
-    m = abs(n)
-    for p in primes:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            vals[p] = e
-    return vals, (m if n > 0 else -m)
-
-
-def square_class_supported(q: Fraction, primes) -> int | None:
-    """Square class of q assuming its odd-valuation support lies in `primes`.
-
-    Strips the listed primes from numerator times denominator; whatever is
-    left must then be a perfect square.  Returns None when it is not (the
-    assumption failed), so callers can fall back to a real factorization.
-    Never factors q itself, which keeps this usable on numbers with
-    thousands of digits.
-    """
-    q = Fraction(q)
-    if q == 0:
-        raise ZeroInput("0 has no square class")
-    vals, rest = strip_primes(q.numerator * q.denominator, primes)
-    if is_perfect_square(QQ(abs(rest))) is None:
-        return None
-    cls = 1 if rest > 0 else -1
-    for p, e in vals.items():
-        if e % 2:
-            cls *= p
-    return cls

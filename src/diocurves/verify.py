@@ -361,19 +361,18 @@ HEAVY_RECORDS = {"s3-rank9", "s4-rank7", "s5-rank4", "s6-connell", "s6-big"}
 
 
 def check_record_light(rid: str) -> CheckResult:
-    """Triple-only record: validity, family rebuild, torsion containment."""
+    """Triple-only record: validity, family rebuild, exact torsion shape."""
     t0 = time.time()
     rec = dataset_record(rid)
     problems = []
     ts = torsion_subgroup(induced_curves(rec.triple).curve)
-    if ts.invariants[0] % rec.torsion_shape[0] or \
-            ts.invariants[1] % rec.torsion_shape[1]:
-        problems.append(f"torsion {ts.invariants} lacks "
-                        f"{rec.torsion_shape}")
+    if ts.invariants != rec.torsion_shape or not ts.exact:
+        problems.append(f"torsion {ts.invariants} exact={ts.exact}, "
+                        f"expected {rec.torsion_shape} exact")
     if rec.family is not None and \
             rec.family.triple.elements != rec.triple.elements:
         problems.append("family parameters do not rebuild the triple")
-    detail = (f"triple valid, torsion {ts.invariants} contains "
+    detail = (f"triple valid, torsion {ts.invariants} equals "
               f"{rec.torsion_shape}, published rank {rec.claimed_rank} "
               "not re-certified (no stored points)")
     if problems:

@@ -15,9 +15,9 @@ the unchecked `_add` and `_map_point` instead of paying for a re-check on
 every step.
 
 Data derived from a curve (its invariants, its integral and square-completed
-models, its torsion subgroup, and the descent support, duplication data and
-canonical heights of the descent layer) is built once, on first use, and
-kept on the curve object by `_memo`; it is dropped with the curve.  The
+models, its torsion subgroup, and the duplication data and canonical heights
+of the `heights` module) is built once, on first use, and kept on the curve
+object by `_memo`; it is dropped with the curve.  The
 package has no module-level caches and no size caps: two equal curves built
 separately each build their own copy.
 """

@@ -40,12 +40,13 @@ def test_induce_happy_path(capsys):
     assert payload["quadruple_extension"]["values"] == ["0", "120"]
 
 
-# the two triples whose rank bound comes from heights, not descent
+# the two triples whose rank bound came from heights before descent
+# saturated; only the method word of their output changed then
 HEIGHTS_PINS = {
     "{3/4,7,315/4}":
-        "64623306328331051cdeb63e2bbb9c524b752b737f3aae5f85655d2569425fc2",
+        "e35c5d1815a4fa1a81a8debc96e4ed39370f2839c6d9c75b0ffdfb72a09788c1",
     "{12/5,-5/12,116/375}":
-        "714c92754d71ea89ffdddaf71c21f4c86bbe4192d15c7a92858ff31246ef8433",
+        "e15f7b1b1cc2b883aa02c0e833a56516956fb6d0017e74696e2539d9d28c91c6",
 }
 
 
@@ -65,12 +66,15 @@ def test_induce_output_bytes_pinned(capsys, argv, digest):
 
 
 def test_heights_run_without_mpmath():
-    # mpmath is a test-only oracle: the height path must not import it
+    # the rank path computes no height: on the triples that used to need
+    # heights, induce runs with mpmath, a test-only oracle, unimportable,
+    # and never loads the height module
     src = pathlib.Path(diocurves.__file__).resolve().parents[1]
     triple, digest = next(iter(HEIGHTS_PINS.items()))
     code = ("import sys; sys.modules['mpmath'] = None; "
             "import diocurves.cli as c; "
-            f"sys.exit(c.main(['induce', {triple!r}]))")
+            f"code = c.main(['induce', {triple!r}]); "
+            "sys.exit(code or 3 * ('diocurves.heights' in sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, timeout=120)
@@ -202,12 +206,11 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("flags, config_text", [
-    (["--eps", "nan"], None),
     (["--height-bound", "1000"], None),
     (["--height-bound", "inf"], None),
     ([], "height_bound = 9\n"),
     (["--N", "3000000000"], None),
-], ids=["eps-nan", "height-bound-1000", "height-bound-inf", "config-file",
+], ids=["height-bound-1000", "height-bound-inf", "config-file",
         "N-3e9"])
 def test_bad_configuration_is_usage_error(tmp_path, capsys, flags,
                                           config_text):
@@ -230,10 +233,12 @@ def test_verify_all_under_optimize_flag():
     assert "70/70 checks passed" in proc.stdout
 
 
-@pytest.mark.parametrize("module", ["sympy", "numpy", "mpmath"])
+@pytest.mark.parametrize("module", ["sympy", "numpy", "mpmath",
+                                    "diocurves.heights"])
 def test_cli_import_leaves_module_unloaded(module):
     # numpy is loaded by the point-counting kernel alone, so the import and
-    # `dataset` never pay for it; sympy and mpmath are test-only oracles
+    # `dataset` never pay for it; sympy and mpmath are test-only oracles,
+    # and the heights serve only a script and the tests
     src = pathlib.Path(diocurves.__file__).resolve().parents[1]
     code = ("import sys, diocurves.cli as c; "
             f"c.main(['dataset', '--out', {os.devnull!r}]); "
@@ -277,8 +282,9 @@ def test_search_record_computes_torsion_once(monkeypatch):
     ["induce", "{{1,3,8}}", "--jobs", "2"],
     ["induce", "{{1,3,8}}", "--primes", "20"],
     ["induce", "{{1,3,8}}", "--factor-budget", "5"],
+    ["induce", "{{1,3,8}}", "--eps", "1e-3"],
 ], ids=["verify-out", "dataset-N", "induce-jobs", "induce-primes",
-        "induce-factor-budget"])
+        "induce-factor-budget", "induce-eps"])
 def test_unread_flags_are_usage_errors(tmp_path, capsys, argv):
     # a subcommand offers only the flags it reads, so an ignored flag is
     # refused instead of silently doing nothing
@@ -290,7 +296,7 @@ def test_unread_flags_are_usage_errors(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["primes", "factor_budget"])
+@pytest.mark.parametrize("key", ["primes", "factor_budget", "eps"])
 def test_removed_config_key_is_usage_error(tmp_path, capsys, key):
     cfg = tmp_path / "old.cfg"
     cfg.write_text(f"{key} = 20\n")
@@ -346,3 +352,12 @@ def test_verify_check_propagates_internal_errors(monkeypatch):
     monkeypatch.setattr(verify, "summand_forms", flaky)
     with pytest.raises(ArithmeticError, match="forced internal failure"):
         verify.check_summand_forms(count=5)
+
+
+def test_light_record_check_requires_equal_torsion(monkeypatch):
+    # a computed group larger than the stored shape is a defect, not a pass
+    real = verify.check_record_light("s4-rank5-a")
+    assert real.passed and "equals (2, 4)" in real.detail
+    big = torsion.TorsionSubgroup((), 16, (2, 8), 16, True)
+    monkeypatch.setattr(verify, "torsion_subgroup", lambda E: big)
+    assert not verify.check_record_light("s4-rank5-a").passed

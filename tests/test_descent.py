@@ -1,24 +1,20 @@
+import functools
 import math
 import random
+import sys
+import time
 from fractions import Fraction as F
 
 import pytest
 
-from diocurves import descent
+from diocurves import cli, heights
 from diocurves.descent import (
-    GramCertificate,
     IndependenceResult,
     RankBound,
     _coprime_basis,
-    _det,
-    _duplication_data,
-    _eval_pair_mod,
-    canonical_height,
-    canonical_height_reference,
+    _descent_values,
+    _descent_vectors,
     descent_image,
-    descent_support,
-    gram_certificate,
-    height_pairing,
     independent_mod_two,
     naive_point_search,
     rank_lower_bound,
@@ -31,8 +27,16 @@ from diocurves.errors import (
 )
 from diocurves.factoring import DEFAULT_BUDGET, factor_best_effort
 from diocurves.families import FAMILY_CONSTRUCTORS, K_PLUSMINUS, dataset_record
-from diocurves.rationals import log_int
-from diocurves.torsion import point_order, points_with_x
+from diocurves.heights import (
+    _det,
+    _duplication_data,
+    _eval_pair_mod,
+    canonical_height,
+    gram_certificate,
+    height_pairing,
+)
+from diocurves.rationals import log_int, naive_height, square_class
+from diocurves.torsion import point_order, points_with_x, torsion_subgroup
 from diocurves.triples import canonical_points, induced_curves, make_triple
 from diocurves.weierstrass import (
     INFINITY,
@@ -168,7 +172,8 @@ def _reference_run(mpmath, data, caps, W, Pi, eps):
     return float(total)
 
 
-# Euler triples whose induce runs fall back to the height Gram loop
+# Euler triples whose induce runs fell back to the height Gram loop before
+# descent saturated
 EULER_FALLBACKS = ((F(3), F(5), F(16)), (F(4), F(3, 4), F(35, 4)),
                    (F(5), F(3), F(16)), (F(6), F(4, 3), F(40, 3)))
 
@@ -198,7 +203,7 @@ def test_height_run_matches_reference():
         for P in pts:
             Pi = map_point(E, M, P)
             for eps in (1e-3, 1e-6, 1e-9):
-                new = descent._height_run(Ei, Pi, eps)
+                new = heights._height_run(Ei, Pi, eps)
                 ref = reference_height_run(Ei, Pi, eps)
                 assert abs(new - ref) <= eps / 10, (E, P, eps, new, ref)
 
@@ -206,6 +211,16 @@ def test_height_run_matches_reference():
 def test_canonical_height_known_value():
     h = canonical_height(E37, P37, eps=1e-9)
     assert abs(h - H37) < 2e-9
+
+
+def canonical_height_reference(E, P, doublings=8):
+    """Slow exact-arithmetic reference: h(x(2^n P)) / 4^n."""
+    if P.is_infinity or point_order(E, P) is not None:
+        return 0.0
+    Q = P
+    for _ in range(doublings):
+        Q = add(E, Q, Q)
+    return naive_height(Q.x) / 4.0 ** doublings
 
 
 def test_canonical_height_agrees_with_doubling_limit():
@@ -309,19 +324,14 @@ def test_exact_det_where_float_elimination_fails(monkeypatch):
     assert _det([[0.0, 1.0], [1.0, 0.0]]) == -1
     # the certificate reads the exact minor: with a tiny eps the float
     # determinant would clear its error bound and certify a false rank 3
-    monkeypatch.setattr(descent, "canonical_height",
+    monkeypatch.setattr(heights, "canonical_height",
                         lambda E, P, eps: NEG_DET[P][P])
-    monkeypatch.setattr(descent, "height_pairing",
+    monkeypatch.setattr(heights, "height_pairing",
                         lambda E, P, Q, eps: NEG_DET[P][Q])
     cert = gram_certificate(E37, [0, 1, 2], eps=1e-30)
     assert _float_det(NEG_DET) > cert.error_bound
     assert not cert.independent and cert.determinant < 0
     assert gram_certificate(E37, [0, 1], eps=1e-30).independent
-
-
-def test_descent_support_contains_two_and_bad_primes():
-    supp = descent_support(E37)
-    assert 2 in supp and 37 in supp
 
 
 def test_descent_image_infinity_trivial():
@@ -343,44 +353,6 @@ def test_descent_image_kernel_contains_doubles():
     pts = naive_point_search(IC.curve, math.log(40))
     for P in pts[:6]:
         assert descent_image(IC.curve, dbl(IC.curve, P)) == (1, 1, 1)
-
-
-def test_descent_support_is_memoized(monkeypatch):
-    # the support is an invariant of the curve: two independence checks on
-    # one curve object factor its discriminant once; an equal curve built
-    # separately computes its own
-    disc = abs(int(invariants(clear_denominators(IC.curve)[0]).disc))
-    calls = []
-    real = descent.factor_best_effort
-
-    def counted(n, *args, **kwargs):
-        calls.append(n)
-        return real(n, *args, **kwargs)
-
-    monkeypatch.setattr(descent, "factor_best_effort", counted)
-    E = CurveQ(*IC.curve.coefficients())
-    pts = naive_point_search(E, math.log(40))[:4]
-    independent_mod_two(E, pts)
-    independent_mod_two(E, pts)
-    assert calls.count(disc) == 1
-    independent_mod_two(CurveQ(*E.coefficients()), pts)
-    assert calls.count(disc) == 2
-
-
-def test_descent_image_without_support_factors_each_difference(monkeypatch):
-    # when the discriminant does not factor, every class comes from
-    # factoring its difference, with the same values
-    E = IC.curve
-    pts = naive_point_search(E, math.log(40))[:6]
-    want = [descent_image(E, P) for P in pts]
-    real = descent.factor_best_effort
-    monkeypatch.setattr(descent, "factor_best_effort",
-                        lambda n: real(n, budget=0, trial_bound=2))
-    E2 = CurveQ(*E.coefficients())
-    with pytest.raises(FactorizationIncomplete) as exc:
-        descent_support(E2)
-    assert not exc.value.partial.complete
-    assert [descent_image(E2, P) for P in pts] == want
 
 
 def _class_product(c1: int, c2: int) -> int:
@@ -510,7 +482,7 @@ def _euler_triples():
             for a in range(1, 7) for r in range(2, 7)]
 
 
-# induce runs whose rank bound comes from heights, not descent
+# induce runs whose rank bound came from heights before descent saturated
 HEIGHTS_WINNING = ((F(3, 4), F(7), F(315, 4)),
                    (F(12, 5), F(-5, 12), F(116, 375)))
 
@@ -520,6 +492,7 @@ def _readme_kept_inputs():
             for q in README_KEPT]
 
 
+@functools.cache
 def _rank_inputs():
     cases = _readme_kept_inputs()
     cases += [_search_input(FERMAT, h) for h in (5.0, 7.0)]
@@ -533,35 +506,154 @@ def _rank_inputs():
 
 
 def test_rank_lower_bound_matches_reference():
+    # descent plus halving gives the exact rank of the span, which the
+    # greedy height Gram loop reaches on every one of these inputs
     for E, pts in _rank_inputs():
-        assert rank_lower_bound(E, pts) == \
-            reference_rank_lower_bound(E, pts), (E, len(pts))
+        rb = rank_lower_bound(E, pts)
+        assert rb.method == "descent"
+        assert rb.bound == reference_rank_lower_bound(E, pts).bound, \
+            (E, len(pts))
 
 
-def _counting_gram(monkeypatch):
-    calls = []
+def _class_bits(cls, basis):
+    bits = 1 if cls < 0 else 0
+    c = abs(cls)
+    for i, b in enumerate(basis):
+        if c % b == 0:
+            bits |= 1 << (i + 1)
+            c //= b
+    if c != 1:
+        raise ArithmeticError("square class escaped its basis")
+    return bits
 
-    def counted(*args, **kw):
-        calls.append(args)
-        return gram_certificate(*args, **kw)
 
-    monkeypatch.setattr(descent, "gram_certificate", counted)
-    return calls
+def _supported_classes(E, points):
+    """Square classes of the descent values as independent_mod_two read
+    them before: by stripping 2 and the primes of the discriminant of the
+    integral model, which must factor, and factoring only what is left."""
+    Ei, M = clear_denominators(E)
+    fac = factor_best_effort(abs(int(invariants(Ei).disc)))
+    assert fac.complete
+    support = {2, *(p for p, _ in fac.factors),
+               *(p for p, _ in factor_best_effort(int(1 / M.u)).factors)}
+    images = []
+    for P in points:
+        img = []
+        for v in _descent_values(E, P):
+            cls, rest = (-1 if v < 0 else 1), abs(v)
+            for p in support:
+                while rest % p == 0:
+                    rest //= p
+                    cls *= p
+            img.append(square_class(cls) if math.isqrt(rest) ** 2 == rest
+                       else square_class(v))
+        images.append(tuple(img))
+    return images
 
 
-def test_span_check_skips_heights_on_readme_kept_curves(monkeypatch):
-    calls = _counting_gram(monkeypatch)
+def reference_independent_mod_two(E, points):
+    """independent_mod_two on square classes and their bits over a coprime
+    basis of the classes, as it was before the descent vectors read the
+    raw values."""
+    tors_imgs = _supported_classes(E, torsion_subgroup(E).points)
+    pt_imgs = _supported_classes(E, points)
+    basis = _coprime_basis([c for img in tors_imgs + pt_imgs for c in img])
+    width = len(basis) + 1
+
+    def vector(img):
+        out = 0
+        for slot, cls in enumerate(img):
+            out |= _class_bits(cls, basis) << (slot * width)
+        return out
+
+    pivots = {}
+
+    def reduce_add(vec):
+        while vec:
+            top = vec.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = vec
+                return True
+            vec ^= pivots[top]
+        return False
+
+    for img in tors_imgs:
+        reduce_add(vector(img))
+    gained = [i for i, img in enumerate(pt_imgs) if reduce_add(vector(img))]
+    return IndependenceResult(len(gained) == len(points), len(gained),
+                              tuple(gained))
+
+
+def test_independent_mod_two_matches_factored_classes():
+    for E, pts in _rank_inputs():
+        assert independent_mod_two(E, pts) == \
+            reference_independent_mod_two(E, pts), (E, len(pts))
+
+
+def test_descent_vectors_compare_square_classes():
+    # a value's vector is its square class: equal vectors, equal classes
+    E = IC.curve
+    pts = naive_point_search(E, math.log(40))
+    triples = [_descent_values(E, P) for P in pts]
+    vecs = _descent_vectors(triples)
+    for i, P in enumerate(pts):
+        for j, Q in enumerate(pts):
+            assert (vecs[i] == vecs[j]) == \
+                (descent_image(E, P) == descent_image(E, Q))
+
+
+def test_rank_path_makes_no_height_call(monkeypatch):
+    # the inputs on which the bound used to fall back to heights now end
+    # in descent with no height computed at all
+    def refuse(*args, **kwargs):
+        raise AssertionError("height computed on the rank path")
+
+    for name in ("canonical_height", "height_pairing", "gram_certificate"):
+        monkeypatch.setattr(heights, name, refuse)
+    for t in HEIGHTS_WINNING + EULER_FALLBACKS:
+        E, pts = _search_input(make_triple(*t))
+        assert rank_lower_bound(E, pts).method == "descent"
     for E, pts in _readme_kept_inputs():
         assert rank_lower_bound(E, pts).method == "descent"
+
+
+def test_hard_discriminant_rank_path_factors_nothing(monkeypatch):
+    # the discriminant of {1, N^2 - 1, N^2 + 2N} with N a product of two
+    # 19-digit primes does not factor within the rho budget; the rank path
+    # factors nothing, so the whole search record takes milliseconds
+    N = (10**18 + 3) * (3 * 10**18 + 37)
+    triple = make_triple(F(1), F(N * N - 1), F(N * N + 2 * N))
+    calls, inside = [], []
+    real_factor, real_rank = factor_best_effort, cli.rank_lower_bound
+
+    def factor(*args, **kwargs):
+        if inside:
+            calls.append(args[0])
+        return real_factor(*args, **kwargs)
+
+    def rank(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_rank(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("diocurves") and \
+                getattr(mod, "factor_best_effort", None) is real_factor:
+            monkeypatch.setattr(mod, "factor_best_effort", factor)
+    monkeypatch.setattr(cli, "rank_lower_bound", rank)
+    start = time.perf_counter()
+    record = cli._search_record(triple, cli.Config())
+    assert time.perf_counter() - start < 1.0
     assert calls == []
+    assert record["rank"]["method"] == "descent"
+    assert record["rank"]["lower_bound"] >= 1
 
 
-def test_span_check_falls_back_to_heights(monkeypatch):
-    calls = _counting_gram(monkeypatch)
-    E, pts = _search_input(make_triple(*HEIGHTS_WINNING[0]))
-    rb = rank_lower_bound(E, pts)
-    assert rb.method == "heights"
-    assert calls
+def test_rank_lower_bound_needs_full_two_torsion():
+    with pytest.raises(FormMismatch):
+        rank_lower_bound(E37, [P37])
 
 
 def test_naive_point_search_fermat_curve():

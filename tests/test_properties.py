@@ -7,10 +7,13 @@ from fractions import Fraction as F
 
 from hypothesis import assume, given, settings, strategies as st
 
-from diocurves.descent import descent_image
+from diocurves.descent import (descent_image, naive_point_search,
+                               rank_lower_bound)
 from diocurves.families import F_uv, K_PLUSMINUS, family_k, z2z8_family
 from diocurves.errors import DegenerateParameter, DegenerateTriple
+from diocurves.heights import gram_certificate
 from diocurves.rationals import is_perfect_square
+from diocurves.torsion import point_order
 from diocurves.triples import (
     canonical_points,
     extend_to_quadruple,
@@ -117,6 +120,27 @@ def test_descent_image_is_multiplicative(m, n):
     for cp, cq, cs in zip(im_p, im_q, im_sum):
         prod = cp * cq * cs
         assert prod != 0 and is_perfect_square(F(prod)) is not None
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(a=nonzero_q, r=root_q)
+def test_rank_bound_reaches_greedy_gram_bound(a, r):
+    # the bound is the exact rank of the span, so no greedy height Gram
+    # selection of the same points can certify more; the points are
+    # doubles, which descent alone cannot tell apart, so halving must
+    t = _sum_triple(a, r)
+    assume(t is not None)
+    E = induced_curves(t).curve
+    cp = canonical_points(t)
+    base = {cp.x_zero, cp.x_one, cp.half_x_one, *naive_point_search(E, 2.0)}
+    pts = sorted({dbl(E, P) for P in base} - {INFINITY},
+                 key=lambda P: (P.x, P.y))
+    kept = []
+    for P in pts:
+        if point_order(E, P) is None and \
+                gram_certificate(E, kept + [P]).independent:
+            kept.append(P)
+    assert rank_lower_bound(E, pts).bound >= len(kept)
 
 
 @COMMON

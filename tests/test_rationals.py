@@ -13,7 +13,6 @@ from diocurves.rationals import (
     parse_rational,
     square_class,
     sqrt_int,
-    strip_primes,
 )
 
 
@@ -113,14 +112,3 @@ def test_square_class_incomplete_raises_with_partial():
         square_class(QQ(p * q), budget=0)
     assert ei.value.partial is not None
     assert ei.value.partial.cofactor == p * q
-
-
-def test_strip_primes():
-    vals, rest = strip_primes(-720, [2, 3])
-    assert vals == {2: 4, 3: 2}
-    assert rest == -5
-    vals, rest = strip_primes(77, [2, 3, 5])
-    assert vals == {}
-    assert rest == 77
-    with pytest.raises(ZeroInput):
-        strip_primes(0, [2])

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from diocurves.descent import canonical_height
+from diocurves.heights import canonical_height
 from diocurves.errors import ParseError, PointNotOnCurve, SingularCurve
 from diocurves.torsion import torsion_subgroup
 from diocurves.weierstrass import (
@@ -94,7 +94,7 @@ ON_EK, OFF_EK = PointQ(-1, 2), PointQ(2, 1)
 
 
 def _public_entries():
-    from diocurves import descent, torsion
+    from diocurves import descent, heights, torsion
     return {
         "add": lambda P, Q: add(EK, P, Q),
         "dbl": lambda P, Q: dbl(EK, P),
@@ -105,10 +105,10 @@ def _public_entries():
         "point_order": lambda P, Q: torsion.point_order(EK, P),
         "halve_point": lambda P, Q: torsion.halve_point(EK, P),
         "descent_image": lambda P, Q: descent.descent_image(EK, P),
-        "canonical_height": lambda P, Q: descent.canonical_height(EK, P),
-        "height_pairing": lambda P, Q: descent.height_pairing(EK, P, Q),
+        "canonical_height": lambda P, Q: heights.canonical_height(EK, P),
+        "height_pairing": lambda P, Q: heights.height_pairing(EK, P, Q),
         "gram_certificate":
-            lambda P, Q: descent.gram_certificate(EK, [P, Q]),
+            lambda P, Q: heights.gram_certificate(EK, [P, Q]),
     }
 
 
