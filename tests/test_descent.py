@@ -602,18 +602,26 @@ def test_descent_vectors_compare_square_classes():
                 (descent_image(E, P) == descent_image(E, Q))
 
 
-def test_rank_path_makes_no_height_call(monkeypatch):
-    # the inputs on which the bound used to fall back to heights now end
-    # in descent with no height computed at all
+def _refuse_heights(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("height computed on the rank path")
 
     for name in ("canonical_height", "height_pairing", "gram_certificate"):
         monkeypatch.setattr(heights, name, refuse)
+
+
+def test_span_check_skips_heights_on_readme_kept_curves(monkeypatch):
+    _refuse_heights(monkeypatch)
+    for E, pts in _readme_kept_inputs():
+        assert rank_lower_bound(E, pts).method == "descent"
+
+
+def test_span_check_falls_back_to_heights(monkeypatch):
+    # the inputs on which the bound used to fall back to heights; there is
+    # no fallback any more, so they end in descent with no height computed
+    _refuse_heights(monkeypatch)
     for t in HEIGHTS_WINNING + EULER_FALLBACKS:
         E, pts = _search_input(make_triple(*t))
-        assert rank_lower_bound(E, pts).method == "descent"
-    for E, pts in _readme_kept_inputs():
         assert rank_lower_bound(E, pts).method == "descent"
 
 
