@@ -55,65 +55,105 @@ def descent_image(E: CurveQ, P: PointQ) -> tuple[int, int, int]:
     """Square classes of (x - e_i) at P on a full two-torsion curve.
 
     This is the two-descent map (Silverman, AEC X.1): P is in 2 E(Q)
-    exactly when the result is (1, 1, 1).  It factors every value, so it is
-    the plain definition that `_descent_vectors` is tested against; the
-    rank bound never calls it.
+    exactly when the result is (1, 1, 1).  Each class is square_class of
+    its value, the plain definition that the descent vectors are tested
+    against; the rank bound never calls it.  On the curve a prime to an
+    odd power in one difference also divides another, so a class is
+    supported on the primes of the root differences and of the roots'
+    denominators.  Only the part of a value that a coprime basis shares
+    with those is factored, so a large point costs no more than its curve.
     """
     _require_on_curve(E, P)
-    return tuple(square_class(v) for v in _descent_values(E, P))
+    _, _, roots = _square_completed(E)
+    e1, e2, e3 = roots
+    support = math.lcm(*(e.denominator for e in roots)) * math.prod(
+        d.numerator * d.denominator for d in (e1 - e2, e1 - e3, e2 - e3))
+    values = _descent_values(E, P)
+    classes = _Classes([*values, support])
+    return tuple(square_class(math.prod(classes.odd_elements(v),
+                                        start=-1 if v < 0 else 1))
+                 for v in values)
+
+
+class _Classes:
+    """Square classes of integers as F2 vectors over a coprime basis.
+
+    The basis is pairwise coprime and is refined as values arrive (Bach,
+    Driscoll and Shallit, J. Algorithms 15, 1993), so that every value
+    factors as +-prod b^e over it.  Distinct elements are coprime, so such
+    a value is a square exactly when it is positive and the exponent of
+    every non-square element is even: its class is read off as its sign
+    and those exponent parities, with nothing factored.
+    """
+
+    def __init__(self, values: Sequence[int] = ()):
+        self.basis: list[int] = []
+        self._odd: list[tuple[int, int]] = []   # (place, non-square b)
+        self.add(values)
+
+    def add(self, values: Sequence[int]) -> bool:
+        """Refine the basis so that the values factor over it.  Elements
+        keep their places unless a value splits one, which changes the
+        vectors read before; the result says whether that happened."""
+        size, split = len(self.basis), False
+        todo = [abs(v) for v in values]
+        while todo:
+            x = todo.pop()
+            for i, b in enumerate(self.basis):
+                gcd = math.gcd(x, b)
+                if gcd == 1:
+                    continue
+                if gcd != b:
+                    self.basis.pop(i)
+                    todo += [gcd, b // gcd]
+                    split = True
+                todo.append(x // gcd)
+                break
+            else:
+                if x != 1:
+                    self.basis.append(x)
+        if split or len(self.basis) != size:
+            self._odd = [(k, b) for k, b in enumerate(self.basis)
+                         if math.isqrt(b) ** 2 != b]
+        return split
+
+    def odd_elements(self, v: int) -> list[int]:
+        """The non-square elements dividing v to an odd power."""
+        return [b for _, b in self._places(v)]
+
+    def vector(self, triple: Sequence[int]) -> int:
+        """The F2 vector of a value triple: slot s holds its sign at bit s
+        and the parity of basis[k] at bit 3 k + 3 + s."""
+        out = 0
+        for slot, v in enumerate(triple):
+            out |= (v < 0) << slot
+            for k, _ in self._places(v):
+                out |= 1 << (3 * k + 3 + slot)
+        return out
+
+    def _places(self, v: int) -> list[tuple[int, int]]:
+        v, out = abs(v), []
+        for k, b in self._odd:
+            odd = False
+            while v % b == 0:
+                v //= b
+                odd = not odd
+            if odd:
+                out.append((k, b))
+        return out
 
 
 def _coprime_basis(values: Sequence[int]) -> list[int]:
     """A pairwise-coprime set over which every |value| factors exactly."""
-    basis: list[int] = []
-
-    def insert(x: int) -> None:
-        if x == 1:
-            return
-        for i, b in enumerate(basis):
-            gcd = math.gcd(x, b)
-            if gcd == 1:
-                continue
-            basis.pop(i)
-            insert(gcd)
-            insert(b // gcd)
-            insert(x // gcd)
-            return
-        basis.append(x)
-
-    for v in values:
-        insert(abs(v))
-    return sorted(basis)
+    return sorted(_Classes(values).basis)
 
 
 def _descent_vectors(triples: Sequence[Sequence[int]]) -> list[int]:
-    """F2 vectors of value triples that add as their square classes multiply.
-
-    The values are refined into a pairwise-coprime basis, and its perfect
-    squares are dropped.  Each value is then +-prod b^e over the basis,
-    and since distinct basis elements are coprime, it is a square exactly
-    when it is positive and the exponent of every non-square b is even.  So
-    a value's bits are its sign and those exponent parities, and two
-    triples get equal vectors exactly when their values agree modulo
-    rational squares, slot by slot.
-    """
-    basis = [b for b in _coprime_basis([v for t in triples for v in t])
-             if math.isqrt(b) ** 2 != b]
-    width = len(basis) + 1
-
-    def bits(v: int) -> int:
-        out = 1 if v < 0 else 0
-        v = abs(v)
-        for i, b in enumerate(basis, 1):
-            odd = 0
-            while v % b == 0:
-                v //= b
-                odd ^= 1
-            out |= odd << i
-        return out
-
-    return [sum(bits(v) << (slot * width) for slot, v in enumerate(t))
-            for t in triples]
+    """F2 vectors of value triples that add as their square classes multiply:
+    two triples get equal vectors exactly when their values agree modulo
+    rational squares, slot by slot."""
+    classes = _Classes([v for t in triples for v in t])
+    return [classes.vector(t) for t in triples]
 
 
 def _reduce(rows: dict[int, tuple[int, int]], vec: int) -> tuple[int, int]:
@@ -176,13 +216,6 @@ _SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 # _SQUARES[p][r]: r is a square mod p, zero included (Euler's criterion)
 _SQUARES = {p: tuple(pow(r, (p - 1) // 2, p) != p - 1 for r in range(p))
             for p in _SIEVE_PRIMES}
-# most pivots the span table of rank_lower_bound combines: it holds the
-# 3^r sums of pivots with coefficients in {-1, 0, 1}, and their doubles
-_SPAN_MAX_PIVOTS = 6
-# most points one saturation chain of rank_lower_bound tests before it
-# leaves its point uncounted; no chain on the test and benchmark inputs
-# halves more than 4 times
-_MAX_CHAIN = 64
 
 
 @dataclass(frozen=True)
@@ -192,87 +225,32 @@ class RankBound:
     certificate_indices: tuple[int, ...]
 
 
-def _span_table(E: CurveQ, pivots: Sequence[PointQ]) -> set[PointQ] | None:
-    """The sums S of the pivots with coefficients in {-1, 0, 1} and their
-    doubles 2S, or None beyond _SPAN_MAX_PIVOTS pivots."""
-    if len(pivots) > _SPAN_MAX_PIVOTS:
-        return None
-    sums = {INFINITY}
-    for piv in pivots:
-        minus = _neg(E, piv)
-        sums |= ({_add(E, S, piv) for S in sums}
-                 | {_add(E, S, minus) for S in sums})
-    return sums | {_add(E, S, S) for S in sums}
-
-
-def _saturate(E: CurveQ, P: PointQ, torsion: Sequence[PointQ],
-              pivots: Sequence[PointQ], seen: set[PointQ]) -> PointQ | None:
-    """A point with a new descent vector that spans with the pivots what P
-    does, or None when P is dependent on them or its chain is capped.
-
-    A finished chain adds its points' orbits +-Q + T to `seen`; a capped
-    chain adds nothing.  See rank_lower_bound for why each verdict holds.
-    """
-    gens = [*torsion, *pivots]
-    gen_values = [_descent_values(E, G) for G in gens]
-    chain: set[PointQ] = set()
-    Q = P
-    for _ in range(_MAX_CHAIN):
-        if Q in seen or Q in chain:
-            new = None
-            break
-        chain.update(_add(E, X, T) for X in (Q, _neg(E, Q)) for T in torsion)
-        *gen_vecs, vec = _descent_vectors(
-            [*gen_values, _descent_values(E, Q)])
-        vec, mask = _reduce(_echelon(gen_vecs)[0], vec)
-        if vec:
-            new = Q
-            break
-        S = INFINITY
-        for i, G in enumerate(gens):
-            if mask >> i & 1:
-                S = _add(E, S, G)
-        R = _add(E, Q, _neg(E, S))
-        if R in torsion:
-            new = None
-            break
-        halves = halve_point(E, R)
-        if not halves:
-            raise ArithmeticError("a point with trivial descent image "
-                                  "has no rational half")
-        Q = halves[0]
-    else:
-        return None
-    seen |= chain
-    return new
-
-
 def rank_lower_bound(E: CurveQ, points: Sequence[PointQ]) -> RankBound:
     """The rank of the subgroup the points generate, by descent and halving.
 
     Raises FormMismatch unless E has full rational two-torsion, as every
-    induced curve does.  `independent_mod_two` first picks pivots whose
-    descent vectors are independent modulo the torsion image.  Then
-    L = <pivots> + torsion is 2-saturated: if 2X lies in L, descent forces
-    every pivot coefficient of 2X to be even, so X lies in L.  Hence L has
-    odd index in its saturation M, and every other point P is decided:
+    induced curve does.  The pivots are first the points whose descent
+    vectors are independent modulo the torsion image, as in
+    `independent_mod_two`.  Then L = <pivots> + torsion is 2-saturated: if
+    2X lies in L, descent forces every pivot coefficient of 2X to be even,
+    so X lies in L.  Hence L has odd index in its saturation M, and every
+    other point P is decided by a halving chain that starts at Q = P:
 
-    - P is dependent when P + T, for a torsion point T, lies in the table
-      of sums S of the pivots with coefficients in {-1, 0, 1} and their
-      doubles 2S.  The table is kept while there are at most
-      _SPAN_MAX_PIVOTS pivots.
-    - Otherwise Q = P is saturated.  If Q's vector is new, Q is not in M
-      (an odd multiple of a point of M lies in L and has the same vector),
-      so Q joins the pivots and P counts.  If not, the echelon masks give
-      S in L with Q's vector, and R = Q - S is in 2 E(Q).  A torsion R
-      puts Q in L.  Otherwise Q becomes a half of R, which spans the same
-      space over L as Q did.  A Q in an orbit +-Q' + T met before also
-      proves P dependent: either Q' is from an earlier, finished chain and
-      lies in M, or Q' came k steps earlier in this chain, so that
+    - If Q's vector is new, Q is not in M (an odd multiple of a point of M
+      lies in L and has the same vector), so Q joins the pivots and P
+      counts.
+    - If not, the echelon masks give S in L with Q's vector, and R = Q - S
+      is in 2 E(Q).  A torsion R puts Q in L.  Otherwise Q becomes a half
+      of R, which spans the same space over L as Q did.
+    - A Q in an orbit +-Q' + T met before proves P dependent: either Q'
+      is from an earlier, finished chain and lies in the span of the
+      pivots, or Q' came k steps earlier in this chain, so that
       Q' = 2^k Q modulo L and (2^k -+ 1) Q lies in L.
 
-    So the bound is exact, unless a chain reaches _MAX_CHAIN points; such a
-    point is not counted, and the bound stays a certified lower bound.  The
+    Every chain ends: within it the sums S come from a finite set, and
+    the canonical height of the next Q is h(Q - S) / 4 <= (h(Q) + h(S)) / 2,
+    so the chain stays among the finitely many points below a fixed
+    height, and it ends before any of them repeats.  So the bound is exact.  The
     certificate lists the input points that count, and they are
     independent.
     """
@@ -281,29 +259,49 @@ def rank_lower_bound(E: CurveQ, points: Sequence[PointQ]) -> RankBound:
                 if not P.is_infinity and point_order(E, P) is None]
     if not infinite:
         return RankBound(0, "descent", ())
-    idxs = [i for i, _ in infinite]
-    pts = [P for _, P in infinite]
-
-    res = independent_mod_two(E, pts)
-    if res.independent:
-        return RankBound(len(pts), "descent", tuple(idxs))
     torsion = torsion_subgroup(E).points
-    pivots = [pts[j] for j in res.pivot_indices]
-    certificate = [idxs[j] for j in res.pivot_indices]
-    table = _span_table(E, pivots)
-    seen: set[PointQ] = set()
-    for j, P in enumerate(pts):
-        if j in res.pivot_indices:
+    # gens[i] has the descent values values[i]; echelon masks index gens
+    gens = [*torsion, *(P for _, P in infinite)]
+    values = [_descent_values(E, X) for X in gens]
+    classes = _Classes([v for t in values for v in t])
+    rows, gained = _echelon([classes.vector(t) for t in values])
+    certificate = [infinite[i - len(torsion)][0] for i in gained
+                   if i >= len(torsion)]
+    if len(certificate) == len(infinite):
+        return RankBound(len(certificate), "descent", tuple(certificate))
+    pivots = set(gained)
+    # the orbit +-Q + T of a point Q is kept as the x-coordinates of Q + T
+    seen: set[Fraction] = set()
+    for j, (i, P) in enumerate(infinite, len(torsion)):
+        if j in pivots:
             continue
-        if table is not None and any(_add(E, P, T) in table
-                                     for T in torsion):
-            continue
-        Q = _saturate(E, P, torsion, pivots, seen)
-        if Q is not None:
-            pivots.append(Q)
-            certificate.append(idxs[j])
-            table = _span_table(E, pivots)
-    return RankBound(len(pivots), "descent", tuple(sorted(certificate)))
+        Q, chain = P, set()
+        while Q.x not in seen and Q.x not in chain:
+            chain.update(_add(E, Q, T).x for T in torsion)
+            q_values = _descent_values(E, Q)
+            if classes.add(q_values):
+                rows = _echelon([classes.vector(t) for t in values])[0]
+            vec, mask = _reduce(rows, classes.vector(q_values))
+            if vec:
+                rows[vec.bit_length() - 1] = (vec, mask ^ (1 << len(gens)))
+                gens.append(Q)
+                values.append(q_values)
+                certificate.append(i)
+                break
+            S = INFINITY
+            for k, G in enumerate(gens):
+                if mask >> k & 1:
+                    S = _add(E, S, G)
+            R = _add(E, Q, _neg(E, S))
+            if R in torsion:
+                break
+            halves = halve_point(E, R)
+            if not halves:
+                raise ArithmeticError("a point with trivial descent image "
+                                      "has no rational half")
+            Q = halves[0]
+        seen |= chain
+    return RankBound(len(certificate), "descent", tuple(sorted(certificate)))
 
 
 def naive_point_search(E: CurveQ, height_bound: float,
