@@ -22,8 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .rationals import square_class
-from .torsion import (_square_completed, halve_point, point_order,
-                      torsion_subgroup)
+from .torsion import _a_half, _square_completed, point_order, torsion_subgroup
 from .weierstrass import (INFINITY, CurveQ, PointQ, _add, _map_point, _neg,
                           _require_on_curve, clear_denominators, invariants)
 
@@ -40,7 +39,7 @@ def _descent_values(E: CurveQ, P: PointQ) -> tuple[int, int, int]:
     two-torsion point the vanishing difference is replaced by the product
     of the other two, which keeps the map a group homomorphism.
     """
-    _, M, roots = _square_completed(E)
+    _, M, _, roots = _square_completed(E)
     if P.is_infinity:
         return (1, 1, 1)
     x0 = _map_point(M, P).x
@@ -64,7 +63,7 @@ def descent_image(E: CurveQ, P: PointQ) -> tuple[int, int, int]:
     with those is factored, so a large point costs no more than its curve.
     """
     _require_on_curve(E, P)
-    _, _, roots = _square_completed(E)
+    roots = _square_completed(E)[3]
     e1, e2, e3 = roots
     support = math.lcm(*(e.denominator for e in roots)) * math.prod(
         d.numerator * d.denominator for d in (e1 - e2, e1 - e3, e2 - e3))
@@ -295,11 +294,10 @@ def rank_lower_bound(E: CurveQ, points: Sequence[PointQ]) -> RankBound:
             R = _add(E, Q, _neg(E, S))
             if R in torsion:
                 break
-            halves = halve_point(E, R)
-            if not halves:
+            Q = _a_half(E, R)
+            if Q is None:
                 raise ArithmeticError("a point with trivial descent image "
                                       "has no rational half")
-            Q = halves[0]
         seen |= chain
     return RankBound(len(certificate), "descent", tuple(sorted(certificate)))
 

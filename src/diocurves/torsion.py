@@ -6,6 +6,11 @@ much cheaper halving formulas).  A gcd of good-reduction point counts
 serves as an independent upper bound; together with the classification of
 possible rational torsion shapes this makes the returned group provably
 complete, not just a lower bound.
+
+Halves are written in closed form on the square-completed model
+y^2 = (x - e1)(x - e2)(x - e3), from the square roots of x - e_i, with no
+square root taken for y.  Each half returned is checked once to double to
+the point halved, and a failure raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from ._poly import mul, rational_roots, sub
 from .errors import BadReduction, FormMismatch
@@ -61,7 +67,7 @@ def two_torsion_points(E: CurveQ) -> list[PointQ]:
 
     Completing the square keeps x, so their x are the cubic's roots that
     `_square_completed` solves once per curve."""
-    roots = _memo(E, "_square_completed", _build_square_completed)[2]
+    roots = _memo(E, "_square_completed", _build_square_completed)[3]
     return [PointQ(x0, -(E.a1 * x0 + E.a3) / 2) for x0 in roots]
 
 
@@ -123,19 +129,21 @@ def reduction_torsion_bound(E: CurveQ, prime_count: int = 20) -> int:
 # halving
 
 
-def _square_completed(E: CurveQ) -> tuple[CurveQ, ModelMap, tuple]:
-    """complete_the_square(E) and the rational roots of its cubic."""
-    Es, M, roots = _memo(E, "_square_completed", _build_square_completed)
+def _square_completed(E: CurveQ) -> tuple[CurveQ, ModelMap, ModelMap, tuple]:
+    """complete_the_square(E), the inverse of its map, and the rational
+    roots of its cubic."""
+    Es, M, Minv, roots = _memo(E, "_square_completed", _build_square_completed)
     if len(roots) != 3:
         raise FormMismatch(
             "operation needs all three two-torsion x-coordinates rational "
             f"(found {len(roots)})")
-    return Es, M, roots
+    return Es, M, Minv, roots
 
 
 def _build_square_completed(E: CurveQ) -> tuple:
     Es, M = complete_the_square(E)
-    return Es, M, tuple(rational_roots([QQ(1), Es.a2, Es.a4, Es.a6]))
+    return (Es, M, M.inverse(),
+            tuple(rational_roots([QQ(1), Es.a2, Es.a4, Es.a6])))
 
 
 def halve_point(E: CurveQ, P: PointQ) -> list[PointQ]:
@@ -143,45 +151,73 @@ def halve_point(E: CurveQ, P: PointQ) -> list[PointQ]:
 
     Requires full rational two-torsion (FormMismatch otherwise).
     """
-    Es, M, roots = _square_completed(E)
-    e1, e2, e3 = roots
-    Ps = map_point(E, M, P)
-    found: set[PointQ] = set()
+    Es, M, Minv, roots = _square_completed(E)
+    halves = _halves(Es, roots, map_point(E, M, P))
+    return sorted((_map_point(Minv, S) for S in halves), key=_point_sort_key)
 
-    if Ps.is_infinity:
-        found.add(INFINITY)
-        for e in roots:
-            found.add(PointQ(e, 0))
-    elif Ps.y == 0:
-        # halving a two-torsion point
-        e = Ps.x
-        others = [r for r in roots if r != e]
-        w2 = is_perfect_square(e - others[0])
-        w3 = is_perfect_square(e - others[1])
-        if w2 is not None and w3 is not None:
-            for xi in (e + w2 * w3, e - w2 * w3):
-                for S in points_with_x(Es, xi):
-                    if _add(Es, S, S) == Ps:
-                        found.add(S)
-    else:
-        ws = [is_perfect_square(Ps.x - e) for e in roots]
-        if None not in ws:
-            w1, w2, w3 = ws
-            for s1 in (1, -1):
-                for s2 in (1, -1):
-                    for s3 in (1, -1):
-                        if s1 * s2 * s3 * w1 * w2 * w3 != Ps.y:
-                            continue
-                        xi = (Ps.x + s1 * s2 * w1 * w2
-                              + s1 * s3 * w1 * w3 + s2 * s3 * w2 * w3)
-                        for S in points_with_x(Es, xi):
-                            if _add(Es, S, S) == Ps:
-                                found.add(S)
 
-    Minv = M.inverse()
-    # each S was built on Es by points_with_x and passed the doubling check
-    out = [_map_point(Minv, S) for S in found]
-    return sorted(out, key=_point_sort_key)
+def _a_half(E: CurveQ, P: PointQ) -> PointQ | None:
+    """One rational half of a point P of E, or None when P has none.
+
+    P must lie on E, which must have full rational two-torsion.  Only the
+    first closed-form half is built and doubling-checked; the others differ
+    from it by two-torsion points.
+    """
+    Es, M, Minv, roots = _square_completed(E)
+    S = next(_halves(Es, roots, _map_point(M, P)), None)
+    return None if S is None else _map_point(Minv, S)
+
+
+def _halves(Es: CurveQ, roots: tuple, P: PointQ) -> Iterator[PointQ]:
+    """The rational halves of a point P of the square-completed model Es,
+    one at a time, each checked to double to P."""
+    for S in _closed_form_halves(roots, P):
+        if _add(Es, S, S) != P:
+            raise ArithmeticError(f"the half {S} does not double to {P}")
+        yield S
+
+
+def _closed_form_halves(roots: tuple, P: PointQ) -> Iterator[PointQ]:
+    """The halves of P on y^2 = (x - e1)(x - e2)(x - e3), written directly.
+
+    P = (x, y) with y != 0 has a rational half exactly when every
+    w_i = sqrt(x - e_i) is rational.  With the signs chosen so that
+    w1 w2 w3 = y, the halves are x' = x + ab + ac + bc and
+    y' = (a + b)(a + c)(b + c) over the sign patterns (a, b, c) of
+    (w1, w2, w3) that keep the product (Washington, Elliptic Curves,
+    Thm 8.14).  A two-torsion point (e, 0), with w2 = sqrt(e - e2),
+    w3 = sqrt(e - e3) and t = +-w3, has the halves
+    (e + w2 t, +-w2 t (w2 + t)).  The halves of O are O and the
+    two-torsion points.
+    """
+    if P.is_infinity:
+        yield INFINITY
+        yield from (PointQ(e, 0) for e in roots)
+        return
+    if P.y == 0:
+        e = P.x
+        e2, e3 = (r for r in roots if r != e)
+        w2 = is_perfect_square(e - e2)
+        w3 = is_perfect_square(e - e3) if w2 is not None else None
+        if w3 is None:
+            return
+        for t in (w3, -w3):
+            y = w2 * t * (w2 + t)
+            yield PointQ(e + w2 * t, y)
+            yield PointQ(e + w2 * t, -y)
+        return
+    ws = []
+    for e in roots:
+        w = is_perfect_square(P.x - e)
+        if w is None:
+            return
+        ws.append(w)
+    w1, w2, w3 = ws
+    if P.y < 0:
+        w1 = -w1
+    for a, b, c in ((w1, w2, w3), (w1, -w2, -w3), (-w1, w2, -w3),
+                    (-w1, -w2, w3)):
+        yield PointQ(P.x + a * b + a * c + b * c, (a + b) * (a + c) * (b + c))
 
 
 def _point_sort_key(P: PointQ):

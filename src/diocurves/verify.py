@@ -100,9 +100,9 @@ def check_doubling_identity(count: int = 1000, seed: int = 101) -> CheckResult:
             continue
     bad = 0
     for t in triples:
-        ic = induced_curves(t)
-        cp = canonical_points(t, ic)
-        if dbl(ic.curve, cp.half_x_one) != cp.x_one:
+        try:
+            canonical_points(t)     # checks dbl(half_x_one) == x_one
+        except ArithmeticError:
             bad += 1
     return _result("doubling-identity", "s1", t0, bad == 0,
                    f"dbl(half) == [1, rst] on {len(triples)} random "
@@ -122,7 +122,11 @@ def check_euler_doubling(count: int = 500, seed: int = 202) -> CheckResult:
     triples = _random_triples(count, seed)
     for t in triples:
         ic = induced_curves(t)
-        cp = canonical_points(t, ic)
+        try:
+            cp = canonical_points(t, ic)
+        except ArithmeticError:
+            bad += 1
+            continue
         a, b = t.a, t.b
         r = t.root_ab
         s, u = a + r, b + r

@@ -14,6 +14,11 @@ inside the package whose points are already known to lie on the curve
 the unchecked `_add` and `_map_point` instead of paying for a re-check on
 every step.
 
+The invariants, which the constructor computes to reject a singular model,
+are computed in integers: on the model scaled by the lcm m of the
+coefficient denominators, an invariant of weight k is the one of E times
+m^k, and it is divided by m^k once, at the end.
+
 Data derived from a curve (its invariants, its integral and square-completed
 models, its torsion subgroup, and the duplication data and canonical heights
 of the `heights` module) is built once, on first use, and kept on the curve
@@ -116,7 +121,10 @@ def invariants(E: CurveQ) -> Invariants:
 
 
 def _invariants(E: CurveQ) -> Invariants:
-    a1, a2, a3, a4, a6 = E.coefficients()
+    """The invariants from the integers a_i m^i, m = _coefficient_scale(E)."""
+    m = _coefficient_scale(E)
+    a1, a2, a3, a4, a6 = (a.numerator * (m ** k // a.denominator) for a, k
+                          in zip(E.coefficients(), (1, 2, 3, 4, 6)))
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
@@ -128,8 +136,11 @@ def _invariants(E: CurveQ) -> Invariants:
     disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
     if 1728 * disc != c4 ** 3 - c6 * c6:
         raise ArithmeticError("invariant identity 1728 D = c4^3 - c6^2 failed")
-    return Invariants(b2, b4, b6, b8, c4, c6, disc,
-                      c4 ** 3 / disc if disc else None)
+    return Invariants(Fraction(b2, m ** 2), Fraction(b4, m ** 4),
+                      Fraction(b6, m ** 6), Fraction(b8, m ** 8),
+                      Fraction(c4, m ** 4), Fraction(c6, m ** 6),
+                      Fraction(disc, m ** 12),
+                      Fraction(c4 ** 3, disc) if disc else None)
 
 
 def is_on_curve(E: CurveQ, P: PointQ) -> bool:

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -16,6 +17,7 @@ from diocurves.cli import (
     EXIT_OK,
     EXIT_SOFTWARE,
     EXIT_USAGE,
+    EXIT_VERIFY_FAILED,
     Config,
     _read_config_file,
     main,
@@ -352,6 +354,24 @@ def test_verify_check_propagates_internal_errors(monkeypatch):
     monkeypatch.setattr(verify, "summand_forms", flaky)
     with pytest.raises(ArithmeticError, match="forced internal failure"):
         verify.check_summand_forms(count=5)
+
+
+def test_broken_doubling_identity_is_a_counted_failure(monkeypatch):
+    # canonical_points raises ArithmeticError when its half does not double
+    # to [1, rst]; both s1 checks count that as a failure, so verify prints
+    # FAIL and exits 1 instead of aborting
+    def broken(t, curves=None):
+        raise ArithmeticError("the half point does not double to [1, rsu]")
+
+    monkeypatch.setattr(verify, "canonical_points", broken)
+    for check, count in ((verify.check_doubling_identity, 210),
+                         (verify.check_euler_doubling, 10)):
+        res = check(count=count)
+        assert res.passed is False
+        assert res.detail.endswith(f"{count} failures")
+    stream = io.StringIO()
+    assert cli.cmd_verify("s1", False, stream=stream) == EXIT_VERIFY_FAILED
+    assert stream.getvalue().count("FAIL [s1]") == 2
 
 
 def test_light_record_check_requires_equal_torsion(monkeypatch):

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from diocurves import cli, heights
+from diocurves import cli, descent, heights
 from diocurves.descent import (
     IndependenceResult,
     RankBound,
@@ -36,7 +36,8 @@ from diocurves.heights import (
     height_pairing,
 )
 from diocurves.rationals import log_int, naive_height, square_class
-from diocurves.torsion import point_order, points_with_x, torsion_subgroup
+from diocurves.torsion import (halve_point, point_order, points_with_x,
+                               torsion_subgroup)
 from diocurves.triples import canonical_points, induced_curves, make_triple
 from diocurves.weierstrass import (
     INFINITY,
@@ -534,6 +535,25 @@ def test_rank_lower_bound_matches_reference():
         cert = [pts[i] for i in rb.certificate_indices]
         assert independent_mod_two(E, cert).independent or \
             gram_certificate(E, cert, 1e-3).independent, (E, len(pts))
+
+
+def test_rank_path_half_matches_all_halves(monkeypatch):
+    # the chain takes one closed-form half of R; the halves differ by
+    # two-torsion, so taking the first of all four sorted halves, as the
+    # chain did before, gives the same bound and certificate
+    fast = [rank_lower_bound(E, pts) for E, pts in _rank_inputs()]
+    halvings = []
+
+    def first_of_all(E, R):
+        halvings.append(R)
+        halves = halve_point(E, R)
+        return halves[0] if halves else None
+
+    monkeypatch.setattr(descent, "_a_half", first_of_all)
+    slow = [rank_lower_bound(CurveQ(*E.coefficients()), pts)
+            for E, pts in _rank_inputs()]
+    assert halvings
+    assert fast == slow
 
 
 def _class_bits(cls, basis):

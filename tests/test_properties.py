@@ -10,10 +10,11 @@ from hypothesis import assume, given, settings, strategies as st
 from diocurves.descent import (descent_image, naive_point_search,
                                rank_lower_bound)
 from diocurves.families import F_uv, K_PLUSMINUS, family_k, z2z8_family
-from diocurves.errors import DegenerateParameter, DegenerateTriple
+from diocurves.errors import (DegenerateParameter, DegenerateTriple,
+                              NotDiophantine)
 from diocurves.heights import gram_certificate
 from diocurves.rationals import is_perfect_square
-from diocurves.torsion import point_order
+from diocurves.torsion import halve_point, point_order
 from diocurves.triples import (
     canonical_points,
     extend_to_quadruple,
@@ -104,6 +105,40 @@ def test_cubic_lift_lands_on_companion_curve(a, r):
     lifted = curves.lift(0, 1)
     assert lifted == canonical_points(t, curves).x_zero
     assert is_on_curve(curves.curve, lifted)
+
+
+def _family_triple(kind, q, r):
+    """A triple of the given source, or None when the parameters degenerate."""
+    try:
+        if kind == "sum":
+            return _sum_triple(q, r)
+        if kind == "z2z8":
+            return z2z8_family(q)
+        return family_k(K_PLUSMINUS, abs(q) + 2)
+    except (DegenerateParameter, DegenerateTriple, NotDiophantine):
+        return None
+
+
+@COMMON
+@given(kind=st.sampled_from(["sum", "z2z8", "k"]), q=nonzero_q, r=root_q,
+       m=st.integers(-2, 2), n=st.integers(0, 2), k=st.integers(0, 3))
+def test_halving_a_double_recovers_the_point(kind, q, r, m, n, k):
+    # S = m [0, abc] + n half_x_one + T, for a two-torsion T or O: the
+    # halves of 2S are S plus the four two-torsion points, each doubling
+    # to 2S
+    t = _family_triple(kind, q, r)
+    assume(t is not None)
+    E = induced_curves(t).curve
+    pts = canonical_points(t)
+    S = add(E, scalar_mul(E, m, pts.x_zero),
+            scalar_mul(E, n, pts.half_x_one))
+    S = add(E, S, (*pts.two_torsion, INFINITY)[k])
+    D = dbl(E, S)
+    halves = halve_point(E, D)
+    assert S in halves
+    assert len(halves) == 4
+    for H in halves:
+        assert dbl(E, H) == D
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -20,10 +21,12 @@ from diocurves.torsion import (
     torsion_subgroup,
     two_torsion_points,
 )
+from diocurves.rationals import is_perfect_square
 from diocurves.triples import canonical_points, induced_curves, make_triple
 from diocurves.verify import HEAVY_RECORDS
-from diocurves.weierstrass import (INFINITY, CurveQ, PointQ, add, dbl,
-                                   is_on_curve, scalar_mul)
+from diocurves.weierstrass import (INFINITY, CurveQ, ModelMap, PointQ, add,
+                                   complete_the_square, dbl, is_on_curve,
+                                   map_point, scalar_mul)
 
 E37 = CurveQ(0, 0, 1, -1, 0)          # trivial torsion
 E11 = CurveQ(0, -1, 1, -10, -20)      # Z/5
@@ -186,19 +189,26 @@ def test_torsion_subgroup_is_memoized(monkeypatch):
 
 
 def test_torsion_subgroup_completes_the_square_once(monkeypatch):
-    # the square-completed model and its roots are built once per curve,
-    # not again for every halve_point call
-    calls = []
+    # the square-completed model, the inverse of its map and its roots are
+    # built once per curve, not again for every halve_point call
+    calls, inverses = [], []
     real = torsion.complete_the_square
+    real_inverse = ModelMap.inverse
 
     def counting(E):
         calls.append(E)
         return real(E)
 
+    def counting_inverse(M):
+        inverses.append(M)
+        return real_inverse(M)
+
     monkeypatch.setattr(torsion, "complete_the_square", counting)
+    monkeypatch.setattr(ModelMap, "inverse", counting_inverse)
     E = induced_curves(z2z8_family(F(7, 5))).curve
     assert torsion_subgroup(E).invariants == (2, 8)
     assert calls == [E]
+    assert len(inverses) == 1
 
 
 def test_torsion_z2z4():
@@ -242,6 +252,92 @@ def test_halve_point_generic():
     assert len(halves) == 4
     for S in halves:
         assert dbl(E, S) == pts.x_one
+
+
+def reference_halves(E, P):
+    """halve_point as it was: for each candidate x of a half, both y from
+    points_with_x on the square-completed model, kept when they double to P."""
+    Es, M = complete_the_square(E)
+    roots = rational_roots([F(1), Es.a2, Es.a4, Es.a6])
+    Ps = map_point(E, M, P)
+    if Ps.is_infinity:
+        found = {INFINITY, *(PointQ(e, 0) for e in roots)}
+    elif Ps.y == 0:
+        e = Ps.x
+        w2, w3 = (is_perfect_square(e - r) for r in roots if r != e)
+        xs = [] if None in (w2, w3) else [e + w2 * w3, e - w2 * w3]
+        found = {S for x in xs for S in points_with_x(Es, x)
+                 if dbl(Es, S) == Ps}
+    else:
+        ws = [is_perfect_square(Ps.x - e) for e in roots]
+        xs = []
+        if None not in ws:
+            w1, w2, w3 = ws
+            for s1, s2, s3 in itertools.product((1, -1), repeat=3):
+                if s1 * s2 * s3 * w1 * w2 * w3 == Ps.y:
+                    xs.append(Ps.x + s1 * s2 * w1 * w2 + s1 * s3 * w1 * w3
+                              + s2 * s3 * w2 * w3)
+        found = {S for x in xs for S in points_with_x(Es, x)
+                 if dbl(Es, S) == Ps}
+    Minv = M.inverse()
+    return sorted((map_point(Es, Minv, S) for S in found),
+                  key=lambda S: (0, 0, 0) if S.is_infinity else (1, S.x, S.y))
+
+
+def _halving_cases():
+    """(curve, points) on curves with full two-torsion: torsion points,
+    stock points, their doubles and their sums with two-torsion."""
+    cases = [(EK, [INFINITY, PointQ(1, 0), PointQ(0, 0), PointQ(-3, 0),
+                   PointQ(-1, 2), PointQ(3, -6)])]
+    triples = [make_triple(1, 3, 8), make_triple(F(3, 4), 7, F(315, 4))]
+    triples += [z2z8_family(T) for T in (F(7, 5), F(-11, 3), F(5, 9))]
+    for t in triples:
+        ic = induced_curves(t)
+        E = ic.curve
+        pts = list(canonical_points(t, ic).all_points())
+        pts += [dbl(E, P) for P in pts] + [add(E, pts[0], P) for P in pts]
+        cases.append((E, pts + list(torsion_subgroup(E).points)))
+    for rid in ("s3-rank9", "s6-connell"):
+        rec = dataset_record(rid)
+        pts = list(rec.points[:3])
+        cases.append((rec.curve, pts + [dbl(rec.curve, P) for P in pts]))
+    return cases
+
+
+def test_halve_point_matches_reference():
+    halved = 0
+    for E, pts in _halving_cases():
+        for P in pts:
+            halves = halve_point(E, P)
+            assert halves == reference_halves(E, P), (E, P)
+            halved += bool(halves)
+    assert halved > 40
+
+
+def test_halve_point_builds_no_square_root_of_y(monkeypatch):
+    # every half is written in closed form: points_with_x is never called
+    calls = []
+    real = torsion.points_with_x
+
+    def counting(E, x0):
+        calls.append(x0)
+        return real(E, x0)
+
+    monkeypatch.setattr(torsion, "points_with_x", counting)
+    halves = 0
+    for E, pts in _halving_cases():
+        for P in pts:
+            halves += len(halve_point(E, P))
+    assert halves > 100
+    assert calls == []
+
+
+def test_halve_point_raises_when_a_half_does_not_double(monkeypatch):
+    # the doubling check is a raise, not an assert, so it holds under -O
+    monkeypatch.setattr(torsion, "_closed_form_halves",
+                        lambda roots, P: iter([INFINITY]))
+    with pytest.raises(ArithmeticError, match="does not double"):
+        halve_point(EK, PointQ(1, 0))
 
 
 def test_halve_point_needs_full_two_torsion():

@@ -1,4 +1,5 @@
 import pickle
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,8 +11,10 @@ from diocurves.weierstrass import (
     INFINITY,
     IDENTITY_MAP,
     CurveQ,
+    Invariants,
     ModelMap,
     PointQ,
+    _coefficient_scale,
     add,
     apply_map,
     clear_denominators,
@@ -45,11 +48,56 @@ def test_invariants_oracle():
     assert inv.j == F(110592, 37)
 
 
+def reference_invariants(E):
+    """The invariants as the plain Fraction formulas give them."""
+    a1, a2, a3, a4, a6 = E.coefficients()
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+    disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return Invariants(b2, b4, b6, b8, c4, c6, disc, c4 ** 3 / disc)
+
+
+def test_invariants_match_fraction_formulas():
+    # the invariants are computed in integers over the coefficient scale;
+    # random non-integral models with a1, a3 != 0 agree with the plain
+    # formulas, value and type
+    rng = random.Random(12)
+    done = 0
+    while done < 200:
+        coeffs = [F(rng.randint(-99, 99) or 1, rng.randint(1, 60))
+                  for _ in range(5)]
+        try:
+            E = CurveQ(*coeffs)
+        except SingularCurve:
+            continue
+        assert E.a1 and E.a3 and _coefficient_scale(E) > 1
+        got = invariants(E)
+        assert got == reference_invariants(E), E
+        assert all(type(v) is F for v in vars(got).values())
+        done += 1
+    for E in (E37, CurveQ(1, 0, 1, 4, -6), CurveQ(F(1, 2), 0, 0, 1, 0)):
+        assert invariants(E) == reference_invariants(E)
+
+
 def test_singular_rejected():
     with pytest.raises(SingularCurve):
         CurveQ(0, 0, 0, 0, 0)
     with pytest.raises(SingularCurve):
         CurveQ(0, 0, 0, -3, 2)  # y^2 = (x-1)^2 (x+2)
+    # a non-integral model of y^2 = (x - 1/2)^2 (x + 1/3), with a1 and a3
+    # set: the integer discriminant over the scale is still zero
+    a1, a3 = F(1, 3), F(1, 5)
+    alpha, beta = F(1, 2), F(-1, 3)
+    b2 = -4 * (2 * alpha + beta)
+    b4 = 2 * (alpha * alpha + 2 * alpha * beta)
+    b6 = -4 * alpha * alpha * beta
+    with pytest.raises(SingularCurve):
+        CurveQ(a1, (b2 - a1 * a1) / 4, a3, (b4 - a1 * a3) / 2,
+               (b6 - a3 * a3) / 4)
 
 
 def test_group_law_small_multiples():
