@@ -20,10 +20,10 @@ import inspect
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, Sequence, TextIO
 
+from ._pool import ordered_map
 from .descent import naive_point_search, rank_lower_bound
 from .errors import (DatasetCorrupt, DegenerateParameter, DegenerateTriple,
                      DiocurvesError, NotDiophantine, ParseError)
@@ -297,11 +297,7 @@ def cmd_sieve(family_id: str, numerators: tuple[int, int],
     kept = [q for _, q in scored[:kept_n]]
 
     payloads = [(family_id, (format_rational(q),), cfg) for q in kept]
-    if cfg.jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            lines.extend(pool.map(_sieve_worker, payloads))
-    else:
-        lines.extend(_sieve_worker(p) for p in payloads)
+    lines.extend(ordered_map(_sieve_worker, payloads, cfg.jobs))
 
     _emit(lines, cfg.out)
     print(f"{family_id}: scored {len(scored)} parameters, kept {kept_n}, "

@@ -37,7 +37,6 @@ from .weierstrass import (
     _require_on_curve,
     complete_the_square,
     invariants,
-    map_point,
 )
 
 # every possible shape of the rational torsion group, as invariant factors
@@ -151,8 +150,15 @@ def halve_point(E: CurveQ, P: PointQ) -> list[PointQ]:
 
     Requires full rational two-torsion (FormMismatch otherwise).
     """
+    _square_completed(E)        # FormMismatch before PointNotOnCurve
+    _require_on_curve(E, P)
+    return _all_halves(E, P)
+
+
+def _all_halves(E: CurveQ, P: PointQ) -> list[PointQ]:
+    """halve_point without the membership check: P must lie on E."""
     Es, M, Minv, roots = _square_completed(E)
-    halves = _halves(Es, roots, map_point(E, M, P))
+    halves = _halves(Es, roots, _map_point(M, P))
     return sorted((_map_point(Minv, S) for S in halves), key=_point_sort_key)
 
 
@@ -303,10 +309,10 @@ def _build_torsion_subgroup(E: CurveQ) -> TorsionSubgroup:
     two_part = [INFINITY, *two]
     if len(two) == 3:
         if bound % 4 == 0:
-            order4 = [S for T in two for S in halve_point(E, T)]
+            order4 = [S for T in two for S in _all_halves(E, T)]
             two_part += order4
             if bound % 8 == 0:
-                two_part += [R for S in order4 for R in halve_point(E, S)]
+                two_part += [R for S in order4 for R in _all_halves(E, S)]
     else:
         for q in (4, 8):
             if bound % q == 0:

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -236,11 +237,13 @@ def test_verify_all_under_optimize_flag():
 
 
 @pytest.mark.parametrize("module", ["sympy", "numpy", "mpmath",
-                                    "diocurves.heights"])
+                                    "diocurves.heights", "multiprocessing",
+                                    "concurrent.futures.process"])
 def test_cli_import_leaves_module_unloaded(module):
     # numpy is loaded by the point-counting kernel alone, so the import and
     # `dataset` never pay for it; sympy and mpmath are test-only oracles,
-    # and the heights serve only a script and the tests
+    # the heights serve only a script and the tests, and the process pool
+    # is loaded only where a command starts one
     src = pathlib.Path(diocurves.__file__).resolve().parents[1]
     code = ("import sys, diocurves.cli as c; "
             f"c.main(['dataset', '--out', {os.devnull!r}]); "
@@ -354,6 +357,18 @@ def test_verify_check_propagates_internal_errors(monkeypatch):
     monkeypatch.setattr(verify, "summand_forms", flaky)
     with pytest.raises(ArithmeticError, match="forced internal failure"):
         verify.check_summand_forms(count=5)
+
+
+def test_check_seconds_ignore_wall_clock_jumps(monkeypatch):
+    # the wall clock may be set back or forward while a check runs; the
+    # durations and the 60 s budget of sieve-reproducibility must not see it
+    back = iter(range(10**9, 0, -3600))
+    monkeypatch.setattr(time, "time", lambda: next(back))
+    res = verify.check_quadruple_extension_fermat()
+    assert res.passed and res.seconds >= 0
+    ahead = iter(range(0, 10**9, 3600))
+    monkeypatch.setattr(time, "time", lambda: next(ahead))
+    assert verify.check_sieve_reproducibility(limit=500).passed
 
 
 def test_broken_doubling_identity_is_a_counted_failure(monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from diocurves import torsion
+from diocurves import torsion, weierstrass
 from diocurves.descent import descent_image, naive_point_search
 from diocurves.errors import FormMismatch
 from diocurves.families import dataset_record, paper_dataset, z2z8_family
@@ -519,3 +519,23 @@ def test_point_order_matches_add_chain():
             assert point_order(E, P) == _reference_point_order(E, P), (E, P)
     assert integral and non_integral
     assert point_order(EQ4, PointQ(F(-1, 4), F(1, 8))) == 2
+
+
+def test_torsion_subgroup_makes_no_membership_check(monkeypatch):
+    # the group halves only points it built on the curve itself, so no
+    # halving re-checks membership; the public halve_point still does
+    calls = []
+    real = weierstrass._require_on_curve
+
+    def counting(E, P):
+        calls.append(P)
+        return real(E, P)
+
+    monkeypatch.setattr(weierstrass, "_require_on_curve", counting)
+    monkeypatch.setattr(torsion, "_require_on_curve", counting)
+    E = induced_curves(z2z8_family(F(7, 5))).curve
+    T = torsion_subgroup(E)
+    assert T.invariants == (2, 8)
+    assert calls == []
+    halve_point(E, two_torsion_points(E)[0])
+    assert len(calls) == 1
