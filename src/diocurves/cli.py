@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence, TextIO
 from ._pool import ordered_map
 from .descent import naive_point_search, rank_lower_bound
 from .errors import (DatasetCorrupt, DegenerateParameter, DegenerateTriple,
-                     DiocurvesError, NotDiophantine, ParseError)
+                     DiocurvesError, NotDiophantine, ParseError, UnknownScope)
 from .families import (FAMILY_CONSTRUCTORS, dataset_record, paper_dataset,
                        make_family_member)
 from .rationals import QQ, format_rational, parse_rational
@@ -450,7 +450,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "verify":
             try:
                 return cmd_verify(args.scope, args.long)
-            except KeyError:
+            except UnknownScope:
                 print(f"unknown scope: {args.scope}", file=sys.stderr)
                 return EXIT_USAGE
         if args.command == "dataset":

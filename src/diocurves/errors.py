@@ -61,5 +61,9 @@ class ConditionFailed(DiocurvesError):
     """A torsion side condition does not hold for the given triple."""
 
 
+class UnknownScope(DiocurvesError):
+    """A verify scope names no section, record id or "all"."""
+
+
 class DatasetCorrupt(DiocurvesError):
     """Embedded record data failed its checksum or validation."""

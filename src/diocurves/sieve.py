@@ -5,14 +5,28 @@ denominators; primes dividing that model's discriminant are treated as bad
 and skipped.  That convention is sound for every use in this package (the
 skipped set can only be slightly too large, never too small).
 
-Every count at an odd prime goes through one batched kernel.  After
-completing the square, #E(F_p) = p + 1 + sum_x chi(4x^3 + b2 x^2 + 2b4 x
-+ b6) with chi the quadratic character mod p, so one prime needs the table
-of chi and the rows x^2 and 4x^3 mod p, built once and shared by a whole
-block of curves: the block's polynomial values are formed in one array,
-chi is gathered at them, and the integer row sums are the counts.  Blocks
-hold a bounded number of elements, so memory stays flat however many
-curves are scored.  ``count_points_fp`` is the same kernel with one row.
+Every count at an odd prime goes through one of two batched kernels, and
+the curve's own arithmetic picks which.  After completing the square,
+#E(F_p) = p + 1 + sum_x chi(4x^3 + b2 x^2 + 2b4 x + b6) with chi the
+quadratic character mod p.
+
+* The root kernel serves every curve with three rational two-torsion
+  x-coordinates, which is every curve a Diophantine triple induces.  With
+  X = 4x the cubic is (X - r1)(X - r2)(X - r3) / 16, where the r_i are
+  four times those x-coordinates and, as roots of a monic integer cubic,
+  integers.  chi is multiplicative and chi(16) = 1, so the sum is
+  sum_X chi(X - r1) chi(X - r2) chi(X - r3): three windows chi[o:o + p],
+  o = -r_i mod p, of one int8 table of chi laid out twice, multiplied and
+  summed.  Each curve costs three reductions mod p per prime, and its row
+  has no polynomial to evaluate and no element to reduce.
+* ``_count_odd`` serves the other curves (those whose 2-division
+  polynomial does not split over Q): it forms the block's polynomial
+  values in one int64 array from the shared rows x^2 and 4x^3 mod p,
+  reduces them and gathers chi at them.
+
+Both kernels take a whole block of curves at once, and blocks hold a
+bounded number of elements, so memory stays flat however many curves are
+scored.  ``count_points_fp`` is the same kernels with one row.
 
 The counts are exact integers; only the Mestre-Nagao summand is a float.
 ``mestre_nagao_sums`` adds it per curve in Python floats, in ascending
@@ -28,7 +42,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BadReduction
-from .weierstrass import CurveQ, _memo, clear_denominators, invariants
+from .weierstrass import (CurveQ, _memo, clear_denominators, invariants,
+                          two_torsion_x)
 
 
 def primes_upto(n: int) -> list[int]:
@@ -43,16 +58,32 @@ def primes_upto(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if flags[i]]
 
 
-def _integral_data(E: CurveQ) -> tuple[tuple[int, ...], tuple[int, int, int], int]:
-    """Integer model coefficients, its (b2, b4, b6), and its discriminant."""
+def _integral_data(E: CurveQ) -> tuple[tuple[int, ...], tuple[int, int, int],
+                                        int, tuple[int, int, int] | None]:
+    """Integer model coefficients, its (b2, b4, b6), its discriminant, and
+    the roots of X^3 + b2 X^2 + 8b4 X + 16b6 when all three are rational
+    (else None)."""
     return _memo(E, "_integral_data", _build_integral_data)
 
 
 def _build_integral_data(E: CurveQ) -> tuple:
     Ei, _ = clear_denominators(E)
     inv = invariants(Ei)
-    return (tuple(int(a) for a in Ei.coefficients()),
-            (int(inv.b2), int(inv.b4), int(inv.b6)), int(inv.disc))
+    b2, b4, b6 = int(inv.b2), int(inv.b4), int(inv.b6)
+    xs = two_torsion_x(Ei)
+    roots = None
+    if len(xs) == 3:
+        # X = 4x; seeded or carried x are checked here, once per curve, by
+        # Vieta's formulas for X^3 + b2 X^2 + 8b4 X + 16b6
+        r = [4 * x for x in xs]
+        r1, r2, r3 = roots = tuple(v.numerator for v in r)
+        if (any(v.denominator != 1 for v in r)
+                or (r1 + r2 + r3, r1 * r2 + r1 * r3 + r2 * r3, r1 * r2 * r3)
+                != (-b2, 8 * b4, -16 * b6)):
+            raise ArithmeticError(
+                f"{xs} are not the two-torsion x-coordinates of {Ei}")
+    return (tuple(int(a) for a in Ei.coefficients()), (b2, b4, b6),
+            int(inv.disc), roots)
 
 
 # elements per kernel block; bounds the kernel's temporaries to a few
@@ -105,19 +136,66 @@ def _count_odd(bs: Sequence[tuple[int, int, int]], p: int) -> list[int]:
     return counts
 
 
+def _count_roots(roots: Sequence[tuple[int, int, int]], p: int) -> list[int]:
+    """#E(F_p) for each curve with integral X-roots (r1, r2, r3) at one odd p.
+
+    The count is p + 1 + sum_X chi(X - r1) chi(X - r2) chi(X - r3).  chi is
+    stored twice over, so X -> chi(X + o) for 0 <= o < p is the window
+    chi[o:o + p]: row o of the view that sliding_window_view(chi, p) returns,
+    built here by as_strided, which skips the checks that would cost a
+    one-curve count half its time.  A block gathers its rows, and a
+    product of three values in {-1, 0, 1} stays exact in int8.
+    """
+    import numpy as np
+
+    half = np.arange(1, (p + 1) // 2, dtype=np.int64)
+    chi = np.full(2 * p, -1, dtype=np.int8)
+    chi[half * half % p] = 1
+    chi[0] = 0
+    chi[p:] = chi[:p]
+    windows = np.lib.stride_tricks.as_strided(
+        chi, shape=(p + 1, p), strides=chi.strides * 2, writeable=False)
+    offsets = np.array([(-r1 % p, -r2 % p, -r3 % p) for r1, r2, r3 in roots],
+                       dtype=np.intp).reshape(-1, 3)
+    rows = max(1, _BLOCK_ELEMENTS // p)
+    counts: list[int] = []
+    for lo in range(0, len(offsets), rows):
+        o = offsets[lo:lo + rows]
+        f = windows[o[:, 0]] * windows[o[:, 1]]
+        f *= windows[o[:, 2]]
+        sums = f.sum(axis=1, dtype=np.int64)
+        counts.extend((sums + (p + 1)).tolist())
+    return counts
+
+
+def _count_good(data: Sequence[tuple], p: int) -> list[int]:
+    """#E(F_p) for each curve's integral data at one prime of good reduction,
+    each curve through the kernel its two-torsion picks."""
+    if p == 2:
+        return [_count_mod_two(d[0]) for d in data]
+    split = [i for i, d in enumerate(data) if d[3] is not None]
+    other = [i for i, d in enumerate(data) if d[3] is None]
+    counts = [0] * len(data)
+    if split:
+        for i, n in zip(split, _count_roots([data[i][3] for i in split], p)):
+            counts[i] = n
+    if other:
+        for i, n in zip(other, _count_odd([data[i][1] for i in other], p)):
+            counts[i] = n
+    return counts
+
+
 def count_points_fp(E: CurveQ, p: int) -> int:
     """#E(F_p) including the point at infinity.
 
     Raises BadReduction when p divides the integral model's discriminant.
     """
-    coeffs, b, disc = _integral_data(E)
+    data = _integral_data(E)
     if p < 2:
         raise BadReduction(f"{p} is not a prime")
-    if disc % p == 0:
+    if data[2] % p == 0:
         raise BadReduction(f"bad reduction at {p}")
-    if p == 2:
-        return _count_mod_two(coeffs)
-    return _count_odd([b], p)[0]
+    return _count_good([data], p)[0]
 
 
 def trace_of_frobenius(E: CurveQ, p: int) -> int:
@@ -163,17 +241,14 @@ def mestre_nagao_sums(curves: Sequence[CurveQ],
     skipped = [0] * len(data)
     for p in primes_upto(limit):
         good = []
-        for i, (_, _, disc) in enumerate(data):
-            if disc % p:
+        for i, d in enumerate(data):
+            if d[2] % p:
                 good.append(i)
             else:
                 skipped[i] += 1
         if not good:
             continue
-        if p == 2:
-            counts = [_count_mod_two(data[i][0]) for i in good]
-        else:
-            counts = _count_odd([data[i][1] for i in good], p)
+        counts = _count_good([data[i] for i in good], p)
         logp = math.log(p)
         for i, n in zip(good, counts):
             used[i] += 1

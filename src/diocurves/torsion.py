@@ -22,9 +22,8 @@ from typing import Iterator
 
 from ._poly import mul, rational_roots, sub
 from .errors import BadReduction, FormMismatch
-from .factoring import is_probable_prime
 from .rationals import QQ, is_perfect_square
-from .sieve import count_points_fp
+from .sieve import count_points_fp, primes_upto
 from .weierstrass import (
     INFINITY,
     CurveQ,
@@ -37,6 +36,7 @@ from .weierstrass import (
     _require_on_curve,
     complete_the_square,
     invariants,
+    two_torsion_x,
 )
 
 # every possible shape of the rational torsion group, as invariant factors
@@ -64,10 +64,10 @@ def points_with_x(E: CurveQ, x0: Fraction) -> list[PointQ]:
 def two_torsion_points(E: CurveQ) -> list[PointQ]:
     """The rational points of order exactly two, sorted by x.
 
-    Completing the square keeps x, so their x are the cubic's roots that
-    `_square_completed` solves once per curve."""
-    roots = _memo(E, "_square_completed", _build_square_completed)[3]
-    return [PointQ(x0, -(E.a1 * x0 + E.a3) / 2) for x0 in roots]
+    Their x are the curve's memoized `two_torsion_x`: seeded for an
+    induced curve, carried along model maps, and solved from the cubic
+    only for a curve that arrived with neither."""
+    return [PointQ(x0, -(E.a1 * x0 + E.a3) / 2) for x0 in two_torsion_x(E)]
 
 
 def point_order(E: CurveQ, P: PointQ, cap: int = _MAX_ELEMENT_ORDER) -> int | None:
@@ -108,20 +108,23 @@ def reduction_torsion_bound(E: CurveQ, prime_count: int = 20) -> int:
     """
     g = 0
     used = 0
-    p = 3
-    while used < prime_count:
+    for p in _odd_primes():
         try:
             g = math.gcd(g, count_points_fp(E, p))
         except BadReduction:
-            pass
-        else:
-            used += 1
-            if g == 1:
-                break
-        p += 2
-        while not is_probable_prime(p):
-            p += 2
+            continue
+        used += 1
+        if g == 1 or used == prime_count:
+            break
     return g
+
+
+def _odd_primes() -> Iterator[int]:
+    """3, 5, 7, ... from a sieve whose range doubles when it runs out."""
+    lo, hi = 2, 256
+    while True:
+        yield from (p for p in primes_upto(hi) if p > lo)
+        lo, hi = hi, 2 * hi
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +133,7 @@ def reduction_torsion_bound(E: CurveQ, prime_count: int = 20) -> int:
 
 def _square_completed(E: CurveQ) -> tuple[CurveQ, ModelMap, ModelMap, tuple]:
     """complete_the_square(E), the inverse of its map, and the rational
-    roots of its cubic."""
+    roots of its cubic, which are E's two-torsion x-coordinates."""
     Es, M, Minv, roots = _memo(E, "_square_completed", _build_square_completed)
     if len(roots) != 3:
         raise FormMismatch(
@@ -141,8 +144,7 @@ def _square_completed(E: CurveQ) -> tuple[CurveQ, ModelMap, ModelMap, tuple]:
 
 def _build_square_completed(E: CurveQ) -> tuple:
     Es, M = complete_the_square(E)
-    return (Es, M, M.inverse(),
-            tuple(rational_roots([QQ(1), Es.a2, Es.a4, Es.a6])))
+    return Es, M, M.inverse(), two_torsion_x(E)
 
 
 def halve_point(E: CurveQ, P: PointQ) -> list[PointQ]:

@@ -11,7 +11,9 @@ whose integral-style companion model
     y^2 = (x + ab)(x + ac)(x + bc)
 
 carries the whole group structure; (x, y) -> (abc x, abc y) identifies
-the two.
+the two.  Its points of order two are (-ab, 0), (-ac, 0) and (-bc, 0),
+so the companion curve is handed its two-torsion x-coordinates on
+construction and never solves its cubic for them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
     ZeroExtension,
 )
 from .rationals import QQ, format_rational, is_perfect_square
-from .weierstrass import CurveQ, PointQ, dbl
+from .weierstrass import CurveQ, PointQ, _seed_two_torsion_x, dbl
 
 
 def mutual_root(x: Fraction, y: Fraction) -> Fraction | None:
@@ -139,10 +141,14 @@ class InducedCurves:
 
 def induced_curves(t: Triple) -> InducedCurves:
     a, b, c = t.elements
-    e2 = a * b + a * c + b * c
-    e3 = a * b * c
-    cubic = (e3, e2, a + b + c, QQ(1))
-    curve = CurveQ(0, e2, 0, e3 * (a + b + c), e3 * e3)
+    ab, ac, bc = a * b, a * c, b * c
+    e2 = ab + ac + bc
+    e3 = ab * c
+    e1 = a + b + c
+    cubic = (e3, e2, e1, QQ(1))
+    # (x + ab)(x + ac)(x + bc), as abc (a + b + c) = ab ac + ab bc + ac bc
+    curve = CurveQ(0, e2, 0, e3 * e1, e3 * e3)
+    _seed_two_torsion_x(curve, tuple(sorted((-ab, -ac, -bc))))
     return InducedCurves(t, cubic, curve, e3)
 
 

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 from ._pool import available_cpus, ordered_map
 from .descent import rank_lower_bound
 from .errors import (BadReduction, DegenerateParameter, DegenerateTriple,
-                     NotDiophantine)
+                     NotDiophantine, UnknownScope)
 from .families import (F_uv, dataset_record, family_k, paper_dataset,
                        z2z6_triple, z2z8_family, K_PLUSMINUS, K_4K)
 from .rationals import QQ, is_perfect_square
@@ -415,7 +415,7 @@ def section_checks(section: str, long: bool = False) \
                check_record_s6_big_default],
     }
     if section not in checks:
-        raise KeyError(section)
+        raise UnknownScope(section)
     out = list(checks[section])
     if section == "s6" and long:
         out.append(check_record_s6_big_full)
@@ -431,7 +431,7 @@ def scope_checks(scope: str, long: bool = False) \
     """Resolve a scope name to its check list.
 
     Accepts "all", a section tag (s1..s6), or a record id.  Raises
-    KeyError on anything else.
+    UnknownScope on anything else.
     """
     if scope == "all":
         out = []
@@ -442,7 +442,7 @@ def scope_checks(scope: str, long: bool = False) \
         return section_checks(scope, long)
     known = {r.record_id for r in paper_dataset()}
     if scope not in known:
-        raise KeyError(scope)
+        raise UnknownScope(scope)
     heavy = {
         "s3-rank9": [check_record_s3_rank9],
         "s4-rank7": [check_record_s4_rank7],
@@ -461,9 +461,9 @@ def run_scope(scope: str, long: bool = False,
         -> list[CheckResult]:
     """Run the checks of a scope on the available CPUs, in check order.
 
-    The scope is resolved here first, so an unknown one raises KeyError
-    before any process starts.  Each result reaches `sink` in check order
-    as soon as it and every earlier one are done.
+    The scope is resolved here first, so an unknown one raises
+    UnknownScope before any process starts.  Each result reaches `sink` in
+    check order as soon as it and every earlier one are done.
     """
     jobs = [(scope, long, i) for i in range(len(scope_checks(scope, long)))]
     results = []

@@ -20,11 +20,16 @@ coefficient denominators, an invariant of weight k is the one of E times
 m^k, and it is divided by m^k once, at the end.
 
 Data derived from a curve (its invariants, its integral and square-completed
-models, its torsion subgroup, and the duplication data and canonical heights
-of the `heights` module) is built once, on first use, and kept on the curve
-object by `_memo`; it is dropped with the curve.  The
-package has no module-level caches and no size caps: two equal curves built
-separately each build their own copy.
+models, the x-coordinates of its points of order two, its torsion subgroup,
+and the duplication data and canonical heights of the `heights` module) is
+built once, on first use, and kept on the curve object by `_memo`; it is
+dropped with the curve.  The two-torsion x-coordinates are the one entry
+that is also handed on: `triples.induced_curves` seeds them in closed form,
+and `apply_map` and `minimal_model` carry them across their change of
+variables as x' = (x - r) / u^2, so `rational_roots` solves the cubic only
+for a curve that came from neither.  The package has no module-level caches
+and no size caps: two equal curves built separately each build their own
+copy.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, TypeVar
 
+from ._poly import rational_roots
 from .errors import ParseError, PointNotOnCurve, SingularCurve
 from .factoring import factor_best_effort
 from .rationals import QQ, is_perfect_square, format_rational, parse_rational
@@ -141,6 +147,39 @@ def _invariants(E: CurveQ) -> Invariants:
                       Fraction(c4, m ** 4), Fraction(c6, m ** 6),
                       Fraction(disc, m ** 12),
                       Fraction(c4 ** 3, disc) if disc else None)
+
+
+_TWO_TORSION_X = "_two_torsion_x"
+
+
+def two_torsion_x(E: CurveQ) -> tuple[Fraction, ...]:
+    """The rational x-coordinates of the points of order two, ascending.
+
+    They are the rational roots of 4x^3 + b2 x^2 + 2b4 x + b6: none, one,
+    or all three.  A curve that was seeded or carried (see the module
+    docstring) already holds them; any other solves the cubic once.
+    """
+    return _memo(E, _TWO_TORSION_X, _two_torsion_roots)
+
+
+def _two_torsion_roots(E: CurveQ) -> tuple[Fraction, ...]:
+    inv = invariants(E)
+    return tuple(rational_roots([4, inv.b2, 2 * inv.b4, inv.b6]))
+
+
+def _seed_two_torsion_x(E: CurveQ, xs: tuple[Fraction, ...]) -> None:
+    """Put already known two-torsion x-coordinates, ascending, on E."""
+    E.__dict__[_TWO_TORSION_X] = xs
+
+
+def _carry_two_torsion_x(E: CurveQ, M: ModelMap, target: CurveQ) -> CurveQ:
+    """Hand E's two-torsion x-coordinates, if known, to the model M carries
+    E to; x' = (x - r) / u^2 keeps their order."""
+    xs = E.__dict__.get(_TWO_TORSION_X)
+    if xs is not None:
+        u2 = M.u * M.u
+        _seed_two_torsion_x(target, tuple((x - M.r) / u2 for x in xs))
+    return target
 
 
 def is_on_curve(E: CurveQ, P: PointQ) -> bool:
@@ -268,13 +307,13 @@ def apply_map(E: CurveQ, M: ModelMap) -> CurveQ:
     """The model E is carried to by the change of variables M."""
     a1, a2, a3, a4, a6 = E.coefficients()
     u, r, s, t = M.u, M.r, M.s, M.t
-    return CurveQ(
+    return _carry_two_torsion_x(E, M, CurveQ(
         (a1 + 2 * s) / u,
         (a2 - s * a1 + 3 * r - s * s) / u ** 2,
         (a3 + r * a1 + 2 * t) / u ** 3,
         (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u ** 4,
         (a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1) / u ** 6,
-    )
+    ))
 
 
 def map_point(E: CurveQ, M: ModelMap, P: PointQ) -> PointQ:
@@ -530,7 +569,7 @@ def minimal_model(E: CurveQ) -> MinimalModelResult:
     M = _solve_rst(E, Emin, Fraction(u, m * bump))
     if M is None:  # pragma: no cover - would be an internal defect
         raise SingularCurve("minimal model construction lost the isomorphism")
-    return MinimalModelResult(Emin, M, complete)
+    return MinimalModelResult(_carry_two_torsion_x(E, M, Emin), M, complete)
 
 
 # ---------------------------------------------------------------------------

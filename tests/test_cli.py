@@ -85,6 +85,33 @@ def test_heights_run_without_mpmath():
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
+README_SIEVE = ["sieve", "K_PLUSMINUS", "--numerators", "1:50",
+                "--denominators", "1:10", "--keep", "0.05"]
+README_SIEVE_SHA256 = (
+    "f562215033a2cd53c3c8c85542ef3d75ad89f3e0fd74d993c4bd092c93eabcb1")
+
+
+@pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]],
+                         ids=["serial", "jobs2"])
+def test_readme_sieve_output_bytes_pinned(capsys, jobs):
+    # one bit moved in any of the 310 scores reorders or reprints the grid
+    assert run([*README_SIEVE, *jobs]) == EXIT_OK
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == README_SIEVE_SHA256
+
+
+def test_readme_sieve_output_bytes_pinned_under_optimize():
+    # python -O strips asserts; the sieve's internal checks are raises, so
+    # the optimized run does and prints the same
+    src = pathlib.Path(diocurves.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-O", "-m", "diocurves.cli",
+                           *README_SIEVE], env=env, capture_output=True,
+                          timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == README_SIEVE_SHA256
+
+
 def test_induce_rejects_non_diophantine(capsys):
     assert run(["induce", "{1,2,3}"]) == EXIT_INVALID_INPUT
     assert run(["induce", "{1,2"]) == EXIT_INVALID_INPUT

@@ -75,6 +75,21 @@ def test_worker_crash_is_exit_70_without_traceback(monkeypatch, pools,
     assert pools == [2]
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_key_error_in_a_check_is_internal(monkeypatch, pools, capsys, cpus):
+    # only an unknown scope is a usage error; a KeyError raised inside a
+    # check is a bug, in process or in a worker
+    def failing():
+        raise KeyError("forced lookup failure")
+
+    monkeypatch.setattr(verify, "check_doubling_identity", failing)
+    _cpus(monkeypatch, cpus)
+    assert cli.main(["verify", "s1"]) == EXIT_SOFTWARE
+    err = capsys.readouterr().err
+    assert err.count("internal error: KeyError") == 1
+    assert "unknown scope" not in err
+
+
 def test_unknown_scope_starts_no_pool(monkeypatch, pools, capsys):
     _cpus(monkeypatch, 2)
     assert cli.main(["verify", "bogus-scope"]) == EXIT_USAGE

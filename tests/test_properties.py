@@ -21,13 +21,17 @@ from diocurves.triples import (
     induced_curves,
     make_triple,
 )
+from diocurves._poly import rational_roots
 from diocurves.weierstrass import (
     INFINITY,
     add,
     clear_denominators,
+    complete_the_square,
     dbl,
     find_isomorphism,
+    invariants,
     is_on_curve,
+    minimal_model,
     neg,
     scalar_mul,
     sub,
@@ -117,6 +121,25 @@ def _family_triple(kind, q, r):
         return family_k(K_PLUSMINUS, abs(q) + 2)
     except (DegenerateParameter, DegenerateTriple, NotDiophantine):
         return None
+
+
+@COMMON
+@given(kind=st.sampled_from(["sum", "z2z8", "k"]), q=nonzero_q, r=root_q)
+def test_seeded_and_carried_two_torsion_x_are_the_cubic_roots(kind, q, r):
+    # induced_curves seeds the x-coordinates and every model map carries
+    # them; each model holds them before anything is solved, and they are
+    # exactly the rational roots of its own 2-division polynomial
+    t = _family_triple(kind, q, r)
+    assume(t is not None)
+    E = induced_curves(t).curve
+    models = [E, clear_denominators(E)[0], complete_the_square(E)[0],
+              minimal_model(E).curve]
+    for model in models:
+        carried = model.__dict__["_two_torsion_x"]
+        inv = invariants(model)
+        assert carried == tuple(
+            rational_roots([4, inv.b2, 2 * inv.b4, inv.b6]))
+        assert len(carried) == 3
 
 
 @COMMON

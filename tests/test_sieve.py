@@ -1,11 +1,20 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import diocurves
 import diocurves.sieve as sieve_mod
+from diocurves import weierstrass
+from diocurves._poly import rational_roots
+from diocurves.cli import _grid
 from diocurves.errors import BadReduction, DiocurvesError
-from diocurves.families import FAMILY_CONSTRUCTORS, K_PLUSMINUS
+from diocurves.families import (FAMILY_CONSTRUCTORS, K_PLUSMINUS,
+                                dataset_record, family_k, z2z8_family)
 from diocurves.sieve import (
     count_points_fp,
     mestre_nagao_sum,
@@ -13,9 +22,10 @@ from diocurves.sieve import (
     primes_upto,
     trace_of_frobenius,
 )
-from diocurves.triples import induced_curves
+from diocurves.triples import induced_curves, make_triple
 from diocurves.weierstrass import (IDENTITY_MAP, CurveQ, clear_denominators,
-                                   invariants)
+                                   invariants, minimal_model, two_torsion_x)
+from test_torsion import KUBERT
 
 E37 = CurveQ(0, 0, 1, -1, 0)
 E11 = CurveQ(0, -1, 1, -10, -20)
@@ -201,3 +211,146 @@ def test_clear_denominators_builds_each_model_once():
     assert clear_denominators(Ei)[0] is Ei
     assert clear_denominators(Ei)[1] == IDENTITY_MAP
     assert clear_denominators(E37)[0] is E37
+
+
+# --------------------------------------------------------------------------
+# the root kernel and the two-torsion memo it reads
+
+# integral, odd a1 and a3: the two-torsion x are -1, 3 and -13/4
+E15A = CurveQ(1, 1, 1, -10, -10)
+
+
+def _with_models(E):
+    """An induced curve with its cleared and minimal models."""
+    return [E, clear_denominators(E)[0], minimal_model(E).curve]
+
+
+def _root_kernel_curves():
+    curves = []
+    for triple in (make_triple(1, 3, 8), family_k(K_PLUSMINUS, F(7, 3)),
+                   z2z8_family(F(7, 5))):
+        curves += _with_models(induced_curves(triple).curve)
+    return curves
+
+
+def _fresh(E):
+    """An equal curve that holds no memo entry yet."""
+    return CurveQ(*E.coefficients())
+
+
+def _forbidden(*args):
+    raise AssertionError("this kernel must not run here")
+
+
+def test_root_kernel_matches_reference_loop(monkeypatch):
+    solved = []
+    monkeypatch.setattr(weierstrass, "rational_roots",
+                        lambda f: solved.append(f) or rational_roots(f))
+    # seeded by induced_curves and carried by the model maps
+    curves = _root_kernel_curves()
+    roots = [sieve_mod._integral_data(E)[3] for E in curves]
+    assert solved == []
+    # the stored record models, and an odd a1 whose x have denominator 4,
+    # build the entry from the cubic
+    stored = [_fresh(dataset_record(rid).curve)
+              for rid in ("s3-rank9", "s6-connell")] + [_fresh(E15A)]
+    roots += [sieve_mod._integral_data(E)[3] for E in stored]
+    assert len(solved) == len(stored)
+    curves += stored
+    assert None not in roots
+    assert two_torsion_x(E15A) == (-F(13, 4), -1, 3)
+    for p in primes_upto(1100)[1:]:
+        want = [reference_count(E, p) for E in curves]
+        good = [i for i, n in enumerate(want) if n is not None]
+        # one batch per prime, several kernel blocks at the small primes
+        got = sieve_mod._count_roots([roots[i] for i in good], p)
+        assert got == [want[i] for i in good], p
+
+
+def test_curves_without_rational_two_torsion_count_by_polynomial(monkeypatch):
+    # E11, E37 and the Kubert curves have one or no rational two-torsion
+    # x-coordinate, so their own arithmetic sends them to _count_odd
+    curves = [E11, E37] + [E for _, E in KUBERT]
+    assert all(sieve_mod._integral_data(E)[3] is None for E in curves)
+    odd_rows = []
+    real_odd = sieve_mod._count_odd
+
+    def counting_odd(bs, p):
+        odd_rows.extend(bs)
+        return real_odd(bs, p)
+
+    monkeypatch.setattr(sieve_mod, "_count_odd", counting_odd)
+    monkeypatch.setattr(sieve_mod, "_count_roots", _forbidden)
+    for E in curves:
+        for p in (101, 499):
+            want = reference_count(E, p)
+            if want is not None:
+                assert count_points_fp(E, p) == want
+    odd_rows.clear()
+    mestre_nagao_sums(curves, 200)
+    assert odd_rows
+
+
+def test_mixed_batch_scores_each_curve_as_alone():
+    # a batch holding both kinds of curve scores each one bit for bit as
+    # it scores alone, whichever kernel counted it
+    curves = [E11, E15A, _root_kernel_curves()[1], E37]
+    batch = mestre_nagao_sums(curves, 1000)
+    for E, res in zip(curves, batch):
+        total, used, skipped = reference_sum(E, 1000)
+        assert repr(res.value) == repr(total)
+        assert (res.primes_used, res.primes_skipped) == (used, skipped)
+
+
+def test_readme_grid_scoring_solves_no_cubic(monkeypatch):
+    # every grid curve arrives with its two-torsion x from induced_curves,
+    # carried through clear_denominators, so scoring solves nothing and
+    # counts every curve with the root kernel
+    solved = []
+    monkeypatch.setattr(weierstrass, "rational_roots",
+                        lambda f: solved.append(f) or rational_roots(f))
+    monkeypatch.setattr(sieve_mod, "_count_odd", _forbidden)
+    ctor = FAMILY_CONSTRUCTORS[K_PLUSMINUS]
+    curves = []
+    for q in _grid((1, 50), (1, 10)):
+        try:
+            triple = ctor(q)
+        except DiocurvesError:
+            continue
+        curves.append(clear_denominators(induced_curves(triple).curve)[0])
+    assert len(curves) == 310
+    assert len(mestre_nagao_sums(curves, 1000)) == 310
+    assert solved == []
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda xs: (xs[0], xs[1], xs[2] + 1),       # breaks all of Vieta
+    lambda xs: (xs[0] - 1, xs[1] + 1, xs[2]),   # keeps only the sum
+    lambda xs: (xs[0], xs[1], xs[2] + F(1, 8)),  # not integral after X = 4x
+], ids=["shifted", "same-sum", "eighth"])
+def test_corrupted_two_torsion_memo_raises(corrupt):
+    E = induced_curves(make_triple(1, 3, 8)).curve
+    E.__dict__["_two_torsion_x"] = corrupt(two_torsion_x(E))
+    with pytest.raises(ArithmeticError):
+        sieve_mod._integral_data(E)
+
+
+def test_corrupted_memo_raises_under_optimize():
+    # the check is a plain raise, so python -O keeps it
+    src = pathlib.Path(diocurves.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from diocurves import sieve, triples, weierstrass\n"
+        "assert False, 'not optimized'\n"
+        "E = triples.induced_curves(triples.make_triple(1, 3, 8)).curve\n"
+        "a, b, c = weierstrass.two_torsion_x(E)\n"
+        "E.__dict__['_two_torsion_x'] = (a, b, c + 1)\n"
+        "try:\n"
+        "    sieve.count_points_fp(E, 101)\n"
+        "except ArithmeticError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -7,7 +7,8 @@ import pytest
 
 from diocurves import torsion, weierstrass
 from diocurves.descent import descent_image, naive_point_search
-from diocurves.errors import FormMismatch
+from diocurves.errors import BadReduction, FormMismatch
+from diocurves.factoring import is_probable_prime
 from diocurves.families import dataset_record, paper_dataset, z2z8_family
 from diocurves.torsion import (
     ALLOWED_SHAPES,
@@ -22,6 +23,7 @@ from diocurves.torsion import (
     two_torsion_points,
 )
 from diocurves.rationals import is_perfect_square
+from diocurves.sieve import count_points_fp
 from diocurves.triples import canonical_points, induced_curves, make_triple
 from diocurves.verify import HEAVY_RECORDS
 from diocurves.weierstrass import (INFINITY, CurveQ, ModelMap, PointQ, add,
@@ -137,6 +139,44 @@ def test_reduction_bound_divisible_by_torsion():
     assert reduction_torsion_bound(E15) % 4 == 0
     assert reduction_torsion_bound(EK) % 8 == 0
     assert reduction_torsion_bound(E37) == 1
+
+
+def _reference_bound_walk(E, prime_count=20):
+    """reduction_torsion_bound as it was: each odd number after 3 tested
+    with Miller-Rabin.  Returns the bound and every prime it counted at."""
+    g, used, p, visited = 0, 0, 3, []
+    while used < prime_count:
+        visited.append(p)
+        try:
+            g = math.gcd(g, count_points_fp(E, p))
+        except BadReduction:
+            pass
+        else:
+            used += 1
+            if g == 1:
+                break
+        p += 2
+        while not is_probable_prime(p):
+            p += 2
+    return g, visited
+
+
+@pytest.mark.parametrize("prime_count", [20, 80])
+def test_reduction_bound_walks_the_same_primes(monkeypatch, prime_count):
+    # 80 good primes run past the first sieve range, which then doubles
+    curves = [E11, E15, EK, E37] + _z2z8_members(20)
+    want = [_reference_bound_walk(E, prime_count) for E in curves]
+    visited = []
+
+    def recording(E, p):
+        visited[-1].append(p)
+        return count_points_fp(E, p)
+
+    monkeypatch.setattr(torsion, "count_points_fp", recording)
+    for E, (bound, primes) in zip(curves, want):
+        visited.append([])
+        assert reduction_torsion_bound(E, prime_count) == bound
+        assert visited[-1] == primes
 
 
 def test_torsion_trivial():
