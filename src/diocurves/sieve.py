@@ -28,6 +28,15 @@ Both kernels take a whole block of curves at once, and blocks hold a
 bounded number of elements, so memory stays flat however many curves are
 scored.  ``count_points_fp`` is the same kernels with one row.
 
+The root kernel has a third form, for one curve at many primes:
+``_count_roots_packed`` lays the doubled chi tables of consecutive small
+primes end to end in one block and sums each prime's segment, so one numpy
+call serves many primes whose counts are each too short to pay for a call
+of their own.  ``_count_points_at`` counts a curve's odd primes below
+_PACK_BELOW that way and every other prime alone; the reduction torsion
+bound, the one-curve ``mestre_nagao_sum`` and ``verify``'s order-mod-4
+check count through it.
+
 The counts are exact integers; only the Mestre-Nagao summand is a float.
 ``mestre_nagao_sums`` adds it per curve in Python floats, in ascending
 prime order and with the same expression as the one-curve sum, so a
@@ -168,6 +177,60 @@ def _count_roots(roots: Sequence[tuple[int, int, int]], p: int) -> list[int]:
     return counts
 
 
+# primes below this are counted many to a call by ``_count_roots_packed``,
+# the others one ``_count_roots`` call each.  A packed prime saves the
+# per-call setup but gathers each element through computed indices, which
+# costs more per element than the one-prime windows; the two break even at
+# about p = 1500-1700 (BENCH_small_prime_counts.json), and the cut sits
+# below that, where packing still wins by a margin that survives drift
+_PACK_BELOW = 1000
+
+
+def _count_roots_packed(roots: tuple[int, int, int],
+                        primes: Sequence[int]) -> list[int]:
+    """#E(F_p) of one curve with integral X-roots (r1, r2, r3) at many odd p.
+
+    The sum of ``_count_roots`` with the roles of curves and primes
+    swapped: consecutive primes share a block of at most _BLOCK_ELEMENTS
+    X-values, their doubled chi tables are laid end to end in one int8
+    array, each X gathers its three window values from its own prime's
+    table, and np.add.reduceat sums each prime's segment of the product.
+    One block costs a fixed number of numpy calls, however many primes it
+    holds.
+    """
+    import numpy as np
+
+    counts: list[int] = []
+    lo = 0
+    while lo < len(primes):
+        hi, size = lo + 1, primes[lo]
+        while hi < len(primes) and size + primes[hi] <= _BLOCK_ELEMENTS:
+            size += primes[hi]
+            hi += 1
+        block = primes[lo:hi]
+        p = np.array(block, dtype=np.intp)
+        start = np.cumsum(p) - p            # segment k holds X = 0..p_k - 1
+        first = np.repeat(start, p)
+        x = np.arange(size) - first
+        pk = np.repeat(p, p)
+        base = first + first                # prime k's table starts at 2 start_k
+        sq = base + x * x % pk
+        chi = np.full(2 * size, -1, dtype=np.int8)
+        chi[sq] = 1
+        chi[sq + pk] = 1
+        chi[2 * start] = 0
+        chi[2 * start + p] = 0
+        at = base + x
+        w1, w2, w3 = (chi[at + np.repeat([-r % q for q in block], p)]
+                      for r in roots)
+        w1 *= w2
+        w1 *= w3
+        sums = np.add.reduceat(w1, start, dtype=np.int64)
+        counts.extend((sums + p + 1).tolist())
+        lo = hi
+    return counts
+
+
 def _count_good(data: Sequence[tuple], p: int) -> list[int]:
     """#E(F_p) for each curve's integral data at one prime of good reduction,
     each curve through the kernel its two-torsion picks."""
@@ -196,6 +259,33 @@ def count_points_fp(E: CurveQ, p: int) -> int:
     if data[2] % p == 0:
         raise BadReduction(f"bad reduction at {p}")
     return _count_good([data], p)[0]
+
+
+def _good_primes(E: CurveQ, primes: Sequence[int]) -> list[int]:
+    """The primes, in their order, that do not divide the discriminant of
+    E's integral model: those at which ``count_points_fp`` counts."""
+    disc = _integral_data(E)[2]
+    return [p for p in primes if disc % p]
+
+
+def _count_points_at(E: CurveQ, primes: Sequence[int]) -> list[int]:
+    """#E(F_p) at each of the given primes, in their order.
+
+    With three rational two-torsion x-coordinates, the odd primes below
+    _PACK_BELOW are counted together in ``_count_roots_packed``; every
+    other prime is counted alone, as ``count_points_fp`` counts it.
+    Raises BadReduction when one of the primes is bad.
+    """
+    data = _integral_data(E)
+    for p in primes:
+        if data[2] % p == 0:
+            raise BadReduction(f"bad reduction at {p}")
+    packed = {}
+    if data[3] is not None:
+        small = [p for p in primes if 2 < p < _PACK_BELOW]
+        packed = dict(zip(small, _count_roots_packed(data[3], small)))
+    return [packed[p] if p in packed else _count_good([data], p)[0]
+            for p in primes]
 
 
 def trace_of_frobenius(E: CurveQ, p: int) -> int:
@@ -257,5 +347,15 @@ def mestre_nagao_sums(curves: Sequence[CurveQ],
 
 
 def mestre_nagao_sum(E: CurveQ, limit: int) -> SieveResult:
-    """The rank-selection sum of one curve; see ``mestre_nagao_sums``."""
-    return mestre_nagao_sums([E], limit)[0]
+    """The rank-selection sum of one curve; see ``mestre_nagao_sums``.
+
+    The counts come from ``_count_points_at``, and the terms are added in
+    ascending prime order with the batch's expression, so the score is
+    bit-identical to the curve's score in a batch.
+    """
+    primes = primes_upto(limit)
+    good = _good_primes(E, primes)
+    total = 0.0
+    for p, n in zip(good, _count_points_at(E, good)):
+        total += (1.0 - (p - 1) / n) * math.log(p)
+    return SieveResult(total, len(good), len(primes) - len(good))

@@ -9,8 +9,16 @@ complete, not just a lower bound.
 
 Halves are written in closed form on the square-completed model
 y^2 = (x - e1)(x - e2)(x - e3), from the square roots of x - e_i, with no
-square root taken for y.  Each half returned is checked once to double to
-the point halved, and a failure raises ArithmeticError.
+square root taken for y.  A curve with a1 = a3 = 0, as every induced curve
+is, is its own square-completed model, so its points are halved where they
+are, with no copy of the curve and no change of variables.  Each half
+returned is checked once to double to the point halved, by the
+division-free tangent equations of `weierstrass._doubles_to`, and a failure
+raises ArithmeticError.
+
+The reduction bound counts all of its primes in one
+`sieve._count_points_at` call, which packs the small primes of a curve with
+full two-torsion into one numpy kernel call.
 """
 
 from __future__ import annotations
@@ -21,16 +29,18 @@ from fractions import Fraction
 from typing import Iterator
 
 from ._poly import mul, rational_roots, sub
-from .errors import BadReduction, FormMismatch
+from .errors import FormMismatch
 from .rationals import QQ, is_perfect_square
-from .sieve import count_points_fp, primes_upto
+from .sieve import _count_points_at, _good_primes, primes_upto
 from .weierstrass import (
+    IDENTITY_MAP,
     INFINITY,
     CurveQ,
     ModelMap,
     PointQ,
     _add,
     _coefficient_scale,
+    _doubles_to,
     _map_point,
     _memo,
     _require_on_curve,
@@ -104,27 +114,13 @@ def reduction_torsion_bound(E: CurveQ, prime_count: int = 20) -> int:
     """gcd of #E(F_p) over the first prime_count odd good primes.
 
     The torsion group injects into every such reduction, so its order
-    divides the returned value.
+    divides the returned value.  The primes are counted in one
+    ``_count_points_at`` call.
     """
-    g = 0
-    used = 0
-    for p in _odd_primes():
-        try:
-            g = math.gcd(g, count_points_fp(E, p))
-        except BadReduction:
-            continue
-        used += 1
-        if g == 1 or used == prime_count:
-            break
-    return g
-
-
-def _odd_primes() -> Iterator[int]:
-    """3, 5, 7, ... from a sieve whose range doubles when it runs out."""
-    lo, hi = 2, 256
-    while True:
-        yield from (p for p in primes_upto(hi) if p > lo)
-        lo, hi = hi, 2 * hi
+    hi = 256
+    while len(primes := _good_primes(E, primes_upto(hi)[1:])) < prime_count:
+        hi *= 2
+    return math.gcd(*_count_points_at(E, primes[:prime_count]))
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +129,11 @@ def _odd_primes() -> Iterator[int]:
 
 def _square_completed(E: CurveQ) -> tuple[CurveQ, ModelMap, ModelMap, tuple]:
     """complete_the_square(E), the inverse of its map, and the rational
-    roots of its cubic, which are E's two-torsion x-coordinates."""
+    roots of its cubic, which are E's two-torsion x-coordinates.
+
+    A curve with a1 = a3 = 0, as every induced curve is, is its own
+    square-completed model: it comes back with IDENTITY_MAP both ways, and
+    `_map_point` hands points through IDENTITY_MAP unchanged."""
     Es, M, Minv, roots = _memo(E, "_square_completed", _build_square_completed)
     if len(roots) != 3:
         raise FormMismatch(
@@ -143,6 +143,8 @@ def _square_completed(E: CurveQ) -> tuple[CurveQ, ModelMap, ModelMap, tuple]:
 
 
 def _build_square_completed(E: CurveQ) -> tuple:
+    if E.a1 == 0 and E.a3 == 0:
+        return E, IDENTITY_MAP, IDENTITY_MAP, two_torsion_x(E)
     Es, M = complete_the_square(E)
     return Es, M, M.inverse(), two_torsion_x(E)
 
@@ -180,7 +182,7 @@ def _halves(Es: CurveQ, roots: tuple, P: PointQ) -> Iterator[PointQ]:
     """The rational halves of a point P of the square-completed model Es,
     one at a time, each checked to double to P."""
     for S in _closed_form_halves(roots, P):
-        if _add(Es, S, S) != P:
+        if not _doubles_to(Es, S, P):
             raise ArithmeticError(f"the half {S} does not double to {P}")
         yield S
 

@@ -29,7 +29,8 @@ from .errors import (
     ZeroExtension,
 )
 from .rationals import QQ, format_rational, is_perfect_square
-from .weierstrass import CurveQ, PointQ, _seed_two_torsion_x, dbl
+from .weierstrass import (CurveQ, PointQ, _doubles_to, _require_on_curve,
+                          _seed_two_torsion_x)
 
 
 def mutual_root(x: Fraction, y: Fraction) -> Fraction | None:
@@ -175,7 +176,8 @@ def canonical_points(t: Triple, curves: InducedCurves | None = None) -> Canonica
     x_zero = PointQ(0, a * b * c)
     x_one = PointQ(1, r * s * u)
     half = PointQ(r * s + r * u + s * u + 1, (r + s) * (r + u) * (s + u))
-    if dbl(E, half) != x_one:
+    _require_on_curve(E, half)
+    if not _doubles_to(E, half, x_one):
         raise ArithmeticError("the half point does not double to [1, rsu]")
     return CanonicalPoints(torsion, x_zero, x_one, half)
 

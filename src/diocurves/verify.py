@@ -32,7 +32,8 @@ from .errors import (BadReduction, DegenerateParameter, DegenerateTriple,
 from .families import (F_uv, dataset_record, family_k, paper_dataset,
                        z2z6_triple, z2z8_family, K_PLUSMINUS, K_4K)
 from .rationals import QQ, is_perfect_square
-from .sieve import count_points_fp, mestre_nagao_sum, primes_upto, summand_forms
+from .sieve import (_count_points_at, _good_primes, mestre_nagao_sum,
+                    primes_upto, summand_forms)
 from .torsion import torsion_subgroup
 from .triples import (Triple, canonical_points, extend_to_quadruple,
                       induced_curves, make_triple)
@@ -255,18 +256,9 @@ def check_order_mod_four(count: int = 100) -> CheckResult:
     t0 = time.perf_counter()
     t = make_triple(QQ(1), QQ(3), QQ(8))
     E = induced_curves(t).curve
-    bad = []
-    done = 0
-    for p in primes_upto(10000):
-        if done >= count:
-            break
-        try:
-            n = count_points_fp(E, p)
-        except BadReduction:
-            continue
-        if n % 4:
-            bad.append(p)
-        done += 1
+    good = _good_primes(E, primes_upto(10000))[:count]
+    bad = [p for p, n in zip(good, _count_points_at(E, good)) if n % 4]
+    done = len(good)
     return _result("sieve-order-mod-4", "s2", t0, done >= count and not bad,
                    f"4 | #E(F_p) at {done} good primes"
                    + (f"; failures at {bad[:5]}" if bad else ""))

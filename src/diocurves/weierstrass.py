@@ -235,6 +235,37 @@ def _add(E: CurveQ, P: PointQ, Q: PointQ) -> PointQ:
     return PointQ(x3, y3)
 
 
+def _doubles_to(E: CurveQ, S: PointQ, P: PointQ) -> bool:
+    """Whether 2S = P, without a division, on a model E with a1 = a3 = 0.
+
+    S must lie on E; P may be any point.  A point with y = 0 doubles to O.
+    Otherwise, with N = 3x_S^2 + 2a2 x_S + a4 and D = 2y_S, the tangent at
+    S has slope N/D, and 2S = P exactly when
+
+        x_P D^2 = N^2 - (a2 + 2x_S) D^2  and  y_P D = -N (x_P - x_S) - y_S D.
+
+    Both are tested in integers: every coordinate and coefficient is
+    written num/den, and each equation is multiplied by its denominators.
+    """
+    if S.is_infinity or S.y == 0:
+        return P.is_infinity
+    if P.is_infinity:
+        return False
+    X, d = S.x.numerator, S.x.denominator
+    Y, e = S.y.numerator, S.y.denominator
+    U, v = P.x.numerator, P.x.denominator
+    W, f = P.y.numerator, P.y.denominator
+    A, m = E.a2.numerator, E.a2.denominator
+    B, n = E.a4.numerator, E.a4.denominator
+    # N = Nn / Nd, and x_P + a2 + 2x_S = Ln / (v m d)
+    Nd = d * d * m * n
+    Nn = (3 * X * X * m + 2 * A * X * d) * n + B * d * d * m
+    Ln = (U * m + A * v) * d + 2 * X * v * m
+    return (4 * Ln * Y * Y * Nd * Nd == Nn * Nn * e * e * v * m * d
+            and 2 * (W * e + Y * f) * Y * Nd * v * d
+            == -Nn * (U * d - X * v) * f * e * e)
+
+
 def dbl(E: CurveQ, P: PointQ) -> PointQ:
     _require_on_curve(E, P)
     return _add(E, P, P)
@@ -324,8 +355,8 @@ def map_point(E: CurveQ, M: ModelMap, P: PointQ) -> PointQ:
 
 def _map_point(M: ModelMap, P: PointQ) -> PointQ:
     """map_point without the membership check: P must lie on the source."""
-    if P.is_infinity:
-        return INFINITY
+    if M is IDENTITY_MAP or P.is_infinity:
+        return P
     u, r, s, t = M.u, M.r, M.s, M.t
     xp = (P.x - r) / u ** 2
     yp = (P.y - s * (P.x - r) - t) / u ** 3

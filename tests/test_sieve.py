@@ -281,14 +281,105 @@ def test_curves_without_rational_two_torsion_count_by_polynomial(monkeypatch):
 
     monkeypatch.setattr(sieve_mod, "_count_odd", counting_odd)
     monkeypatch.setattr(sieve_mod, "_count_roots", _forbidden)
+    monkeypatch.setattr(sieve_mod, "_count_roots_packed", _forbidden)
     for E in curves:
         for p in (101, 499):
             want = reference_count(E, p)
             if want is not None:
                 assert count_points_fp(E, p) == want
+        # the one-curve paths too: many primes, then the one-curve score
+        good = sieve_mod._good_primes(E, primes_upto(1100)[1:])
+        odd_rows.clear()
+        assert sieve_mod._count_points_at(E, good) == \
+            [reference_count(E, p) for p in good]
+        assert len(odd_rows) == len(good)
+        assert mestre_nagao_sum(E, 200).primes_used > 0
     odd_rows.clear()
     mestre_nagao_sums(curves, 200)
     assert odd_rows
+
+
+def _packed_kernel_curves():
+    """Induced curves with their cleared and minimal models (the minimal
+    ones have a1 != 0), z2z8 members, and an odd a1 and a3."""
+    curves = _root_kernel_curves()
+    curves += [induced_curves(z2z8_family(T)).curve
+               for T in (F(-11, 3), F(5, 9), F(23, 17), F(-2, 49))]
+    return curves + [E15A]
+
+
+def test_packed_counts_match_count_points_fp(monkeypatch):
+    curves = _packed_kernel_curves()
+    assert any(E.a1 != 0 for E in curves)
+    odd = primes_upto(2047)[1:]
+    assert odd[0] < sieve_mod._PACK_BELOW < odd[-1]
+    packed = []
+    real = sieve_mod._count_roots_packed
+
+    def recording(roots, primes):
+        packed.append(list(primes))
+        return real(roots, primes)
+
+    monkeypatch.setattr(sieve_mod, "_count_roots_packed", recording)
+    for E in curves:
+        good = sieve_mod._good_primes(E, odd)
+        want = [count_points_fp(E, p) for p in good]
+        # the odd good primes below the cut in one kernel call, the rest
+        # one prime at a time
+        packed.clear()
+        assert sieve_mod._count_points_at(E, good) == want, E
+        assert packed == [[p for p in good if p < sieve_mod._PACK_BELOW]]
+        # packed on both sides of the cut, in blocks of many primes
+        roots = sieve_mod._integral_data(E)[3]
+        assert sum(good) > 2 * sieve_mod._BLOCK_ELEMENTS
+        assert real(roots, good) == want, E
+        # blocks of one prime each: one prime alone, and primes so large
+        # that no two fit one block
+        assert real(roots, good[-1:]) == want[-1:]
+        big = [p for p in primes_upto(9200) if p > 8192][:4]
+        big = sieve_mod._good_primes(E, big)
+        assert 2 * big[0] > sieve_mod._BLOCK_ELEMENTS
+        assert real(roots, big) == [count_points_fp(E, p) for p in big]
+
+
+def test_packed_blocks_stay_within_the_block_bound(monkeypatch):
+    # each block's doubled chi table is the one np.full it allocates
+    import numpy as np
+    tables = []
+    real_full = np.full
+
+    def recording(shape, *args, **kwargs):
+        tables.append(shape)
+        return real_full(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "full", recording)
+    E = _packed_kernel_curves()[0]
+    good = sieve_mod._good_primes(E, primes_upto(2047)[1:])
+    sieve_mod._count_roots_packed(sieve_mod._integral_data(E)[3], good)
+    assert len(tables) > 1
+    assert max(tables) <= 2 * sieve_mod._BLOCK_ELEMENTS
+
+
+def test_count_points_at_bad_primes_raise():
+    E = induced_curves(make_triple(1, 3, 8)).curve
+    with pytest.raises(BadReduction):
+        sieve_mod._count_points_at(E, [5, 7, 2, 11])
+    with pytest.raises(BadReduction):
+        sieve_mod._count_points_at(E, [5, 1])  # 1 divides every discriminant
+    assert sieve_mod._count_points_at(E, []) == []
+
+
+@pytest.mark.parametrize("limit", [200, 1000, 10**4])
+def test_one_curve_score_is_its_score_in_a_batch(limit):
+    # the one-curve sum counts with the packed kernel, the batch with the
+    # one-prime kernels; the floats must still agree bit for bit
+    curves = _packed_kernel_curves()[::2] + [
+        E11, dataset_record("s3-rank9").curve]
+    batch = mestre_nagao_sums(curves, limit)
+    for E, res in zip(curves, batch):
+        alone = mestre_nagao_sum(_fresh(E), limit)
+        assert repr(alone.value) == repr(res.value), E
+        assert alone == res
 
 
 def test_mixed_batch_scores_each_curve_as_alone():

@@ -1,11 +1,15 @@
 import itertools
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from diocurves import torsion, weierstrass
+from diocurves import sieve, torsion, weierstrass
 from diocurves.descent import descent_image, naive_point_search
 from diocurves.errors import BadReduction, FormMismatch
 from diocurves.factoring import is_probable_prime
@@ -28,7 +32,7 @@ from diocurves.triples import canonical_points, induced_curves, make_triple
 from diocurves.verify import HEAVY_RECORDS
 from diocurves.weierstrass import (INFINITY, CurveQ, ModelMap, PointQ, add,
                                    complete_the_square, dbl, is_on_curve,
-                                   map_point, scalar_mul)
+                                   map_point, minimal_model, scalar_mul)
 
 E37 = CurveQ(0, 0, 1, -1, 0)          # trivial torsion
 E11 = CurveQ(0, -1, 1, -10, -20)      # Z/5
@@ -161,22 +165,56 @@ def _reference_bound_walk(E, prime_count=20):
     return g, visited
 
 
+def _first_good_odd_primes(E, count):
+    """The first count odd primes at which count_points_fp counts."""
+    good, p = [], 3
+    while len(good) < count:
+        try:
+            count_points_fp(E, p)
+        except BadReduction:
+            pass
+        else:
+            good.append(p)
+        p += 2
+        while not is_probable_prime(p):
+            p += 2
+    return good
+
+
 @pytest.mark.parametrize("prime_count", [20, 80])
 def test_reduction_bound_walks_the_same_primes(monkeypatch, prime_count):
-    # 80 good primes run past the first sieve range, which then doubles
+    # 80 good primes run past the first sieve range, which then doubles;
+    # the bound is the reference walk's, from the first prime_count odd
+    # good primes, counted in one call
     curves = [E11, E15, EK, E37] + _z2z8_members(20)
-    want = [_reference_bound_walk(E, prime_count) for E in curves]
-    visited = []
+    want = [_reference_bound_walk(E, prime_count)[0] for E in curves]
+    calls = []
+    real = torsion._count_points_at
 
-    def recording(E, p):
-        visited[-1].append(p)
-        return count_points_fp(E, p)
+    def recording(E, primes):
+        calls.append(list(primes))
+        return real(E, primes)
 
-    monkeypatch.setattr(torsion, "count_points_fp", recording)
-    for E, (bound, primes) in zip(curves, want):
-        visited.append([])
+    blocks = []
+    real_packed = sieve._count_roots_packed
+
+    def recording_packed(roots, primes):
+        blocks.append(sum(primes))
+        return real_packed(roots, primes)
+
+    monkeypatch.setattr(torsion, "_count_points_at", recording)
+    monkeypatch.setattr(sieve, "_count_roots_packed", recording_packed)
+    for E, bound in zip(curves, want):
+        calls.clear()
+        blocks.clear()
         assert reduction_torsion_bound(E, prime_count) == bound
-        assert visited[-1] == primes
+        assert calls == [_first_good_odd_primes(E, prime_count)]
+        # with split two-torsion, one packed kernel call; the default 20
+        # primes fit one block of it
+        split = len(two_torsion_points(E)) == 3
+        assert len(blocks) == split
+        if split and prime_count == 20:
+            assert blocks[0] <= sieve._BLOCK_ELEMENTS
 
 
 def test_torsion_trivial():
@@ -230,7 +268,8 @@ def test_torsion_subgroup_is_memoized(monkeypatch):
 
 def test_torsion_subgroup_completes_the_square_once(monkeypatch):
     # the square-completed model, the inverse of its map and its roots are
-    # built once per curve, not again for every halve_point call
+    # built once per curve, not again for every halving; a curve with
+    # a1 = a3 = 0 is its own square-completed model and needs no inverse
     calls, inverses = [], []
     real = torsion.complete_the_square
     real_inverse = ModelMap.inverse
@@ -246,8 +285,16 @@ def test_torsion_subgroup_completes_the_square_once(monkeypatch):
     monkeypatch.setattr(torsion, "complete_the_square", counting)
     monkeypatch.setattr(ModelMap, "inverse", counting_inverse)
     E = induced_curves(z2z8_family(F(7, 5))).curve
+    assert E.a1 == E.a3 == 0
     assert torsion_subgroup(E).invariants == (2, 8)
-    assert calls == [E]
+    assert len(calls) <= 1
+    assert inverses == []
+    # the same curve's minimal model has a1 = 1: one of each
+    calls.clear()
+    Em = minimal_model(E).curve
+    assert Em.a1 != 0
+    assert torsion_subgroup(Em).invariants == (2, 8)
+    assert calls == [Em]
     assert len(inverses) == 1
 
 
@@ -378,6 +425,93 @@ def test_halve_point_raises_when_a_half_does_not_double(monkeypatch):
                         lambda roots, P: iter([INFINITY]))
     with pytest.raises(ArithmeticError, match="does not double"):
         halve_point(EK, PointQ(1, 0))
+
+
+def test_division_free_doubling_check_matches_the_group_law():
+    # on each square-completed model: every point, torsion point and O as
+    # S, against its double, the double's negative and its translates by
+    # two-torsion, O, and a random point of the curve
+    rng = random.Random(606)
+    seen = set()
+    for E, pts in _halving_cases():
+        Es, M, _, roots = torsion._square_completed(E)
+        assert Es.a1 == Es.a3 == 0
+        pts = [weierstrass._map_point(M, P) for P in pts]
+        two = [PointQ(e, 0) for e in roots]
+        for S in pts + two + [INFINITY]:
+            D = weierstrass._add(Es, S, S)
+            candidates = [D, weierstrass._neg(Es, D), INFINITY,
+                          rng.choice(pts)]
+            candidates += [weierstrass._add(Es, D, T) for T in two]
+            for P in candidates:
+                want = weierstrass._add(Es, S, S) == P
+                assert weierstrass._doubles_to(Es, S, P) == want, (Es, S, P)
+                seen.add((want, "O" if P.is_infinity
+                          else "two" if P.y == 0 else "affine"))
+    # halves of O, halves of two-torsion points, halves of other points,
+    # and non-halves of each kind
+    assert seen == {(w, k) for w in (True, False)
+                    for k in ("O", "two", "affine")}
+
+
+def _misdirected_halves(roots, P):
+    """Each true half, negated: still on the curve, but doubling to -P."""
+    for S in _REAL_CLOSED_FORM_HALVES(roots, P):
+        yield INFINITY if S.is_infinity else PointQ(S.x, -S.y)
+
+
+_REAL_CLOSED_FORM_HALVES = torsion._closed_form_halves
+# an induced curve, halved in place, and a model of it with a1 = 2, halved
+# on its square-completed copy; P has four rational halves
+_MISDIRECTED_CASE = (
+    "from diocurves import torsion, weierstrass\n"
+    "from diocurves.triples import (canonical_points, induced_curves,\n"
+    "                               make_triple)\n"
+    "t = make_triple(1, 3, 8)\n"
+    "E = induced_curves(t).curve\n"
+    "P = canonical_points(t).x_one\n"
+    "M = weierstrass.ModelMap(1, 0, 1, 0)\n"
+    "cases = [(E, P), (weierstrass.apply_map(E, M),\n"
+    "                  weierstrass.map_point(E, M, P))]\n")
+
+
+def test_a_misdirected_half_raises_on_both_halving_paths(monkeypatch):
+    namespace = {}
+    exec(_MISDIRECTED_CASE, namespace)
+    cases = namespace["cases"]
+    assert cases[0][0].a1 == 0 and cases[1][0].a1 != 0
+    for E, P in cases:
+        assert len(torsion._all_halves(E, P)) == 4
+    monkeypatch.setattr(torsion, "_closed_form_halves", _misdirected_halves)
+    for E, P in cases:
+        with pytest.raises(ArithmeticError, match="does not double"):
+            torsion._all_halves(E, P)
+        with pytest.raises(ArithmeticError, match="does not double"):
+            torsion._a_half(E, P)
+
+
+def test_a_misdirected_half_raises_under_optimize():
+    # the doubling check is a plain raise, so python -O keeps it
+    src = pathlib.Path(torsion.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "assert False, 'not optimized'\n"
+        + _MISDIRECTED_CASE +
+        "real = torsion._closed_form_halves\n"
+        "torsion._closed_form_halves = lambda roots, P: (\n"
+        "    weierstrass.PointQ(S.x, -S.y) for S in real(roots, P))\n"
+        "raised = 0\n"
+        "for E, P in cases:\n"
+        "    for halve in (torsion._all_halves, torsion._a_half):\n"
+        "        try:\n"
+        "            halve(E, P)\n"
+        "        except ArithmeticError:\n"
+        "            raised += 1\n"
+        "sys.exit(0 if raised == 4 else 1)\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_halve_point_needs_full_two_torsion():
