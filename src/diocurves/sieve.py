@@ -208,21 +208,29 @@ def _count_roots_packed(roots: tuple[int, int, int],
             size += primes[hi]
             hi += 1
         block = primes[lo:hi]
-        p = np.array(block, dtype=np.intp)
-        start = np.cumsum(p) - p            # segment k holds X = 0..p_k - 1
-        first = np.repeat(start, p)
-        x = np.arange(size) - first
+        p = np.array(block, dtype=np.int32)
+        start = np.cumsum(p, dtype=np.int32) - p   # segment k: X = 0..p_k - 1
+        at = np.repeat(start, p)
+        x = np.arange(size, dtype=np.int32) - at
+        at += at                    # prime k's doubled table starts at 2 start_k
         pk = np.repeat(p, p)
-        base = first + first                # prime k's table starts at 2 start_k
-        sq = base + x * x % pk
+        sq = np.multiply(x, x, dtype=np.int64)
+        sq %= pk
+        sq += at
         chi = np.full(2 * size, -1, dtype=np.int8)
         chi[sq] = 1
-        chi[sq + pk] = 1
+        sq += pk
+        chi[sq] = 1
         chi[2 * start] = 0
         chi[2 * start + p] = 0
-        at = base + x
-        w1, w2, w3 = (chi[at + np.repeat([-r % q for q in block], p)]
-                      for r in roots)
+        at += x                     # X's place in its own table
+        # the block's other temporaries go before the gathers: together
+        # they would set the peak memory of a one-curve command
+        del x, pk, sq
+        w1, w2, w3 = (
+            chi[at + np.repeat(np.array([-r % q for q in block],
+                                        dtype=np.int32), p)]
+            for r in roots)
         w1 *= w2
         w1 *= w3
         sums = np.add.reduceat(w1, start, dtype=np.int64)
