@@ -180,9 +180,9 @@ def _count_roots(roots: Sequence[tuple[int, int, int]], p: int) -> list[int]:
 # primes below this are counted many to a call by ``_count_roots_packed``,
 # the others one ``_count_roots`` call each.  A packed prime saves the
 # per-call setup but gathers each element through computed indices, which
-# costs more per element than the one-prime windows; the two break even at
-# about p = 1500-1700 (BENCH_small_prime_counts.json), and the cut sits
-# below that, where packing still wins by a margin that survives drift
+# costs more per element than the one-prime windows: packing wins about 4x
+# per prime below p = 300, and the two break even at about p = 1000-1300
+# (BENCH_small_prime_counts.json), so the cut sits at the low end of that
 _PACK_BELOW = 1000
 
 

@@ -300,8 +300,8 @@ def test_curves_without_rational_two_torsion_count_by_polynomial(monkeypatch):
 
 
 def _packed_kernel_curves():
-    """Induced curves with their cleared and minimal models (the minimal
-    ones have a1 != 0), z2z8 members, and an odd a1 and a3."""
+    """Induced curves with their cleared and minimal models (some minimal
+    models have a1 != 0), z2z8 members, and an odd a1 and a3."""
     curves = _root_kernel_curves()
     curves += [induced_curves(z2z8_family(T)).curve
                for T in (F(-11, 3), F(5, 9), F(23, 17), F(-2, 49))]

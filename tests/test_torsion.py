@@ -444,7 +444,7 @@ def test_division_free_doubling_check_matches_the_group_law():
                           rng.choice(pts)]
             candidates += [weierstrass._add(Es, D, T) for T in two]
             for P in candidates:
-                want = weierstrass._add(Es, S, S) == P
+                want = D == P
                 assert weierstrass._doubles_to(Es, S, P) == want, (Es, S, P)
                 seen.add((want, "O" if P.is_infinity
                           else "two" if P.y == 0 else "affine"))
