@@ -192,11 +192,11 @@ def _count_roots_packed(roots: tuple[int, int, int],
 
     The sum of ``_count_roots`` with the roles of curves and primes
     swapped: consecutive primes share a block of at most _BLOCK_ELEMENTS
-    X-values, their doubled chi tables are laid end to end in one int8
-    array, each X gathers its three window values from its own prime's
-    table, and np.add.reduceat sums each prime's segment of the product.
-    One block costs a fixed number of numpy calls, however many primes it
-    holds.
+    X-values (a larger prime is a block of its own), their doubled chi
+    tables are laid end to end in one int8 array, each X gathers its three
+    window values from its own prime's table, and np.add.reduceat sums
+    each prime's segment of the product.  One block costs a fixed number
+    of numpy calls, however many primes it holds.
     """
     import numpy as np
 
