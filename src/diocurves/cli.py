@@ -16,6 +16,7 @@ reported on one line of stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import math
@@ -26,7 +27,8 @@ from typing import Iterable, Optional, Sequence, TextIO
 from ._pool import ordered_map
 from .descent import naive_point_search, rank_lower_bound
 from .errors import (DatasetCorrupt, DegenerateParameter, DegenerateTriple,
-                     DiocurvesError, NotDiophantine, ParseError, UnknownScope)
+                     NotDiophantine, OutputUnwritable, ParseError,
+                     UnknownScope)
 from .families import (FAMILY_CONSTRUCTORS, dataset_record, paper_dataset,
                        make_family_member)
 from .rationals import QQ, format_rational, parse_rational
@@ -148,18 +150,15 @@ def _search_record(triple: Triple, cfg: Config,
                    with_extension: bool = False) -> dict:
     """Run the whole pipeline on one triple and collect the outcome.
 
-    The working model is the minimal model, or the cleared-denominator
-    companion curve when `minimal_model` fails; all emitted points live on
-    the emitted curve.
+    The working model is the one `minimal_model` returns; `curve_minimal`
+    is false exactly when a factoring shortfall may have left it
+    non-minimal.  `minimal_model` raises only on an internal defect, which
+    is not caught here.  All emitted points live on the emitted curve.
     """
     ic = induced_curves(triple)
     cp = canonical_points(triple, ic)
-    try:
-        mm = minimal_model(ic.curve)
-        E, to_E, minimal = mm.curve, mm.map, mm.complete
-    except DiocurvesError:
-        E, to_E = clear_denominators(ic.curve)
-        minimal = False
+    mm = minimal_model(ic.curve)
+    E, to_E, minimal = mm.curve, mm.map, mm.complete
 
     stock = [map_point(ic.curve, to_E, P)
              for P in (cp.x_zero, cp.x_one, cp.half_x_one)]
@@ -197,14 +196,23 @@ def _search_record(triple: Triple, cfg: Config,
     return record
 
 
-def _emit(lines: Iterable[str], out_path: Optional[str]) -> None:
-    if out_path is None:
-        for line in lines:
-            print(line)
-        return
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+def _open_out(path: Optional[str]) -> contextlib.AbstractContextManager:
+    """Where the JSON lines go: stdout, or the --out file.
+
+    Callers open it before any work, so an unwritable path is refused
+    (OutputUnwritable) before a record is computed."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise OutputUnwritable(
+            f"cannot write --out {path}: {exc.strerror or exc}") from exc
+
+
+def _emit(lines: Iterable[str], out: TextIO) -> None:
+    for line in lines:
+        out.write(line + "\n")
 
 
 def _dumps(obj: dict) -> str:
@@ -221,8 +229,9 @@ def cmd_induce(triple_text: str, cfg: Config) -> int:
     except (ParseError, NotDiophantine, DegenerateTriple) as exc:
         print(f"invalid triple: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    record = _search_record(triple, cfg, with_extension=True)
-    _emit([_dumps(record)], cfg.out)
+    with _open_out(cfg.out) as out:
+        record = _search_record(triple, cfg, with_extension=True)
+        _emit([_dumps(record)], out)
     tors = record["torsion"]
     print(f"triple {{{', '.join(record['triple'])}}}: "
           f"torsion {tuple(tors['shape'])}"
@@ -235,10 +244,14 @@ def cmd_induce(triple_text: str, cfg: Config) -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
+    """LO:HI as (lo, hi), with lo <= hi, so the range holds a value."""
     lo, sep, hi = text.partition(":")
     if not sep:
         raise ValueError(f"expected LO:HI, got {text!r}")
-    return int(lo), int(hi)
+    lo, hi = int(lo), int(hi)
+    if lo > hi:
+        raise ValueError(f"empty range {text!r}: LO exceeds HI")
+    return lo, hi
 
 
 def _grid(numerators: tuple[int, int],
@@ -270,39 +283,44 @@ def _sieve_worker(payload) -> str:
 
 def cmd_sieve(family_id: str, numerators: tuple[int, int],
               denominators: tuple[int, int], cfg: Config) -> int:
-    ctor = FAMILY_CONSTRUCTORS[family_id]
-    lines: list[str] = []
-    grid: list[QQ] = []
-    curves: list[CurveQ] = []
-    for q in _grid(numerators, denominators):
-        try:
-            triple = ctor(q)
-        except (DegenerateParameter, NotDiophantine, DegenerateTriple) as exc:
-            lines.append(_dumps({
-                "version": JSONL_VERSION, "kind": "skip",
-                "family": family_id,
-                "parameters": [format_rational(q)],
-                "error": type(exc).__name__, "message": str(exc)}))
-            continue
-        grid.append(q)
-        curves.append(clear_denominators(induced_curves(triple).curve)[0])
-    scored = [(score.value, q) for score, q
-              in zip(mestre_nagao_sums(curves, cfg.N), grid)]
+    with _open_out(cfg.out) as out:
+        ctor = FAMILY_CONSTRUCTORS[family_id]
+        lines: list[str] = []
+        grid: list[QQ] = []
+        curves: list[CurveQ] = []
+        for q in _grid(numerators, denominators):
+            try:
+                triple = ctor(q)
+            except (DegenerateParameter, NotDiophantine,
+                    DegenerateTriple) as exc:
+                lines.append(_dumps({
+                    "version": JSONL_VERSION, "kind": "skip",
+                    "family": family_id,
+                    "parameters": [format_rational(q)],
+                    "error": type(exc).__name__, "message": str(exc)}))
+                continue
+            grid.append(q)
+            curves.append(
+                clear_denominators(induced_curves(triple).curve)[0])
+        scored = [(score.value, q) for score, q
+                  in zip(mestre_nagao_sums(curves, cfg.N), grid)]
 
-    kept_n = min(len(scored), max(1, math.ceil(cfg.keep * len(scored)))) \
-        if scored else 0
-    scored.sort(key=lambda sq: (-sq[0], max(abs(sq[1].numerator),
-                                            sq[1].denominator),
-                                sq[1].numerator, sq[1].denominator))
-    kept = [q for _, q in scored[:kept_n]]
+        kept_n = min(len(scored),
+                     max(1, math.ceil(cfg.keep * len(scored)))) \
+            if scored else 0
+        scored.sort(key=lambda sq: (-sq[0], max(abs(sq[1].numerator),
+                                                sq[1].denominator),
+                                    sq[1].numerator, sq[1].denominator))
+        kept = [q for _, q in scored[:kept_n]]
 
-    payloads = [(family_id, (format_rational(q),), cfg) for q in kept]
-    lines.extend(ordered_map(_sieve_worker, payloads, cfg.jobs))
+        payloads = [(family_id, (format_rational(q),), cfg) for q in kept]
+        lines.extend(ordered_map(_sieve_worker, payloads, cfg.jobs))
 
-    _emit(lines, cfg.out)
-    print(f"{family_id}: scored {len(scored)} parameters, kept {kept_n}, "
-          f"skipped {len(lines) - kept_n} degenerate", file=sys.stderr)
-    return EXIT_OK
+        _emit(lines, out)
+        print(f"{family_id}: scored {len(scored)} parameters, "
+              f"kept {kept_n}, skipped {len(lines) - kept_n} degenerate",
+              file=sys.stderr)
+        return EXIT_OK
 
 
 def cmd_verify(scope: str, long: bool,
@@ -352,15 +370,17 @@ def _record_json(rec, full: bool) -> dict:
 
 def cmd_dataset(record_id: Optional[str], cfg: Config) -> int:
     if record_id is None:
-        _emit([_dumps(_record_json(rec, full=False))
-               for rec in paper_dataset()], cfg.out)
+        with _open_out(cfg.out) as out:
+            _emit([_dumps(_record_json(rec, full=False))
+                   for rec in paper_dataset()], out)
         return EXIT_OK
     try:
         rec = dataset_record(record_id.replace("§", "s"))
     except KeyError:
         print(f"unknown record id: {record_id}", file=sys.stderr)
         return EXIT_USAGE
-    _emit([_dumps(_record_json(rec, full=True))], cfg.out)
+    with _open_out(cfg.out) as out:
+        _emit([_dumps(_record_json(rec, full=True))], out)
     return EXIT_OK
 
 
@@ -443,6 +463,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             try:
                 nums = _parse_range(args.numerators)
                 dens = _parse_range(args.denominators)
+                if dens[1] < 1:
+                    raise ValueError(f"denominator range "
+                                     f"{args.denominators!r} holds no "
+                                     "positive integer")
             except ValueError as exc:
                 print(f"bad range: {exc}", file=sys.stderr)
                 return EXIT_USAGE
@@ -455,13 +479,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 return EXIT_USAGE
         if args.command == "dataset":
             return cmd_dataset(args.record_id, cfg)
+    except OutputUnwritable as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     except DatasetCorrupt as exc:
         print(f"dataset corrupt: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    except DiocurvesError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     except Exception as exc:
+        # every invalid input is refused where it is parsed, so a library
+        # error that gets this far is a defect too
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOFTWARE
     raise AssertionError("unreachable")

@@ -67,3 +67,7 @@ class UnknownScope(DiocurvesError):
 
 class DatasetCorrupt(DiocurvesError):
     """Embedded record data failed its checksum or validation."""
+
+
+class OutputUnwritable(DiocurvesError):
+    """The --out file cannot be opened for writing."""

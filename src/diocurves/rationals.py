@@ -35,6 +35,11 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def to_fraction(v) -> Fraction:
+    """v as a Fraction; a value that already is one is returned as is."""
+    return v if type(v) is Fraction else Fraction(v)
+
+
 def format_rational(q: Fraction) -> str:
     """Canonical "p/q" (or "p" for integers); parse_rational round-trips it."""
     if q.denominator == 1:

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BadReduction
-from .weierstrass import (CurveQ, _memo, clear_denominators, invariants,
+from .weierstrass import (CurveQ, _int_invariants, _memo, clear_denominators,
                           two_torsion_x)
 
 
@@ -77,8 +77,7 @@ def _integral_data(E: CurveQ) -> tuple[tuple[int, ...], tuple[int, int, int],
 
 def _build_integral_data(E: CurveQ) -> tuple:
     Ei, _ = clear_denominators(E)
-    inv = invariants(Ei)
-    b2, b4, b6 = int(inv.b2), int(inv.b4), int(inv.b6)
+    _, b2, b4, b6, _, _, _, disc = _int_invariants(Ei)
     xs = two_torsion_x(Ei)
     roots = None
     if len(xs) == 3:
@@ -92,7 +91,7 @@ def _build_integral_data(E: CurveQ) -> tuple:
             raise ArithmeticError(
                 f"{xs} are not the two-torsion x-coordinates of {Ei}")
     return (tuple(int(a) for a in Ei.coefficients()), (b2, b4, b6),
-            int(inv.disc), roots)
+            disc, roots)
 
 
 # elements per kernel block; bounds the kernel's temporaries to a few

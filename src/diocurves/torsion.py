@@ -30,7 +30,7 @@ from typing import Iterator
 
 from ._poly import mul, rational_roots, sub
 from .errors import FormMismatch
-from .rationals import QQ, is_perfect_square
+from .rationals import QQ, is_perfect_square, sqrt_int
 from .sieve import _count_points_at, _good_primes, primes_upto
 from .weierstrass import (
     IDENTITY_MAP,
@@ -102,9 +102,10 @@ def _point_order(E: CurveQ, P: PointQ, cap: int = _MAX_ELEMENT_ORDER) -> int | N
     scale = _coefficient_scale(E) ** 2
     acc = P
     for n in range(1, cap + 1):
-        if acc.is_infinity:
+        if acc.x is None:
             return n
-        if 4 % (acc.x * scale).denominator:
+        d = acc.x.denominator       # x m^2 has denominator d / gcd(d, m^2)
+        if 4 % (d // math.gcd(d, scale)):
             return None
         acc = _add(E, acc, P)
     return None
@@ -156,14 +157,14 @@ def halve_point(E: CurveQ, P: PointQ) -> list[PointQ]:
     """
     _square_completed(E)        # FormMismatch before PointNotOnCurve
     _require_on_curve(E, P)
-    return _all_halves(E, P)
+    return sorted(_all_halves(E, P), key=_point_sort_key)
 
 
 def _all_halves(E: CurveQ, P: PointQ) -> list[PointQ]:
-    """halve_point without the membership check: P must lie on E."""
+    """halve_point without the membership check (P must lie on E) and
+    without the sort: the halves in the order they are written."""
     Es, M, Minv, roots = _square_completed(E)
-    halves = _halves(Es, roots, _map_point(M, P))
-    return sorted((_map_point(Minv, S) for S in halves), key=_point_sort_key)
+    return [_map_point(Minv, S) for S in _halves(Es, roots, _map_point(M, P))]
 
 
 def _a_half(E: CurveQ, P: PointQ) -> PointQ | None:
@@ -199,35 +200,60 @@ def _closed_form_halves(roots: tuple, P: PointQ) -> Iterator[PointQ]:
     w3 = sqrt(e - e3) and t = +-w3, has the halves
     (e + w2 t, +-w2 t (w2 + t)).  The halves of O are O and the
     two-torsion points.
+
+    The roots are taken in integers over one common denominator V,
+    w_i = W_i / V, so each half is x' = (X V^2 + d (ab + ac + bc)) / (d V^2)
+    and y' = (a + b)(a + c)(b + c) / V^3 for x = X/d, built as two
+    Fractions.
     """
-    if P.is_infinity:
+    if P.x is None:
         yield INFINITY
         yield from (PointQ(e, 0) for e in roots)
         return
+    X, d = P.x.as_integer_ratio()
     if P.y == 0:
-        e = P.x
-        e2, e3 = (r for r in roots if r != e)
-        w2 = is_perfect_square(e - e2)
-        w3 = is_perfect_square(e - e3) if w2 is not None else None
-        if w3 is None:
+        e2, e3 = (r for r in roots if r != P.x)
+        ws = _common_roots(X, d, (e2, e3))
+        if ws is None:
             return
+        (w2, w3), V = ws
         for t in (w3, -w3):
-            y = w2 * t * (w2 + t)
-            yield PointQ(e + w2 * t, y)
-            yield PointQ(e + w2 * t, -y)
+            xn = Fraction(X * V * V + d * w2 * t, d * V * V)
+            yn = w2 * t * (w2 + t)
+            yield PointQ(xn, Fraction(yn, V ** 3))
+            yield PointQ(xn, Fraction(-yn, V ** 3))
         return
-    ws = []
-    for e in roots:
-        w = is_perfect_square(P.x - e)
-        if w is None:
-            return
-        ws.append(w)
-    w1, w2, w3 = ws
+    ws = _common_roots(X, d, roots)
+    if ws is None:
+        return
+    (w1, w2, w3), V = ws
     if P.y < 0:
         w1 = -w1
+    xden, yden = d * V * V, V ** 3
     for a, b, c in ((w1, w2, w3), (w1, -w2, -w3), (-w1, w2, -w3),
                     (-w1, -w2, w3)):
-        yield PointQ(P.x + a * b + a * c + b * c, (a + b) * (a + c) * (b + c))
+        yield PointQ(Fraction(X * V * V + d * (a * b + a * c + b * c), xden),
+                     Fraction((a + b) * (a + c) * (b + c), yden))
+
+
+def _common_roots(X: int, d: int, es) -> tuple[list[int], int] | None:
+    """([W_i], V) with W_i / V = sqrt(X/d - e_i) >= 0 for each e_i of es,
+    or None when one of them is irrational.
+
+    X/d - e_i = n_i / d_i with d_i = d times e_i's denominator, and n_i/d_i
+    is a square exactly when n_i d_i is, with root sqrt(n_i d_i) / d_i.
+    """
+    Ws, dens = [], []
+    for e in es:
+        E, f = e.as_integer_ratio()
+        den = d * f
+        W = sqrt_int((X * f - E * d) * den)
+        if W is None:
+            return None
+        Ws.append(W)
+        dens.append(den)
+    V = math.lcm(*dens)
+    return [W * (V // den) for W, den in zip(Ws, dens)], V
 
 
 def _point_sort_key(P: PointQ):

@@ -28,14 +28,23 @@ from .errors import (
     NotDiophantinePair,
     ZeroExtension,
 )
-from .rationals import QQ, format_rational, is_perfect_square
+from .rationals import (QQ, format_rational, is_perfect_square, sqrt_int,
+                        to_fraction)
 from .weierstrass import (CurveQ, PointQ, _doubles_to, _require_on_curve,
                           _seed_two_torsion_x)
 
 
 def mutual_root(x: Fraction, y: Fraction) -> Fraction | None:
-    """The canonical nonnegative square root of xy + 1, or None."""
-    return is_perfect_square(QQ(x) * QQ(y) + 1)
+    """The canonical nonnegative square root of xy + 1, or None.
+
+    With x = p/q and y = r/s, xy + 1 = n/d for n = pr + qs, d = qs > 0,
+    and n/d is a square exactly when nd is, with root sqrt(nd)/d.
+    """
+    p, q = to_fraction(x).as_integer_ratio()
+    r, s = to_fraction(y).as_integer_ratio()
+    d = q * s
+    w = sqrt_int((p * r + d) * d)
+    return None if w is None else Fraction(w, d)
 
 
 def validate_tuple(values: Sequence[Fraction]) -> dict[tuple[int, int], Fraction]:
@@ -45,7 +54,7 @@ def validate_tuple(values: Sequence[Fraction]) -> dict[tuple[int, int], Fraction
     Raises DegenerateTriple for zero or repeated entries and
     NotDiophantine naming the first failing pair.
     """
-    vals = [QQ(v) for v in values]
+    vals = [to_fraction(v) for v in values]
     for i, v in enumerate(vals):
         if v == 0:
             raise DegenerateTriple(f"entry {i} is zero")
@@ -85,7 +94,7 @@ class Triple:
 
 def make_triple(a, b, c) -> Triple:
     roots = validate_tuple([a, b, c])
-    return Triple(QQ(a), QQ(b), QQ(c),
+    return Triple(to_fraction(a), to_fraction(b), to_fraction(c),
                   roots[(0, 1)], roots[(0, 2)], roots[(1, 2)])
 
 
@@ -141,16 +150,23 @@ class InducedCurves:
 
 
 def induced_curves(t: Triple) -> InducedCurves:
-    a, b, c = t.elements
-    ab, ac, bc = a * b, a * c, b * c
-    e2 = ab + ac + bc
-    e3 = ab * c
-    e1 = a + b + c
-    cubic = (e3, e2, e1, QQ(1))
+    """Both models, each coefficient one Fraction of integers: with
+    a = A/p, b = B/q, c = C/r, every symmetric function of a, b, c has
+    denominator a power of pqr."""
+    (A, p), (B, q), (C, r) = (v.as_integer_ratio() for v in t.elements)
+    den = p * q * r
+    e1 = A * q * r + B * p * r + C * p * q          # (a + b + c) den
+    e2 = A * B * r + A * C * q + B * C * p          # (ab + ac + bc) den
+    e3 = A * B * C                                  # abc den
+    scale = Fraction(e3, den)
+    cubic = (scale, Fraction(e2, den), Fraction(e1, den), QQ(1))
     # (x + ab)(x + ac)(x + bc), as abc (a + b + c) = ab ac + ab bc + ac bc
-    curve = CurveQ(0, e2, 0, e3 * e1, e3 * e3)
-    _seed_two_torsion_x(curve, tuple(sorted((-ab, -ac, -bc))))
-    return InducedCurves(t, cubic, curve, e3)
+    curve = CurveQ(0, cubic[1], 0, Fraction(e3 * e1, den * den),
+                   Fraction(e3 * e3, den * den))
+    _seed_two_torsion_x(curve, tuple(sorted((
+        Fraction(-A * B, p * q), Fraction(-A * C, p * r),
+        Fraction(-B * C, q * r)))))
+    return InducedCurves(t, cubic, curve, scale)
 
 
 @dataclass(frozen=True)
@@ -169,13 +185,21 @@ class CanonicalPoints:
 def canonical_points(t: Triple, curves: InducedCurves | None = None) -> CanonicalPoints:
     if curves is None:
         curves = induced_curves(t)
-    a, b, c = t.elements
-    r, s, u = t.root_ab, t.root_ac, t.root_bc
+    (A, p), (B, q), (C, n) = (v.as_integer_ratio() for v in t.elements)
+    # the roots r, s, u of ab + 1, ac + 1, bc + 1 as R/i, S/j, U/k
+    (R, i), (S, j), (U, k) = (w.as_integer_ratio() for w in
+                              (t.root_ab, t.root_ac, t.root_bc))
     E = curves.curve
-    torsion = (PointQ(-b * c, 0), PointQ(-a * c, 0), PointQ(-a * b, 0))
-    x_zero = PointQ(0, a * b * c)
-    x_one = PointQ(1, r * s * u)
-    half = PointQ(r * s + r * u + s * u + 1, (r + s) * (r + u) * (s + u))
+    torsion = (PointQ(Fraction(-B * C, q * n), 0),
+               PointQ(Fraction(-A * C, p * n), 0),
+               PointQ(Fraction(-A * B, p * q), 0))
+    x_zero = PointQ(0, curves.scale)
+    x_one = PointQ(1, Fraction(R * S * U, i * j * k))
+    # (rs + ru + su + 1, (r + s)(r + u)(s + u))
+    half = PointQ(Fraction(R * S * k + R * U * j + S * U * i + i * j * k,
+                           i * j * k),
+                  Fraction((R * j + S * i) * (R * k + U * i) * (S * k + U * j),
+                           (i * j * k) ** 2))
     _require_on_curve(E, half)
     if not _doubles_to(E, half, x_one):
         raise ArithmeticError("the half point does not double to [1, rsu]")

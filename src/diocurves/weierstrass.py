@@ -14,22 +14,32 @@ inside the package whose points are already known to lie on the curve
 the unchecked `_add` and `_map_point` instead of paying for a re-check on
 every step.
 
-The invariants, which the constructor computes to reject a singular model,
-are computed in integers: on the model scaled by the lcm m of the
-coefficient denominators, an invariant of weight k is the one of E times
-m^k, and it is divided by m^k once, at the end.
+Integers at the core, Fraction at the boundary.  `CurveQ` and `PointQ`
+hold `fractions.Fraction` values, always in lowest terms, and that is all a
+caller sees.  Inside, membership, the group law and negation work on the
+integral model of `clear_denominators`: with m the lcm of the coefficient
+denominators, its coefficients a_i m^i are plain ints (`_int_model`, kept
+on the curve), and a point (x, y) of E is (m^2 x, m^3 y) there.  Each
+operation reads every coordinate's numerator and denominator once,
+cross-multiplies in ints, and builds each output coordinate with one
+Fraction(num, den), whose single gcd puts it in lowest terms; so the
+results, and every printed byte, are those of the plain Fraction
+formulas.  The invariants are computed the same way: an invariant of
+weight k is the one of the integral model divided by m^k, once, at the
+end.
 
-Data derived from a curve (its invariants, its integral and square-completed
-models, the x-coordinates of its points of order two, its torsion subgroup,
-and the duplication data and canonical heights of the `heights` module) is
-built once, on first use, and kept on the curve object by `_memo`; it is
-dropped with the curve.  The two-torsion x-coordinates are the one entry
-that is also handed on: `triples.induced_curves` seeds them in closed form,
-and `apply_map` and `minimal_model` carry them across their change of
-variables as x' = (x - r) / u^2, so `rational_roots` solves the cubic only
-for a curve that came from neither.  The package has no module-level caches
-and no size caps: two equal curves built separately each build their own
-copy.
+Data derived from a curve (its integral model and invariants, its
+cleared and square-completed models, the x-coordinates of its points of
+order two, its torsion subgroup, and the duplication data and canonical
+heights of the `heights` module) is built once, on first use, and kept on
+the curve object by `_memo`; it is dropped with the curve.  The two-torsion
+x-coordinates are the one entry that is also handed on:
+`triples.induced_curves` seeds them in closed form, `clear_denominators`
+carries them as x m^2, and `apply_map` and `minimal_model` carry them
+across their change of variables as x' = (x - r) / u^2, so
+`rational_roots` solves the cubic only for a curve that came from none of
+these.  The package has no module-level caches and no size caps: two equal
+curves built separately each build their own copy.
 """
 
 from __future__ import annotations
@@ -43,7 +53,8 @@ from typing import Callable, TypeVar
 from ._poly import rational_roots
 from .errors import ParseError, PointNotOnCurve, SingularCurve
 from .factoring import factor_best_effort
-from .rationals import QQ, is_perfect_square, format_rational, parse_rational
+from .rationals import (format_rational, is_perfect_square, parse_rational,
+                        to_fraction)
 
 _T = TypeVar("_T")
 
@@ -71,8 +82,8 @@ class CurveQ:
 
     def __post_init__(self):
         for name in ("a1", "a2", "a3", "a4", "a6"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if invariants(self).disc == 0:
+            object.__setattr__(self, name, to_fraction(getattr(self, name)))
+        if _int_invariants(self)[-1] == 0:
             raise SingularCurve(f"discriminant is zero for {self}")
 
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -93,8 +104,8 @@ class PointQ:
         if (self.x is None) != (self.y is None):
             raise ParseError("point needs both coordinates or neither")
         if self.x is not None:
-            object.__setattr__(self, "x", Fraction(self.x))
-            object.__setattr__(self, "y", Fraction(self.y))
+            object.__setattr__(self, "x", to_fraction(self.x))
+            object.__setattr__(self, "y", to_fraction(self.y))
 
     @property
     def is_infinity(self) -> bool:
@@ -118,7 +129,7 @@ class Invariants:
     c4: Fraction
     c6: Fraction
     disc: Fraction
-    j: Fraction | None  # None only transiently while disc == 0 is detected
+    j: Fraction
 
 
 def invariants(E: CurveQ) -> Invariants:
@@ -127,10 +138,23 @@ def invariants(E: CurveQ) -> Invariants:
 
 
 def _invariants(E: CurveQ) -> Invariants:
-    """The invariants from the integers a_i m^i, m = _coefficient_scale(E)."""
-    m = _coefficient_scale(E)
-    a1, a2, a3, a4, a6 = (a.numerator * (m ** k // a.denominator) for a, k
-                          in zip(E.coefficients(), (1, 2, 3, 4, 6)))
+    """The invariants of the integral model, each divided by m^weight."""
+    m, b2, b4, b6, b8, c4, c6, disc = _int_invariants(E)
+    return Invariants(Fraction(b2, m ** 2), Fraction(b4, m ** 4),
+                      Fraction(b6, m ** 6), Fraction(b8, m ** 8),
+                      Fraction(c4, m ** 4), Fraction(c6, m ** 6),
+                      Fraction(disc, m ** 12), Fraction(c4 ** 3, disc))
+
+
+def _int_invariants(E: CurveQ) -> tuple[int, ...]:
+    """(m, b2, b4, b6, b8, c4, c6, disc) of the integral model a_i m^i of
+    `_int_model`, in ints.  The constructor reads its discriminant, so
+    every curve checks the two identities below once."""
+    return _memo(E, "_int_invariants", _build_int_invariants)
+
+
+def _build_int_invariants(E: CurveQ) -> tuple[int, ...]:
+    m, a1, a2, a3, a4, a6 = _int_model(E)
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
@@ -142,11 +166,7 @@ def _invariants(E: CurveQ) -> Invariants:
     disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
     if 1728 * disc != c4 ** 3 - c6 * c6:
         raise ArithmeticError("invariant identity 1728 D = c4^3 - c6^2 failed")
-    return Invariants(Fraction(b2, m ** 2), Fraction(b4, m ** 4),
-                      Fraction(b6, m ** 6), Fraction(b8, m ** 8),
-                      Fraction(c4, m ** 4), Fraction(c6, m ** 6),
-                      Fraction(disc, m ** 12),
-                      Fraction(c4 ** 3, disc) if disc else None)
+    return m, b2, b4, b6, b8, c4, c6, disc
 
 
 _TWO_TORSION_X = "_two_torsion_x"
@@ -182,12 +202,36 @@ def _carry_two_torsion_x(E: CurveQ, M: ModelMap, target: CurveQ) -> CurveQ:
     return target
 
 
+def _int_model(E: CurveQ) -> tuple[int, int, int, int, int, int]:
+    """(m, a1 m, a2 m^2, a3 m^3, a4 m^4, a6 m^6): the scale m of
+    clear_denominators, the lcm of the coefficient denominators, and the
+    integral model's coefficients, as ints."""
+    return _memo(E, "_int_model", _build_int_model)
+
+
+def _build_int_model(E: CurveQ) -> tuple[int, ...]:
+    m = math.lcm(*(a.denominator for a in E.coefficients()))
+    return (m, *(n * (m ** k // d) for (n, d), k in zip(
+        (a.as_integer_ratio() for a in E.coefficients()), (1, 2, 3, 4, 6))))
+
+
 def is_on_curve(E: CurveQ, P: PointQ) -> bool:
-    if P.is_infinity:
+    """Whether P lies on E, tested in integers.
+
+    On the integral model, with (m^2 x, m^3 y) = (u/d, v/e), the equation
+    is multiplied by d^3 e^2.
+    """
+    if P.x is None:
         return True
-    x, y = P.x, P.y
-    return (y * y + E.a1 * x * y + E.a3 * y
-            == x ** 3 + E.a2 * x * x + E.a4 * x + E.a6)
+    m, a1, a2, a3, a4, a6 = _int_model(E)
+    X, d = P.x.as_integer_ratio()
+    Y, e = P.y.as_integer_ratio()
+    u = X * m * m
+    v = Y * m * m * m
+    dd = d * d
+    ddd = dd * d
+    return (v * v * ddd + (a1 * u * dd + a3 * ddd) * v * e
+            == e * e * (((u + a2 * d) * u + a4 * dd) * u + a6 * ddd))
 
 
 def _require_on_curve(E: CurveQ, P: PointQ) -> None:
@@ -201,9 +245,15 @@ def neg(E: CurveQ, P: PointQ) -> PointQ:
 
 
 def _neg(E: CurveQ, P: PointQ) -> PointQ:
-    if P.is_infinity:
+    """-P = (x, -y - a1 x - a3), in integers on the integral model."""
+    if P.x is None:
         return INFINITY
-    return PointQ(P.x, -P.y - E.a1 * P.x - E.a3)
+    m, a1, _, a3, _, _ = _int_model(E)
+    X, d = P.x.as_integer_ratio()
+    Y, e = P.y.as_integer_ratio()
+    mmm = m * m * m
+    return PointQ(P.x, Fraction(-(Y * mmm * d + (a1 * X * m * m + a3 * d) * e),
+                                d * e * mmm))
 
 
 def add(E: CurveQ, P: PointQ, Q: PointQ) -> PointQ:
@@ -214,25 +264,46 @@ def add(E: CurveQ, P: PointQ, Q: PointQ) -> PointQ:
 
 
 def _add(E: CurveQ, P: PointQ, Q: PointQ) -> PointQ:
-    """The group law without membership checks: P and Q must lie on E."""
-    if P.is_infinity:
+    """The group law without membership checks: P and Q must lie on E.
+
+    Chord and tangent on the integral model, in integers: with the points
+    there written (u_i/d_i, v_i/e_i) and the slope L/M, the sum is
+
+        x3 = L^2/M^2 + a1 L/M - a2 - x1 - x2 = N3 / D3,  D3 = M^2 d1 d2,
+        y3 = (L/M)(x1 - x3) - y1 - a1 x3 - a3,
+
+    and each coordinate is divided back by m^2, m^3 in its one Fraction.
+    """
+    if P.x is None:
         return Q
-    if Q.is_infinity:
+    if Q.x is None:
         return P
-    a1, a2, a3, a4, a6 = E.coefficients()
-    x1, y1 = P.x, P.y
-    x2, y2 = Q.x, Q.y
-    if x1 == x2:
-        if y2 == -y1 - a1 * x1 - a3:
+    m, a1, a2, a3, a4, _ = _int_model(E)
+    mm = m * m
+    mmm = mm * m
+    X1, d1 = P.x.as_integer_ratio()
+    Y1, e1 = P.y.as_integer_ratio()
+    X2, d2 = Q.x.as_integer_ratio()
+    Y2, e2 = Q.y.as_integer_ratio()
+    u1, v1, u2, v2 = X1 * mm, Y1 * mmm, X2 * mm, Y2 * mmm
+    if X1 == X2 and d1 == d2:
+        w = (a1 * u1 + a3 * d1) * e1       # (a1 x1 + a3) d1 e1
+        if (v2 * e1 + v1 * e2) * d1 + w * e2 == 0:    # Q = -P
             return INFINITY
-        # tangent line
-        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / (2 * y1 + a1 * x1 + a3)
+        # tangent: (3x1^2 + 2a2 x1 + a4 - a1 y1) / (2y1 + a1 x1 + a3)
+        L = (3 * u1 * u1 + 2 * a2 * u1 * d1 + a4 * d1 * d1) * e1 \
+            - a1 * v1 * d1 * d1
+        M = (2 * v1 * d1 + w) * d1
     else:
-        lam = (y2 - y1) / (x2 - x1)
-    nu = y1 - lam * x1
-    x3 = lam * lam + a1 * lam - a2 - x1 - x2
-    y3 = -(lam + a1) * x3 - nu - a3
-    return PointQ(x3, y3)
+        # chord: (y2 - y1) / (x2 - x1)
+        L = (v2 * e1 - v1 * e2) * d1 * d2
+        M = (u2 * d1 - u1 * d2) * e1 * e2
+    MM = M * M
+    D3 = MM * d1 * d2
+    N3 = (L * L + a1 * L * M - a2 * MM) * d1 * d2 - (u1 * d2 + u2 * d1) * MM
+    Y3 = (L * (u1 * MM * d2 - N3) * e1
+          - (v1 * D3 + (a1 * N3 + a3 * D3) * e1) * M)
+    return PointQ(Fraction(N3, D3 * mm), Fraction(Y3, M * D3 * e1 * mmm))
 
 
 def _doubles_to(E: CurveQ, S: PointQ, P: PointQ) -> bool:
@@ -251,12 +322,12 @@ def _doubles_to(E: CurveQ, S: PointQ, P: PointQ) -> bool:
         return P.is_infinity
     if P.is_infinity:
         return False
-    X, d = S.x.numerator, S.x.denominator
-    Y, e = S.y.numerator, S.y.denominator
-    U, v = P.x.numerator, P.x.denominator
-    W, f = P.y.numerator, P.y.denominator
-    A, m = E.a2.numerator, E.a2.denominator
-    B, n = E.a4.numerator, E.a4.denominator
+    X, d = S.x.as_integer_ratio()
+    Y, e = S.y.as_integer_ratio()
+    U, v = P.x.as_integer_ratio()
+    W, f = P.y.as_integer_ratio()
+    A, m = E.a2.as_integer_ratio()
+    B, n = E.a4.as_integer_ratio()
     # N = Nn / Nd, and x_P + a2 + 2x_S = Ln / (v m d)
     Nd = d * d * m * n
     Nn = (3 * X * X * m + 2 * A * X * d) * n + B * d * d * m
@@ -313,7 +384,7 @@ class ModelMap:
 
     def __post_init__(self):
         for name in ("u", "r", "s", "t"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, to_fraction(getattr(self, name)))
         if self.u == 0:
             raise SingularCurve("model map needs u != 0")
 
@@ -447,13 +518,21 @@ def clear_denominators(E: CurveQ) -> tuple[CurveQ, ModelMap]:
 
 
 def _clear_denominators(E: CurveQ) -> tuple[CurveQ, ModelMap]:
-    M = ModelMap(Fraction(1, _coefficient_scale(E)), 0, 0, 0)
-    return apply_map(E, M), M
+    """The model of `_int_model`, with E's two-torsion x, if known, carried
+    as x m^2 (the map x' = (x - r)/u^2 at r = 0, u = 1/m)."""
+    m, *coefficients = _int_model(E)
+    Ei = CurveQ(*coefficients)
+    xs = E.__dict__.get(_TWO_TORSION_X)
+    if xs is not None:
+        mm = m * m
+        _seed_two_torsion_x(Ei, tuple(Fraction(n * mm, d) for n, d
+                                      in (x.as_integer_ratio() for x in xs)))
+    return Ei, ModelMap(Fraction(1, m), 0, 0, 0)
 
 
 def _coefficient_scale(E: CurveQ) -> int:
     """m of clear_denominators: the lcm of the coefficient denominators."""
-    return math.lcm(*(a.denominator for a in E.coefficients()))
+    return _int_model(E)[0]
 
 
 def complete_the_square(E: CurveQ) -> tuple[CurveQ, ModelMap]:

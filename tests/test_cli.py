@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -423,3 +424,96 @@ def test_light_record_check_requires_equal_torsion(monkeypatch):
     big = torsion.TorsionSubgroup((), 16, (2, 8), 16, True)
     monkeypatch.setattr(verify, "torsion_subgroup", lambda E: big)
     assert not verify.check_record_light("s4-rank5-a").passed
+
+
+@pytest.mark.parametrize("argv", [
+    ["induce", "{1,3,8}"],
+    ["sieve", "K_PLUSMINUS", "--numerators", "1:6", "--denominators", "1:2",
+     "--keep", "1.0"],
+], ids=["induce", "sieve"])
+def test_unwritable_out_is_usage_error_before_any_work(tmp_path, monkeypatch,
+                                                       capsys, argv):
+    # the --out file is opened before the pipeline or the grid runs, and a
+    # path that cannot be opened is the caller's mistake, not a bug
+    work = []
+    monkeypatch.setattr(cli, "_search_record",
+                        lambda *a, **k: work.append("record"))
+    monkeypatch.setattr(cli, "mestre_nagao_sums",
+                        lambda *a, **k: work.append("grid") or [])
+    out = tmp_path / "missing" / "f.jsonl"
+    assert run([*argv, "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write --out {out}: ")
+    assert work == []
+
+
+def test_dataset_unwritable_out_is_usage_error(tmp_path, capsys):
+    assert run(["dataset", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "cannot write --out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("numerators, denominators", [
+    ("5:1", "1:3"),
+    ("1:5", "3:1"),
+    ("1:5", "-3:-1"),
+    ("1:5", "0:0"),
+], ids=["numerators-reversed", "denominators-reversed",
+        "denominators-negative", "denominators-zero"])
+def test_sieve_range_without_a_value_is_usage_error(capsys, numerators,
+                                                    denominators):
+    assert run(["sieve", "K_PLUSMINUS", f"--numerators={numerators}",
+                f"--denominators={denominators}"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("bad range: ")
+
+
+@pytest.mark.parametrize("denominators", ["0:2", "-2:2"])
+def test_sieve_range_reaching_past_zero_keeps_its_output(tmp_path,
+                                                         denominators):
+    # a denominator range holding 0 or negatives still scores its positive
+    # denominators only, byte for byte as before
+    args = ["sieve", "K_PLUSMINUS", "--numerators", "0:6", "--keep", "1.0",
+            "--N", "150"]
+    want, got = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
+    assert run([*args, "--denominators", "1:2", "--out", str(want)]) \
+        == EXIT_OK
+    assert run([*args, f"--denominators={denominators}",
+                "--out", str(got)]) == EXIT_OK
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_minimal_model_defect_is_an_internal_error(monkeypatch, capsys):
+    # minimal_model raises only on an internal defect; the record must not
+    # fall back to the cleared model and print curve_minimal: false
+    from diocurves.errors import SingularCurve
+
+    def broken(E):
+        raise SingularCurve("minimal model construction lost the isomorphism")
+
+    monkeypatch.setattr(cli, "minimal_model", broken)
+    assert run(["induce", "{1,3,8}"]) == EXIT_SOFTWARE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "curve_minimal" not in captured.err
+    assert captured.err == ("internal error: SingularCurve: minimal model "
+                            "construction lost the isomorphism\n")
+
+
+# sha256 of `verify all --long` stdout with the ` (0.12s)` timing fields
+# stripped, measured before the group law moved to integers
+VERIFY_LONG_SHA256 = (
+    "043e9f88130fdccc6b37ff6a9f0db350bbae23ffe0cb8f327396767d078ab96b")
+
+
+def test_verify_long_output_bytes_pinned():
+    # every check's detail line, the 70/70 summary and the disclaimer are
+    # part of the output contract; only the per-check seconds may move
+    src = pathlib.Path(diocurves.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "diocurves.cli", "verify",
+                           "all", "--long"], env=env, capture_output=True,
+                          timeout=600)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    stripped = re.sub(rb" \(\d+\.\d+s\)$", b"", proc.stdout, flags=re.M)
+    assert stripped.count(b"\n") == 72
+    assert hashlib.sha256(stripped).hexdigest() == VERIFY_LONG_SHA256
