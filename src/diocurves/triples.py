@@ -193,7 +193,7 @@ def canonical_points(t: Triple, curves: InducedCurves | None = None) -> Canonica
     torsion = (PointQ(Fraction(-B * C, q * n), 0),
                PointQ(Fraction(-A * C, p * n), 0),
                PointQ(Fraction(-A * B, p * q), 0))
-    x_zero = PointQ(0, curves.scale)
+    x_zero = PointQ(0, Fraction(A * B * C, p * q * n))
     x_one = PointQ(1, Fraction(R * S * U, i * j * k))
     # (rs + ru + su + 1, (r + s)(r + u)(s + u))
     half = PointQ(Fraction(R * S * k + R * U * j + S * U * i + i * j * k,

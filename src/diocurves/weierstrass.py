@@ -148,8 +148,9 @@ def _invariants(E: CurveQ) -> Invariants:
 
 def _int_invariants(E: CurveQ) -> tuple[int, ...]:
     """(m, b2, b4, b6, b8, c4, c6, disc) of the integral model a_i m^i of
-    `_int_model`, in ints.  The constructor reads its discriminant, so
-    every curve checks the two identities below once."""
+    `_int_model`, in ints.  The constructor reads the discriminant here,
+    so every curve built checks the two invariant identities once and
+    builds the Fraction invariants only when asked for them."""
     return _memo(E, "_int_invariants", _build_int_invariants)
 
 
