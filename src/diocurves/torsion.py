@@ -157,7 +157,7 @@ def halve_point(E: CurveQ, P: PointQ) -> list[PointQ]:
     """
     _square_completed(E)        # FormMismatch before PointNotOnCurve
     _require_on_curve(E, P)
-    return sorted(_all_halves(E, P), key=_point_sort_key)
+    return _sorted_points(_all_halves(E, P))
 
 
 def _all_halves(E: CurveQ, P: PointQ) -> list[PointQ]:
@@ -256,10 +256,20 @@ def _common_roots(X: int, d: int, es) -> tuple[list[int], int] | None:
     return [W * (V // den) for W, den in zip(Ws, dens)], V
 
 
-def _point_sort_key(P: PointQ):
-    if P.is_infinity:
-        return (0, 0, 0)
-    return (1, P.x, P.y)
+def _sorted_points(pts) -> list[PointQ]:
+    """pts with O first, then ascending by x, then by y.
+
+    Every coordinate is scaled to integers by one common denominator D,
+    which keeps their order, so the sort compares ints, not Fractions.
+    """
+    affine = [P for P in pts if P.x is not None]
+    D = math.lcm(*(v.denominator for P in affine for v in (P.x, P.y)))
+
+    def scaled(P: PointQ) -> tuple[int, int]:
+        (X, d), (Y, e) = P.x.as_integer_ratio(), P.y.as_integer_ratio()
+        return X * (D // d), Y * (D // e)
+
+    return [INFINITY] * (len(pts) - len(affine)) + sorted(affine, key=scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -379,5 +389,5 @@ def _build_torsion_subgroup(E: CurveQ) -> TorsionSubgroup:
     if bound % order:
         raise ArithmeticError(
             f"torsion order {order} does not divide the reduction bound {bound}")
-    return TorsionSubgroup(tuple(sorted(pts, key=_point_sort_key)),
+    return TorsionSubgroup(tuple(_sorted_points(pts)),
                            order, shape, bound, True)
