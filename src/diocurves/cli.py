@@ -49,8 +49,9 @@ JSONL_VERSION = 1
 
 # naive point search tries about e^(1.5 * height_bound) x-coordinates
 MAX_HEIGHT_BOUND = 8.0
-# the sieve sum lists every prime up to N in memory, and counts each with
-# arrays of p entries; the package itself never goes beyond 10**4
+# the sieve sum lists every prime up to N in memory, and counts each prime
+# from 1000 on with numpy arrays of p entries (below it, in one p-bit int);
+# the package itself never goes beyond 10**4
 MAX_N = 10**6
 
 

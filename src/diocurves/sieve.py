@@ -5,37 +5,41 @@ denominators; primes dividing that model's discriminant are treated as bad
 and skipped.  That convention is sound for every use in this package (the
 skipped set can only be slightly too large, never too small).
 
-Every count at an odd prime goes through one of two batched kernels, and
-the curve's own arithmetic picks which.  After completing the square,
-#E(F_p) = p + 1 + sum_x chi(4x^3 + b2 x^2 + 2b4 x + b6) with chi the
-quadratic character mod p.
+Every count at an odd prime goes through one of three kernels, and the
+curve's own arithmetic and the size of p pick which.  After completing the
+square, #E(F_p) = p + 1 + sum_x chi(4x^3 + b2 x^2 + 2b4 x + b6) with chi
+the quadratic character mod p.
 
-* The root kernel serves every curve with three rational two-torsion
-  x-coordinates, which is every curve a Diophantine triple induces.  With
+* Every curve with three rational two-torsion x-coordinates, which is every
+  curve a Diophantine triple induces, is counted from its roots.  With
   X = 4x the cubic is (X - r1)(X - r2)(X - r3) / 16, where the r_i are
   four times those x-coordinates and, as roots of a monic integer cubic,
   integers.  chi is multiplicative and chi(16) = 1, so the sum is
-  sum_X chi(X - r1) chi(X - r2) chi(X - r3): three windows chi[o:o + p],
-  o = -r_i mod p, of one int8 table of chi laid out twice, multiplied and
-  summed.  Each curve costs three reductions mod p per prime, and its row
-  has no polynomial to evaluate and no element to reduce.
+  sum_X chi(X - r1) chi(X - r2) chi(X - r3), and each curve costs three
+  reductions mod p per prime, with no polynomial to evaluate.
+  - Below p = _INT_BELOW, ``_count_roots_int`` reads the sum off one
+    p-bit Python int of non-residues, built once per prime: the three
+    shifts of it XORed together hold the sign of every term, and
+    ``int.bit_count`` counts the -1s.  These primes are every prime the
+    default sieve depth, the torsion bound and ``induce`` count, so those
+    commands never import numpy, whose import costs more than their own
+    work.
+  - From p = _INT_BELOW on, ``_count_roots`` takes three windows
+    chi[o:o + p], o = -r_i mod p, of one int8 numpy table of chi laid out
+    twice, multiplies them and sums: there the O(p) int table would cost a
+    one-curve count more than the numpy import saves.
 * ``_count_odd`` serves the other curves (those whose 2-division
-  polynomial does not split over Q): it forms the block's polynomial
-  values in one int64 array from the shared rows x^2 and 4x^3 mod p,
-  reduces them and gathers chi at them.
+  polynomial does not split over Q), at every odd p: it forms the block's
+  polynomial values in one int64 numpy array from the shared rows x^2 and
+  4x^3 mod p, reduces them and gathers chi at them.  No curve the package
+  builds from a triple reaches it.
 
-Both kernels take a whole block of curves at once, and blocks hold a
-bounded number of elements, so memory stays flat however many curves are
-scored.  ``count_points_fp`` is the same kernels with one row.
-
-The root kernel has a third form, for one curve at many primes:
-``_count_roots_packed`` lays the doubled chi tables of consecutive small
-primes end to end in one block and sums each prime's segment, so one numpy
-call serves many primes whose counts are each too short to pay for a call
-of their own.  ``_count_points_at`` counts a curve's odd primes below
-_PACK_BELOW that way and every other prime alone; the reduction torsion
-bound, the one-curve ``mestre_nagao_sum`` and ``verify``'s order-mod-4
-check count through it.
+Each kernel takes a whole batch of curves at one prime; the numpy kernels
+work in blocks of a bounded number of elements, so memory stays flat
+however many curves are scored.  ``count_points_fp`` and the one-curve
+``_count_points_at`` (the reduction torsion bound, the one-curve
+``mestre_nagao_sum`` and ``verify``'s order-mod-4 check) are the same
+kernels with one row.  numpy is imported inside its two kernels only.
 
 The counts are exact integers; only the Mestre-Nagao summand is a float.
 ``mestre_nagao_sums`` adds it per curve in Python floats, in ascending
@@ -46,11 +50,14 @@ numpy float sums (pairwise summation) or np.log would move the last bits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 from .errors import BadReduction
+from .factoring import is_probable_prime
 from .weierstrass import (CurveQ, _int_invariants, _memo, clear_denominators,
                           two_torsion_x)
 
@@ -176,65 +183,56 @@ def _count_roots(roots: Sequence[tuple[int, int, int]], p: int) -> list[int]:
     return counts
 
 
-# primes below this are counted many to a call by ``_count_roots_packed``,
-# the others one ``_count_roots`` call each.  A packed prime saves the
-# per-call setup but gathers each element through computed indices, which
-# costs more per element than the one-prime windows: packing wins about 4x
-# per prime below p = 300, and the two break even at about p = 1000-1300
-# (BENCH_small_prime_counts.json), so the cut sits at the low end of that
-_PACK_BELOW = 1000
+# split curves are counted by ``_count_roots_int`` at the odd primes below
+# this and by ``_count_roots`` from it on.  The int kernel's table costs
+# O(p) once per prime, about 0.1 ms at p = 997: a one-curve sum to the cut
+# costs about 10 ms with its tables, against 0.07-0.13 s for the numpy
+# import it spares.  Past the cut the tables grow quadratically (a one-curve
+# sum to N = 10^4 takes 0.66 s, against 0.06 s of numpy counts), and only
+# ``verify``'s two s2 checks and a sieve depth --N above 1000 count there
+# (BENCH_int_kernel.json)
+_INT_BELOW = 1000
 
 
-def _count_roots_packed(roots: tuple[int, int, int],
-                        primes: Sequence[int]) -> list[int]:
-    """#E(F_p) of one curve with integral X-roots (r1, r2, r3) at many odd p.
+@functools.cache
+def _nonresidues(p: int) -> tuple[int, int]:
+    """(N | N << p, 2^p - 1) for the p-bit int N whose bit X is set when X
+    is a quadratic non-residue mod the odd prime p.
 
-    The sum of ``_count_roots`` with the roles of curves and primes
-    swapped: consecutive primes share a block of at most _BLOCK_ELEMENTS
-    X-values (a larger prime is a block of its own), their doubled chi
-    tables are laid end to end in one int8 array, each X gathers its three
-    window values from its own prime's table, and np.add.reduceat sums
-    each prime's segment of the product.  One block costs a fixed number
-    of numpy calls, however many primes it holds.
+    Built at C speed: character X of a bytearray of ASCII 1s is zeroed by
+    map at 0 and at each square.  int(..., 2) reads the most significant
+    bit first, so it parses the reversed text, where bit X is the
+    character at p - 1 - X.  Only primes below _INT_BELOW are asked for,
+    so the cache holds at most 167 entries.
     """
-    import numpy as np
+    text = bytearray(b"1") * p
+    text[0] = ord("0")
+    squares = map(pow, range(1, (p + 1) // 2), repeat(2), repeat(p))
+    # any() drains the map: __setitem__ returns None
+    any(map(text.__setitem__, squares, repeat(ord("0"))))
+    n = int(text[::-1], 2)
+    return n | n << p, (1 << p) - 1
 
+
+def _count_roots_int(roots: Sequence[tuple[int, int, int]],
+                     p: int) -> list[int]:
+    """#E(F_p) for each curve with integral X-roots (r1, r2, r3) at one odd
+    p of good reduction, in Python ints.
+
+    Off the three roots chi(X - r1) chi(X - r2) chi(X - r3) is -1 exactly
+    when an odd number of X - r_i are non-residues, and bit X of
+    N2 >> (p - r_i mod p) is whether X - r_i is one, for 0 <= X < p.  So the
+    XOR of the three shifts, with the three bits X = r_i cleared (distinct
+    at a good prime), has a bit for each -1 among the p - 3 terms that are
+    not 0, and #E(F_p) = p + 1 + (p - 3) - 2 * popcount.
+    """
+    n2, mask = _nonresidues(p)
     counts: list[int] = []
-    lo = 0
-    while lo < len(primes):
-        hi, size = lo + 1, primes[lo]
-        while hi < len(primes) and size + primes[hi] <= _BLOCK_ELEMENTS:
-            size += primes[hi]
-            hi += 1
-        block = primes[lo:hi]
-        p = np.array(block, dtype=np.int32)
-        start = np.cumsum(p, dtype=np.int32) - p   # segment k: X = 0..p_k - 1
-        at = np.repeat(start, p)
-        x = np.arange(size, dtype=np.int32) - at
-        at += at                    # prime k's doubled table starts at 2 start_k
-        pk = np.repeat(p, p)
-        sq = np.multiply(x, x, dtype=np.int64)
-        sq %= pk
-        sq += at
-        chi = np.full(2 * size, -1, dtype=np.int8)
-        chi[sq] = 1
-        sq += pk
-        chi[sq] = 1
-        chi[2 * start] = 0
-        chi[2 * start + p] = 0
-        at += x                     # X's place in its own table
-        # the block's other temporaries go before the gathers: together
-        # they would set the peak memory of a one-curve command
-        del x, pk, sq
-        w1, w2, w3 = (
-            chi[at + np.repeat(np.array([-r % q for q in block],
-                                        dtype=np.int32), p)]
-            for r in roots)
-        w1 *= w2
-        w1 *= w3
-        sums = np.add.reduceat(w1, start, dtype=np.int64)
-        counts.extend((sums + p + 1).tolist())
-        lo = hi
+    for r1, r2, r3 in roots:
+        r1, r2, r3 = r1 % p, r2 % p, r3 % p
+        odd = ((n2 >> (p - r1)) ^ (n2 >> (p - r2)) ^ (n2 >> (p - r3))) & (
+            mask ^ (1 << r1 | 1 << r2 | 1 << r3))
+        counts.append(2 * p - 2 - 2 * odd.bit_count())
     return counts
 
 
@@ -247,7 +245,8 @@ def _count_good(data: Sequence[tuple], p: int) -> list[int]:
     other = [i for i, d in enumerate(data) if d[3] is None]
     counts = [0] * len(data)
     if split:
-        for i, n in zip(split, _count_roots([data[i][3] for i in split], p)):
+        kernel = _count_roots_int if p < _INT_BELOW else _count_roots
+        for i, n in zip(split, kernel([data[i][3] for i in split], p)):
             counts[i] = n
     if other:
         for i, n in zip(other, _count_odd([data[i][1] for i in other], p)):
@@ -258,10 +257,11 @@ def _count_good(data: Sequence[tuple], p: int) -> list[int]:
 def count_points_fp(E: CurveQ, p: int) -> int:
     """#E(F_p) including the point at infinity.
 
-    Raises BadReduction when p divides the integral model's discriminant.
+    Raises BadReduction when p is not a prime or divides the integral
+    model's discriminant.
     """
     data = _integral_data(E)
-    if p < 2:
+    if not is_probable_prime(p):
         raise BadReduction(f"{p} is not a prime")
     if data[2] % p == 0:
         raise BadReduction(f"bad reduction at {p}")
@@ -278,21 +278,14 @@ def _good_primes(E: CurveQ, primes: Sequence[int]) -> list[int]:
 def _count_points_at(E: CurveQ, primes: Sequence[int]) -> list[int]:
     """#E(F_p) at each of the given primes, in their order.
 
-    With three rational two-torsion x-coordinates, the odd primes below
-    _PACK_BELOW are counted together in ``_count_roots_packed``; every
-    other prime is counted alone, as ``count_points_fp`` counts it.
-    Raises BadReduction when one of the primes is bad.
+    Each prime is counted as ``count_points_fp`` counts it.  Raises
+    BadReduction when one of the primes is bad.
     """
     data = _integral_data(E)
     for p in primes:
         if data[2] % p == 0:
             raise BadReduction(f"bad reduction at {p}")
-    packed = {}
-    if data[3] is not None:
-        small = [p for p in primes if 2 < p < _PACK_BELOW]
-        packed = dict(zip(small, _count_roots_packed(data[3], small)))
-    return [packed[p] if p in packed else _count_good([data], p)[0]
-            for p in primes]
+    return [_count_good([data], p)[0] for p in primes]
 
 
 def trace_of_frobenius(E: CurveQ, p: int) -> int:

@@ -17,8 +17,9 @@ division-free tangent equations of `weierstrass._doubles_to`, and a failure
 raises ArithmeticError.
 
 The reduction bound counts all of its primes in one
-`sieve._count_points_at` call, which packs the small primes of a curve with
-full two-torsion into one numpy kernel call.
+`sieve._count_points_at` call.  Its first 20 odd good primes lie far below
+p = 1000, so a curve with full two-torsion is counted in Python ints there
+and the bound never loads numpy.
 """
 
 from __future__ import annotations

@@ -101,6 +101,22 @@ def test_readme_sieve_output_bytes_pinned(capsys, jobs):
     assert hashlib.sha256(out).hexdigest() == README_SIEVE_SHA256
 
 
+# a grid scored past the int kernel's cut at p = 1000, so each curve is
+# counted by both root kernels; measured before the int kernel existed
+CUT_SIEVE = ["sieve", "K_4K", "--numerators", "1:12", "--denominators",
+             "1:3", "--N", "1500", "--keep", "0.2"]
+CUT_SIEVE_SHA256 = (
+    "42ec6ad6ea8c55d240f5706014d82e8523b3bb85bcb22322245454cb041c0bfb")
+
+
+@pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]],
+                         ids=["serial", "jobs2"])
+def test_sieve_across_the_kernel_cut_output_bytes_pinned(capsys, jobs):
+    assert run([*CUT_SIEVE, *jobs]) == EXIT_OK
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == CUT_SIEVE_SHA256
+
+
 def test_readme_sieve_output_bytes_pinned_under_optimize():
     # python -O strips asserts; the sieve's internal checks are raises, so
     # the optimized run does and prints the same
@@ -268,17 +284,25 @@ def test_verify_all_under_optimize_flag():
                                     "diocurves.heights", "multiprocessing",
                                     "concurrent.futures.process"])
 def test_cli_import_leaves_module_unloaded(module):
-    # numpy is loaded by the point-counting kernel alone, so the import and
-    # `dataset` never pay for it; sympy and mpmath are test-only oracles,
-    # the heights serve only a script and the tests, and the process pool
-    # is loaded only where a command starts one
+    # numpy is loaded by the point-counting kernels at p >= 1000 alone, so
+    # the import, `dataset`, `induce` and a sieve at the default N never pay
+    # for it; sympy and mpmath are test-only oracles, the heights serve only
+    # a script and the tests, and the process pool is loaded only where a
+    # command starts one.  The exit code is the number of the first command
+    # after which the module is loaded
     src = pathlib.Path(diocurves.__file__).resolve().parents[1]
-    code = ("import sys, diocurves.cli as c; "
-            f"c.main(['dataset', '--out', {os.devnull!r}]); "
-            f"sys.exit({module!r} in sys.modules)")
+    commands = [["dataset"], ["induce", "{1,3,8}"],
+                ["sieve", "K_PLUSMINUS", "--numerators", "1:6",
+                 "--denominators", "1:2"]]
+    code = ("import sys, diocurves.cli as c\n"
+            f"for i, argv in enumerate({commands!r}, 1):\n"
+            f"    assert c.main([*argv, '--out', {os.devnull!r}]) == 0\n"
+            f"    if {module!r} in sys.modules:\n"
+            "        sys.exit(i)\n")
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
-    assert proc.returncode == 0
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_internal_error_is_exit_70_without_traceback(monkeypatch, capsys):

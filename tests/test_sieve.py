@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import diocurves
 import diocurves.sieve as sieve_mod
@@ -20,6 +21,7 @@ from diocurves.sieve import (
     mestre_nagao_sum,
     mestre_nagao_sums,
     primes_upto,
+    summand_forms,
     trace_of_frobenius,
 )
 from diocurves.triples import induced_curves, make_triple
@@ -66,6 +68,16 @@ def test_count_points_p2_and_bad_primes():
         count_points_fp(E37, 37)
     with pytest.raises(BadReduction):
         count_points_fp(E11, 11)
+
+
+@pytest.mark.parametrize("n", [-7, 0, 1, 4, 9, 77, 121, 561, 1001])
+def test_count_points_refuses_composite_moduli(n):
+    # the point count, and the trace and summand built on it, are defined
+    # at primes only; a composite used to return a number (152 at 121)
+    E = induced_curves(make_triple(1, 3, 8)).curve
+    for f in (count_points_fp, trace_of_frobenius, summand_forms):
+        with pytest.raises(BadReduction, match=f"^{n} is not a prime$"):
+            f(E, n)
 
 
 def reference_count(E, p):
@@ -218,6 +230,9 @@ def test_clear_denominators_builds_each_model_once():
 
 # integral, odd a1 and a3: the two-torsion x are -1, 3 and -13/4
 E15A = CurveQ(1, 1, 1, -10, -10)
+# y^2 = x^3 - x: its two-torsion x are 0 and +-1, distinct mod 3, where
+# every induced curve tried has bad reduction
+E32 = CurveQ(0, 0, 0, -1, 0)
 
 
 def _with_models(E):
@@ -281,7 +296,7 @@ def test_curves_without_rational_two_torsion_count_by_polynomial(monkeypatch):
 
     monkeypatch.setattr(sieve_mod, "_count_odd", counting_odd)
     monkeypatch.setattr(sieve_mod, "_count_roots", _forbidden)
-    monkeypatch.setattr(sieve_mod, "_count_roots_packed", _forbidden)
+    monkeypatch.setattr(sieve_mod, "_count_roots_int", _forbidden)
     for E in curves:
         for p in (101, 499):
             want = reference_count(E, p)
@@ -301,63 +316,85 @@ def test_curves_without_rational_two_torsion_count_by_polynomial(monkeypatch):
 
 def _packed_kernel_curves():
     """Induced curves with their cleared and minimal models (some minimal
-    models have a1 != 0), z2z8 members, and an odd a1 and a3."""
+    models have a1 != 0), z2z8 members, an odd a1 and a3, and a curve of
+    good reduction at 3."""
     curves = _root_kernel_curves()
     curves += [induced_curves(z2z8_family(T)).curve
                for T in (F(-11, 3), F(5, 9), F(23, 17), F(-2, 49))]
-    return curves + [E15A]
+    return curves + [E15A, E32]
 
 
-def test_packed_counts_match_count_points_fp(monkeypatch):
+def _recording(monkeypatch, name, rows):
+    """Replace the kernel sieve.<name> by one that also appends (p, number
+    of curves) to rows for each call."""
+    real = getattr(sieve_mod, name)
+
+    def recording(batch, p):
+        rows.append((p, len(batch)))
+        return real(batch, p)
+
+    monkeypatch.setattr(sieve_mod, name, recording)
+    return real
+
+
+def test_int_kernel_matches_reference_and_numpy(monkeypatch):
     curves = _packed_kernel_curves()
     assert any(E.a1 != 0 for E in curves)
     odd = primes_upto(2047)[1:]
-    assert odd[0] < sieve_mod._PACK_BELOW < odd[-1]
-    packed = []
-    real = sieve_mod._count_roots_packed
-
-    def recording(roots, primes):
-        packed.append(list(primes))
-        return real(roots, primes)
-
-    monkeypatch.setattr(sieve_mod, "_count_roots_packed", recording)
+    cut = sieve_mod._INT_BELOW
+    assert odd[0] == 3 and odd[0] < cut < odd[-1]
+    int_rows, numpy_rows = [], []
+    count_int = _recording(monkeypatch, "_count_roots_int", int_rows)
+    count_numpy = _recording(monkeypatch, "_count_roots", numpy_rows)
+    at_three, zero_root = [], set()
     for E in curves:
-        good = sieve_mod._good_primes(E, odd)
-        want = [count_points_fp(E, p) for p in good]
-        # the odd good primes below the cut in one kernel call, the rest
-        # one prime at a time
-        packed.clear()
-        assert sieve_mod._count_points_at(E, good) == want, E
-        assert packed == [[p for p in good if p < sieve_mod._PACK_BELOW]]
-        # packed on both sides of the cut, in blocks of many primes
         roots = sieve_mod._integral_data(E)[3]
-        assert sum(good) > 2 * sieve_mod._BLOCK_ELEMENTS
-        assert real(roots, good) == want, E
-        # blocks of one prime each: one prime alone, and primes so large
-        # that no two fit one block
-        assert real(roots, good[-1:]) == want[-1:]
-        big = [p for p in primes_upto(9200) if p > 8192][:4]
-        big = sieve_mod._good_primes(E, big)
-        assert 2 * big[0] > sieve_mod._BLOCK_ELEMENTS
-        assert real(roots, big) == [count_points_fp(E, p) for p in big]
+        good = sieve_mod._good_primes(E, odd)
+        at_three.append(good[0] == 3)
+        want = [reference_count(E, p) for p in good]
+        # the int kernel is exact on both sides of the cut, where numpy's
+        # kernel counts the same
+        assert [count_int([roots], p)[0] for p in good] == want, E
+        assert [count_numpy([roots], p)[0] for p in good] == want, E
+        zero_root.update(p for p in good if any(r % p == 0 for r in roots))
+        # the one-curve path: one int kernel call per prime below the cut,
+        # one numpy call per prime above it
+        int_rows.clear()
+        numpy_rows.clear()
+        assert sieve_mod._count_points_at(E, good) == want, E
+        assert int_rows == [(p, 1) for p in good if p < cut]
+        assert numpy_rows == [(p, 1) for p in good if p > cut]
+    # p = 3, the shortest table, and a root that reduces to 0, which puts
+    # a cleared bit at the table's own zero bit
+    assert any(at_three)
+    assert any(p < cut for p in zero_root)
+    # the grid batch: all the curves at one prime in one call of one kernel
+    for p in (3, 997, 1009, 2039):
+        int_rows.clear()
+        numpy_rows.clear()
+        good = [E for E in curves if reference_count(E, p) is not None]
+        data = [sieve_mod._integral_data(E) for E in good]
+        assert sieve_mod._count_good(data, p) == \
+            [reference_count(E, p) for E in good], p
+        assert (int_rows if p < cut else numpy_rows) == [(p, len(good))]
+        assert (numpy_rows if p < cut else int_rows) == []
 
 
-def test_packed_blocks_stay_within_the_block_bound(monkeypatch):
-    # each block's doubled chi table is the one np.full it allocates
-    import numpy as np
-    tables = []
-    real_full = np.full
-
-    def recording(shape, *args, **kwargs):
-        tables.append(shape)
-        return real_full(shape, *args, **kwargs)
-
-    monkeypatch.setattr(np, "full", recording)
-    E = _packed_kernel_curves()[0]
-    good = sieve_mod._good_primes(E, primes_upto(2047)[1:])
-    sieve_mod._count_roots_packed(sieve_mod._integral_data(E)[3], good)
-    assert len(tables) > 1
-    assert max(tables) <= 2 * sieve_mod._BLOCK_ELEMENTS
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(z2z8=st.booleans(), n=st.integers(-60, 60), d=st.integers(1, 12),
+       p=st.sampled_from(primes_upto(999)[1:]))
+def test_int_kernel_matches_reference_on_family_members(z2z8, n, d, p):
+    try:
+        triple = (z2z8_family(F(n, d)) if z2z8
+                  else family_k(K_PLUSMINUS, F(n, d)))
+    except DiocurvesError:
+        assume(False)
+    E = induced_curves(triple).curve
+    want = reference_count(E, p)
+    assume(want is not None)
+    roots = sieve_mod._integral_data(E)[3]
+    assert sieve_mod._count_roots_int([roots], p) == [want]
+    assert count_points_fp(E, p) == want
 
 
 def test_count_points_at_bad_primes_raise():
@@ -371,8 +408,8 @@ def test_count_points_at_bad_primes_raise():
 
 @pytest.mark.parametrize("limit", [200, 1000, 10**4])
 def test_one_curve_score_is_its_score_in_a_batch(limit):
-    # the one-curve sum counts with the packed kernel, the batch with the
-    # one-prime kernels; the floats must still agree bit for bit
+    # the one-curve sum counts one row per kernel call, the batch many;
+    # both sides of the int kernel's cut, and the floats agree bit for bit
     curves = _packed_kernel_curves()[::2] + [
         E11, dataset_record("s3-rank9").curve]
     batch = mestre_nagao_sums(curves, limit)

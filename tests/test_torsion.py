@@ -195,26 +195,26 @@ def test_reduction_bound_walks_the_same_primes(monkeypatch, prime_count):
         calls.append(list(primes))
         return real(E, primes)
 
-    blocks = []
-    real_packed = sieve._count_roots_packed
+    int_rows = []
+    real_int = sieve._count_roots_int
 
-    def recording_packed(roots, primes):
-        blocks.append(sum(primes))
-        return real_packed(roots, primes)
+    def recording_int(roots, p):
+        int_rows.append(p)
+        return real_int(roots, p)
 
     monkeypatch.setattr(torsion, "_count_points_at", recording)
-    monkeypatch.setattr(sieve, "_count_roots_packed", recording_packed)
+    monkeypatch.setattr(sieve, "_count_roots_int", recording_int)
     for E, bound in zip(curves, want):
+        primes = _first_good_odd_primes(E, prime_count)
         calls.clear()
-        blocks.clear()
+        int_rows.clear()
         assert reduction_torsion_bound(E, prime_count) == bound
-        assert calls == [_first_good_odd_primes(E, prime_count)]
-        # with split two-torsion, one packed kernel call; the default 20
-        # primes fit one block of it
+        assert calls == [primes]
+        # with split two-torsion, every prime is below the int kernel's
+        # cut and counted by it, so the bound loads no numpy
         split = len(two_torsion_points(E)) == 3
-        assert len(blocks) == split
-        if split and prime_count == 20:
-            assert blocks[0] <= sieve._BLOCK_ELEMENTS
+        assert int_rows == (primes if split else [])
+        assert primes[-1] < sieve._INT_BELOW
 
 
 def test_torsion_trivial():
