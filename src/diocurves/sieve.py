@@ -199,11 +199,11 @@ def _nonresidues(p: int) -> tuple[int, int]:
     """(N | N << p, 2^p - 1) for the p-bit int N whose bit X is set when X
     is a quadratic non-residue mod the odd prime p.
 
-    Built at C speed: character X of a bytearray of ASCII 1s is zeroed by
-    map at 0 and at each square.  int(..., 2) reads the most significant
+    Built at C speed: in a bytearray of ASCII 1s, character X is zeroed at
+    0 and, by map, at each square.  int(..., 2) reads the most significant
     bit first, so it parses the reversed text, where bit X is the
-    character at p - 1 - X.  Only primes below _INT_BELOW are asked for,
-    so the cache holds at most 167 entries.
+    character at p - 1 - X.  ``_count_good`` asks for primes below
+    _INT_BELOW only, so there the cache holds at most 167 entries.
     """
     text = bytearray(b"1") * p
     text[0] = ord("0")
