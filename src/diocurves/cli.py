@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import inspect
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, NamedTuple, Optional, Sequence, TextIO
 
 from ._pool import ordered_map
 from .descent import naive_point_search, rank_lower_bound
@@ -53,10 +51,12 @@ MAX_HEIGHT_BOUND = 8.0
 # from 1000 on with numpy arrays of p entries (below it, in one p-bit int);
 # the package itself never goes beyond 10**4
 MAX_N = 10**6
+# the sieve builds every fraction of its numerators x denominators box, one
+# curve per reduced one, before it scores any; a larger box is refused
+MAX_GRID_CELLS = 10**6
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     """Pipeline knobs; every default is part of the output contract."""
 
     N: int = 1000                 # sieve sum depth
@@ -79,8 +79,8 @@ class Config:
 
 # config-file key -> parser of its value text, one per Config field; the
 # flags and the key=value file use the same names
-_CONFIG_KEYS = {f.name: str if f.default is None else type(f.default)
-                for f in fields(Config)}
+_CONFIG_KEYS = {name: str if default is None else type(default)
+                for name, default in Config._field_defaults.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,10 +116,10 @@ def _build_config(args) -> Config:
     path = getattr(args, "config", None)
     if path:
         raw = _read_config_file(path)
-        cfg = replace(cfg, **{k: _CONFIG_KEYS[k](v) for k, v in raw.items()})
+        cfg = cfg._replace(**{k: _CONFIG_KEYS[k](v) for k, v in raw.items()})
     overrides = {k: getattr(args, k) for k in _CONFIG_KEYS
                  if getattr(args, k, None) is not None}
-    return replace(cfg, **overrides).validated()
+    return cfg._replace(**overrides).validated()
 
 
 # --------------------------------------------------------------------------
@@ -319,7 +319,8 @@ def cmd_sieve(family_id: str, numerators: tuple[int, int],
 
         _emit(lines, out)
         print(f"{family_id}: scored {len(scored)} parameters, "
-              f"kept {kept_n}, skipped {len(lines) - kept_n} degenerate",
+              f"kept {kept_n}, skipped {len(lines) - kept_n} invalid "
+              "(degenerate or not Diophantine)",
               file=sys.stderr)
         return EXIT_OK
 
@@ -427,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the grid is one-dimensional, so only one-parameter families sieve
     p_sieve.add_argument("family", choices=sorted(
         family for family, ctor in FAMILY_CONSTRUCTORS.items()
-        if len(inspect.signature(ctor).parameters) == 1))
+        if ctor.__code__.co_argcount == 1))
     p_sieve.add_argument("--numerators", required=True,
                          help="numerator range LO:HI")
     p_sieve.add_argument("--denominators", required=True,
@@ -468,6 +469,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     raise ValueError(f"denominator range "
                                      f"{args.denominators!r} holds no "
                                      "positive integer")
+                cells = (nums[1] - nums[0] + 1) * (dens[1] - dens[0] + 1)
+                if cells > MAX_GRID_CELLS:
+                    raise ValueError(f"the grid has {cells} cells, more "
+                                     f"than {MAX_GRID_CELLS}")
             except ValueError as exc:
                 print(f"bad range: {exc}", file=sys.stderr)
                 return EXIT_USAGE

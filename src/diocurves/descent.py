@@ -17,9 +17,8 @@ x-coordinates of a naive-height box, in the manner of Stoll's ratpoints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .rationals import square_class
 from .torsion import _a_half, _square_completed, point_order, torsion_subgroup
@@ -180,8 +179,7 @@ def _echelon(vectors: Sequence[int]) \
     return rows, gained
 
 
-@dataclass(frozen=True)
-class IndependenceResult:
+class IndependenceResult(NamedTuple):
     independent: bool          # True: certified; False: merely inconclusive
     rank_gain: int             # new F2 dimensions beyond the torsion image
     pivot_indices: tuple[int, ...]
@@ -217,8 +215,7 @@ _SQUARES = {p: tuple(pow(r, (p - 1) // 2, p) != p - 1 for r in range(p))
             for p in _SIEVE_PRIMES}
 
 
-@dataclass(frozen=True)
-class RankBound:
+class RankBound(NamedTuple):
     bound: int
     method: str                      # "descent": two-descent and halving
     certificate_indices: tuple[int, ...]

@@ -11,7 +11,7 @@ input always produces the same output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ZeroInput
 
@@ -93,8 +93,7 @@ def _brent_rho(n: int, c: int, steps: int) -> tuple[int, int]:
     return g, used
 
 
-@dataclass
-class Factorization:
+class Factorization(NamedTuple):
     """Best-effort factorization: prime powers plus an unfactored cofactor.
 
     Invariant: sign * prod(p**e) * cofactor == n, with every listed p prime
@@ -102,7 +101,7 @@ class Factorization:
     """
 
     sign: int
-    factors: list[tuple[int, int]] = field(default_factory=list)
+    factors: list[tuple[int, int]]
     cofactor: int = 1
 
     @property

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import ConditionFailed, DatasetCorrupt, DegenerateParameter
 from .rationals import QQ, is_perfect_square
@@ -34,8 +33,7 @@ Z2Z6_UV = "Z2Z6_UV"
 Z2Z8_T = "Z2Z8_T"
 
 
-@dataclass(frozen=True)
-class FamilyMember:
+class FamilyMember(NamedTuple):
     family_id: str
     parameters: tuple
     triple: Triple
@@ -195,8 +193,7 @@ def make_family_member(family_id: str, *parameters) -> FamilyMember:
     return FamilyMember(family_id, params, ctor(*params))
 
 
-@dataclass(frozen=True)
-class ConditionWitness:
+class ConditionWitness(NamedTuple):
     holds: bool
     witnesses: tuple
 
@@ -249,8 +246,7 @@ FAMILY_TORSION_SHAPES: dict[str, tuple[int, int]] = {
 }
 
 
-@dataclass(frozen=True)
-class PaperRecord:
+class PaperRecord(NamedTuple):
     """One published record: a triple, optionally its minimal model and
     the published torsion and infinite-order points.
 

@@ -22,9 +22,8 @@ and the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ._poly import gcdex
 from .errors import PointNotOnCurve
@@ -38,8 +37,7 @@ from .weierstrass import (CurveQ, PointQ, _map_point, _memo, add,
 # duplication data: Bezout constant and growth bounds
 
 
-@dataclass(frozen=True)
-class _DuplicationData:
+class _DuplicationData(NamedTuple):
     b: tuple[int, int, int, int]          # b2, b4, b6, b8 of the integral model
     bezout_constant: int                  # C with U F + V g = C, U, V in Z[x]
     log_rho_max: float
@@ -210,8 +208,7 @@ def height_pairing(E: CurveQ, P: PointQ, Q: PointQ,
             - canonical_height(E, D, each)) / 2.0
 
 
-@dataclass(frozen=True)
-class GramCertificate:
+class GramCertificate(NamedTuple):
     matrix: tuple[tuple[float, ...], ...]
     determinant: float
     error_bound: float

@@ -52,9 +52,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BadReduction
 from .factoring import is_probable_prime
@@ -309,8 +308,7 @@ def summand_forms(E: CurveQ, p: int) -> tuple[float, float]:
     return ((1.0 - (p - 1) / n) * logp, ((2 - a) / (p + 1 - a)) * logp)
 
 
-@dataclass(frozen=True)
-class SieveResult:
+class SieveResult(NamedTuple):
     value: float
     primes_used: int
     primes_skipped: int

@@ -25,9 +25,8 @@ and the bound never loads numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from ._poly import mul, rational_roots, sub
 from .errors import FormMismatch
@@ -313,8 +312,7 @@ def _torsion_candidates_from_poly(E: CurveQ, q: int) -> list[PointQ]:
 # assembly
 
 
-@dataclass(frozen=True)
-class TorsionSubgroup:
+class TorsionSubgroup(NamedTuple):
     points: tuple[PointQ, ...]
     order: int
     invariants: tuple[int, ...]     # invariant factors, e.g. (2, 8)

@@ -18,9 +18,8 @@ construction and never solves its cubic for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     DegenerateTriple,
@@ -75,8 +74,7 @@ def validate_tuple(values: Sequence[Fraction]) -> dict[tuple[int, int], Fraction
     return roots
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     a: Fraction
     b: Fraction
     c: Fraction
@@ -119,8 +117,7 @@ def euler_extension(a: Fraction, b: Fraction, sign: int = 1) -> Fraction:
     return c
 
 
-@dataclass(frozen=True)
-class InducedCurves:
+class InducedCurves(NamedTuple):
     """Both models induced by a triple, plus the gluing data.
 
     cubic holds (c3, c2, c1, c0) with the original model
@@ -169,8 +166,7 @@ def induced_curves(t: Triple) -> InducedCurves:
     return InducedCurves(t, cubic, curve, scale)
 
 
-@dataclass(frozen=True)
-class CanonicalPoints:
+class CanonicalPoints(NamedTuple):
     """The stock rational points on the companion model of a triple."""
 
     two_torsion: tuple[PointQ, PointQ, PointQ]
@@ -206,8 +202,7 @@ def canonical_points(t: Triple, curves: InducedCurves | None = None) -> Canonica
     return CanonicalPoints(torsion, x_zero, x_one, half)
 
 
-@dataclass(frozen=True)
-class QuadrupleExtension:
+class QuadrupleExtension(NamedTuple):
     """The two closed-form fourth elements of a triple.
 
     Each branch value d satisfies a d + 1 = square (and likewise for b, c)

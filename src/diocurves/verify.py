@@ -22,8 +22,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from ._pool import available_cpus, ordered_map
 from .descent import rank_lower_bound
@@ -50,8 +49,7 @@ RANK_DISCLAIMER = (
     "are computed exactly.")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     section: str
     passed: bool
@@ -73,25 +71,35 @@ def _result(check_id: str, section: str, t0: float, passed: bool,
 def _random_triples(count: int, seed: int) -> list[Triple]:
     """Random valid triples with small parameters, Euler-style.
 
-    Pick a and a root r at random; b = (r^2 - 1)/a makes ab + 1 = r^2,
-    and c = a + b + 2r completes a valid triple in closed form.
+    Pick a = A/p and a root r = R/q >= 0 at random; b = (r^2 - 1)/a makes
+    ab + 1 = r^2, and c = a + b + 2r = ((a + r)^2 - 1)/a completes a valid
+    triple in closed form, with ac + 1 = (a + r)^2 and bc + 1 = (b + r)^2.
+    Each element and root is one Fraction of integers, and each root is
+    checked by squaring it in integers, so the triple is the one
+    `make_triple` validates.
     """
     rng = random.Random(seed)
     out: list[Triple] = []
     while len(out) < count:
-        a = QQ(rng.randint(-9, 9), rng.randint(1, 9))
-        r = QQ(rng.randint(0, 9), rng.randint(1, 9))
-        if a == 0:
+        A, p = rng.randint(-9, 9), rng.randint(1, 9)
+        R, q = rng.randint(0, 9), rng.randint(1, 9)
+        if A == 0:
             continue
-        b = (r * r - 1) / a
-        c = a + b + 2 * r
-        vals = (a, b, c)
-        if 0 in vals or len(set(vals)) != 3:
+        qq = q * q
+        # b = B/Bd, a + r = S/(pq), c = C/Cd and b + r = U/Bd
+        B, Bd = p * (R * R - qq), A * qq
+        S = A * q + R * p
+        C, Cd = S * S - p * p * qq, A * p * qq
+        U = B + R * A * q
+        a, b, c = QQ(A, p), QQ(B, Bd), QQ(C, Cd)
+        if b == 0 or c == 0 or a == b or a == c or b == c:
             continue
-        try:
-            out.append(make_triple(*vals))
-        except _INVALID_TRIPLE:
-            continue
+        if ((A * B + p * Bd) * qq != R * R * p * Bd
+                or (A * C + p * Cd) * p * p * qq != S * S * p * Cd
+                or (B * C + Bd * Cd) * Bd * Bd != U * U * Bd * Cd):
+            raise ArithmeticError(f"{{{a}, {b}, {c}}} is not Diophantine")
+        out.append(Triple(a, b, c, QQ(R, q), QQ(abs(S), p * q),
+                          QQ(abs(U), abs(Bd))))
     return out
 
 
@@ -135,11 +143,15 @@ def check_euler_doubling(count: int = 500, seed: int = 202) -> CheckResult:
         except ArithmeticError:
             bad += 1
             continue
-        a, b = t.a, t.b
-        r = t.root_ab
-        s, u = a + r, b + r
-        R = PointQ(r * s + r * u + s * u + 1,
-                   (r + s) * (r + u) * (s + u))
+        # r = N/k, s = a + r = S/j and u = b + r = U/i, in integers
+        (A, p), (B, q), (N, k) = (v.as_integer_ratio()
+                                  for v in (t.a, t.b, t.root_ab))
+        S, j = A * k + N * p, p * k
+        U, i = B * k + N * q, q * k
+        den = i * j * k
+        R = PointQ(QQ(N * S * i + N * U * j + S * U * k + den, den),
+                   QQ((N * j + S * k) * (N * i + U * k) * (S * i + U * j),
+                      den * den))
         if scalar_mul(ic.curve, 2, cp.x_zero) != neg(ic.curve,
                                                      dbl(ic.curve, R)):
             bad += 1

@@ -46,9 +46,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 from ._poly import rational_roots
 from .errors import ParseError, PointNotOnCurve, SingularCurve
@@ -62,8 +61,9 @@ _T = TypeVar("_T")
 def _memo(E: CurveQ, name: str, build: Callable[[CurveQ], _T]) -> _T:
     """build(E), computed once per curve object and kept on it.
 
-    The value lives in the frozen instance's __dict__ under `name`, not in
-    a dataclass field, so ==, hash and repr never see it.
+    The value lives in the frozen instance's __dict__ under `name`, beside
+    the fields, so ==, hash and repr, which read the fields alone, never
+    see it.
     """
     try:
         return E.__dict__[name]
@@ -72,44 +72,81 @@ def _memo(E: CurveQ, name: str, build: Callable[[CurveQ], _T]) -> _T:
         return value
 
 
-@dataclass(frozen=True)
-class CurveQ:
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
-    a6: Fraction
+# sets a field of a _Frozen instance, past its raising __setattr__
+_set = object.__setattr__
 
-    def __post_init__(self):
-        for name in ("a1", "a2", "a3", "a4", "a6"):
-            object.__setattr__(self, name, to_fraction(getattr(self, name)))
+
+class _Frozen:
+    """Base of the immutable value types.
+
+    Each subclass's __init__ checks and normalises its arguments and sets
+    each field once with `_set`; assignment and deletion raise afterwards.
+    == and hash read the tuple of fields `_key` returns, and an instance
+    equals only instances of its own class.  The fields live in the
+    instance __dict__, which pickling stores and restores, so it needs no
+    method of its own.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CurveQ(_Frozen):
+    """The model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6."""
+
+    def __init__(self, a1, a2, a3, a4, a6):
+        _set(self, "a1", to_fraction(a1))
+        _set(self, "a2", to_fraction(a2))
+        _set(self, "a3", to_fraction(a3))
+        _set(self, "a4", to_fraction(a4))
+        _set(self, "a6", to_fraction(a6))
         if _int_invariants(self)[-1] == 0:
             raise SingularCurve(f"discriminant is zero for {self}")
 
     def coefficients(self) -> tuple[Fraction, ...]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
+    _key = coefficients
+
     def __repr__(self):
         return "CurveQ[%s]" % ",".join(format_rational(a) for a in self.coefficients())
 
 
-@dataclass(frozen=True)
-class PointQ:
+class PointQ(_Frozen):
     """Affine point or the point at infinity (x = y = None)."""
 
-    x: Fraction | None
-    y: Fraction | None
-
-    def __post_init__(self):
-        if (self.x is None) != (self.y is None):
+    def __init__(self, x, y):
+        if x is None and y is None:
+            _set(self, "x", None)
+            _set(self, "y", None)
+        elif x is None or y is None:
             raise ParseError("point needs both coordinates or neither")
-        if self.x is not None:
-            object.__setattr__(self, "x", to_fraction(self.x))
-            object.__setattr__(self, "y", to_fraction(self.y))
+        else:
+            _set(self, "x", to_fraction(x))
+            _set(self, "y", to_fraction(y))
 
     @property
     def is_infinity(self) -> bool:
         return self.x is None
+
+    def _key(self) -> tuple[Fraction | None, Fraction | None]:
+        return (self.x, self.y)
 
     def __repr__(self):
         if self.is_infinity:
@@ -120,16 +157,21 @@ class PointQ:
 INFINITY = PointQ(None, None)
 
 
-@dataclass(frozen=True)
-class Invariants:
-    b2: Fraction
-    b4: Fraction
-    b6: Fraction
-    b8: Fraction
-    c4: Fraction
-    c6: Fraction
-    disc: Fraction
-    j: Fraction
+class Invariants(_Frozen):
+    """The b- and c-invariants, the discriminant and the j-invariant."""
+
+    def __init__(self, b2, b4, b6, b8, c4, c6, disc, j):
+        for name, value in (("b2", b2), ("b4", b4), ("b6", b6), ("b8", b8),
+                            ("c4", c4), ("c6", c6), ("disc", disc), ("j", j)):
+            _set(self, name, value)
+
+    def _key(self) -> tuple[Fraction, ...]:
+        return (self.b2, self.b4, self.b6, self.b8, self.c4, self.c6,
+                self.disc, self.j)
+
+    def __repr__(self):
+        return ("Invariants(b2=%r, b4=%r, b6=%r, b8=%r, c4=%r, c6=%r, "
+                "disc=%r, j=%r)" % self._key())
 
 
 def invariants(E: CurveQ) -> Invariants:
@@ -371,23 +413,25 @@ def scalar_mul(E: CurveQ, n: int, P: PointQ) -> PointQ:
 # model maps
 
 
-@dataclass(frozen=True)
-class ModelMap:
+class ModelMap(_Frozen):
     """Change of variables x = u^2 x' + r, y = u^3 y' + u^2 s x' + t.
 
     (x, y) lives on the source model, (x', y') on the target.
     """
 
-    u: Fraction
-    r: Fraction
-    s: Fraction
-    t: Fraction
-
-    def __post_init__(self):
-        for name in ("u", "r", "s", "t"):
-            object.__setattr__(self, name, to_fraction(getattr(self, name)))
+    def __init__(self, u, r, s, t):
+        _set(self, "u", to_fraction(u))
+        _set(self, "r", to_fraction(r))
+        _set(self, "s", to_fraction(s))
+        _set(self, "t", to_fraction(t))
         if self.u == 0:
             raise SingularCurve("model map needs u != 0")
+
+    def _key(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        return (self.u, self.r, self.s, self.t)
+
+    def __repr__(self):
+        return "ModelMap(u=%r, r=%r, s=%r, t=%r)" % self._key()
 
     def inverse(self) -> "ModelMap":
         u, r, s, t = self.u, self.r, self.s, self.t
@@ -550,8 +594,7 @@ def complete_the_square(E: CurveQ) -> tuple[CurveQ, ModelMap]:
 # minimal models (Laska-Kraus-Connell, best effort within the factoring bound)
 
 
-@dataclass(frozen=True)
-class MinimalModelResult:
+class MinimalModelResult(NamedTuple):
     curve: CurveQ
     map: ModelMap          # carries the input model to .curve
     complete: bool         # False when a factoring shortfall may have

@@ -4,10 +4,12 @@ import io
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -209,6 +211,46 @@ def test_sieve_bad_range():
                  "--denominators", "1:2"]) == EXIT_USAGE
 
 
+def test_sieve_summary_counts_invalid_parameters(capsys):
+    # of the 198 skipped values of c, 196 fail as NotDiophantine and only
+    # c = 1 and c = 3 are degenerate
+    assert run(["sieve", "ONE_THREE_C", "--numerators", "1:200",
+                "--denominators", "1:1", "--N", "150"]) == EXIT_OK
+    captured = capsys.readouterr()
+    errors = [json.loads(line).get("error")
+              for line in captured.out.splitlines()]
+    assert (errors.count("NotDiophantine"), errors.count("DegenerateTriple"),
+            errors.count(None)) == (196, 2, 1)
+    assert captured.err.endswith(
+        "ONE_THREE_C: scored 2 parameters, kept 1, skipped 198 invalid "
+        "(degenerate or not Diophantine)\n")
+
+
+@pytest.mark.parametrize("numerators, refused", [
+    ("1:1000", False), ("1:1001", True), ("1:100000000", True),
+    (f"-{10 ** 9}:{10 ** 9}", True)], ids=["at-limit", "one-row-over",
+                                           "huge", "negative-to-positive"])
+def test_sieve_oversized_grid_is_refused_up_front(tmp_path, monkeypatch,
+                                                  capsys, numerators,
+                                                  refused):
+    # the grid builds every cell of its box, so a box over MAX_GRID_CELLS
+    # is a usage error before --out is opened or any cell is built
+    sieved = []
+    monkeypatch.setattr(cli, "cmd_sieve",
+                        lambda *args: sieved.append(args) or EXIT_OK)
+    out = tmp_path / "f.jsonl"
+    code = run(["sieve", "K_PLUSMINUS", f"--numerators={numerators}",
+                "--denominators", "1:1000", "--out", str(out)])
+    assert cli.MAX_GRID_CELLS == 10 ** 6
+    if not refused:
+        assert code == EXIT_OK and len(sieved) == 1
+        return
+    assert code == EXIT_USAGE and sieved == [] and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("bad range: the grid has ") and \
+        err.endswith(f"cells, more than {10 ** 6}\n")
+
+
 def test_sieve_refuses_two_parameter_family(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["sieve", "Z2Z6_UV", "--numerators", "1:3",
@@ -282,14 +324,17 @@ def test_verify_all_under_optimize_flag():
 
 @pytest.mark.parametrize("module", ["sympy", "numpy", "mpmath",
                                     "diocurves.heights", "multiprocessing",
-                                    "concurrent.futures.process"])
+                                    "concurrent.futures.process",
+                                    "dataclasses", "inspect"])
 def test_cli_import_leaves_module_unloaded(module):
     # numpy is loaded by the point-counting kernels at p >= 1000 alone, so
     # the import, `dataset`, `induce` and a sieve at the default N never pay
     # for it; sympy and mpmath are test-only oracles, the heights serve only
     # a script and the tests, and the process pool is loaded only where a
-    # command starts one.  The exit code is the number of the first command
-    # after which the module is loaded
+    # command starts one.  The records and value types write their methods
+    # in the source, so no class is generated by dataclasses (which loads
+    # inspect) on a cold start.  The exit code is the number of the first
+    # command after which the module is loaded
     src = pathlib.Path(diocurves.__file__).resolve().parents[1]
     commands = [["dataset"], ["induce", "{1,3,8}"],
                 ["sieve", "K_PLUSMINUS", "--numerators", "1:6",
@@ -439,6 +484,25 @@ def test_broken_doubling_identity_is_a_counted_failure(monkeypatch):
     stream = io.StringIO()
     assert cli.cmd_verify("s1", False, stream=stream) == EXIT_VERIFY_FAILED
     assert stream.getvalue().count("FAIL [s1]") == 2
+
+
+@pytest.mark.parametrize("seed, count", [(101, 800), (202, 500)])
+def test_random_triples_are_the_validated_euler_triples(seed, count):
+    # the check inputs built in integers are, in order, the triples that
+    # Fraction operators and make_triple give for the same draws
+    rng = random.Random(seed)
+    want = []
+    while len(want) < count:
+        a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        r = Fraction(rng.randint(0, 9), rng.randint(1, 9))
+        if a == 0:
+            continue
+        b = (r * r - 1) / a
+        vals = (a, b, a + b + 2 * r)
+        if 0 in vals or len(set(vals)) != 3:
+            continue
+        want.append(make_triple(*vals))
+    assert verify._random_triples(count, seed) == want
 
 
 def test_light_record_check_requires_equal_torsion(monkeypatch):

@@ -5,6 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 from diocurves.heights import canonical_height
+from diocurves.sieve import SieveResult
+from diocurves.triples import make_triple
+from diocurves.verify import CheckResult
 from diocurves.errors import ParseError, PointNotOnCurve, SingularCurve
 from diocurves.torsion import torsion_subgroup
 from diocurves.weierstrass import (
@@ -329,3 +332,38 @@ def test_memo_is_invisible_to_equality_hash_repr_and_pickle():
     assert invariants(back) == invariants(fresh)
     assert clear_denominators(back) == clear_denominators(fresh)
     assert canonical_height(back, P) == canonical_height(fresh, P) == h
+
+
+def test_value_types_and_records_keep_their_behaviour():
+    # the value types and records write their methods in the source; each
+    # is immutable, compares and hashes by its fields, keeps its repr, and
+    # crosses a process boundary by pickle
+    E = CurveQ(0, 0, 1, -1, 0)
+    P = PointQ(F(1, 4), F(-5, 8))
+    M = ModelMap(2, F(1, 3), 0, -1)
+    t = make_triple(1, 3, 8)
+    score = SieveResult(8.5, 160, 1)
+    for obj, field in ((E, "a1"), (P, "x"), (M, "u"), (t, "a"),
+                       (score, "value"), (invariants(E), "j")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 0)
+    assert hash(P) == hash((P.x, P.y)) and hash(E) == hash(E.coefficients())
+    assert hash(M) == hash((M.u, M.r, M.s, M.t))
+    assert hash(score) == hash((8.5, 160, 1))
+    assert PointQ(1, 2) != (1, 2) and (1, 2) != PointQ(1, 2)
+    assert E != E.coefficients() and M != (M.u, M.r, M.s, M.t)
+    assert PointQ(1, 2) == PointQ(F(1), 2) and {PointQ(1, 2), PointQ(1, 2)} \
+        == {PointQ(F(2, 2), F(4, 2))}
+    assert (repr(P), repr(INFINITY), repr(E), repr(t)) == (
+        "[1/4,-5/8]", "O", "CurveQ[0,0,1,-1,0]", "{1, 3, 8}")
+    assert repr(M) == ("ModelMap(u=Fraction(2, 1), r=Fraction(1, 3), "
+                       "s=Fraction(0, 1), t=Fraction(-1, 1))")
+    assert repr(score) == \
+        "SieveResult(value=8.5, primes_used=160, primes_skipped=1)"
+    tors = torsion_subgroup(E)
+    check = CheckResult("doubling-identity", "s1", True, "ok", 0.25)
+    for obj in (tors, check, P, M):
+        back = pickle.loads(pickle.dumps(obj))
+        assert type(back) is type(obj) and back == obj
+        assert hash(back) == hash(obj) and repr(back) == repr(obj)
+    assert repr(tors) == "TorsionSubgroup(trivial)"
