@@ -1,8 +1,9 @@
 """The package's one process pool: an ordered map over independent jobs.
 
 ``sieve --jobs`` certifies its kept candidates with it and ``verify`` runs
-its checks with it.  Results come back in input order whatever the worker
-count, so the output never depends on how many processes ran it.
+its jobs with it, each a check or a group of checks that share warm state.
+Results come back in input order whatever the worker count, so the output
+never depends on how many processes ran it.
 """
 
 from __future__ import annotations

@@ -51,9 +51,12 @@ MAX_HEIGHT_BOUND = 8.0
 # from 1000 on with numpy arrays of p entries (below it, in one p-bit int);
 # the package itself never goes beyond 10**4
 MAX_N = 10**6
-# the sieve builds every fraction of its numerators x denominators box, one
-# curve per reduced one, before it scores any; a larger box is refused
+# the sieve lists every reduced fraction of its numerators x denominators
+# box and keeps a score for each valid one, so a larger box is refused
 MAX_GRID_CELLS = 10**6
+# the sieve builds and scores its grid this many parameters at a time, so
+# it holds the cleared curves of one chunk only (the README grid is one)
+SIEVE_CHUNK = 4096
 
 
 class Config(NamedTuple):
@@ -287,24 +290,27 @@ def cmd_sieve(family_id: str, numerators: tuple[int, int],
     with _open_out(cfg.out) as out:
         ctor = FAMILY_CONSTRUCTORS[family_id]
         lines: list[str] = []
-        grid: list[QQ] = []
-        curves: list[CurveQ] = []
-        for q in _grid(numerators, denominators):
-            try:
-                triple = ctor(q)
-            except (DegenerateParameter, NotDiophantine,
-                    DegenerateTriple) as exc:
-                lines.append(_dumps({
-                    "version": JSONL_VERSION, "kind": "skip",
-                    "family": family_id,
-                    "parameters": [format_rational(q)],
-                    "error": type(exc).__name__, "message": str(exc)}))
-                continue
-            grid.append(q)
-            curves.append(
-                clear_denominators(induced_curves(triple).curve)[0])
-        scored = [(score.value, q) for score, q
-                  in zip(mestre_nagao_sums(curves, cfg.N), grid)]
+        scored: list[tuple[float, QQ]] = []
+        grid = _grid(numerators, denominators)
+        for lo in range(0, len(grid), SIEVE_CHUNK):
+            params: list[QQ] = []
+            curves: list[CurveQ] = []
+            for q in grid[lo:lo + SIEVE_CHUNK]:
+                try:
+                    triple = ctor(q)
+                except (DegenerateParameter, NotDiophantine,
+                        DegenerateTriple) as exc:
+                    lines.append(_dumps({
+                        "version": JSONL_VERSION, "kind": "skip",
+                        "family": family_id,
+                        "parameters": [format_rational(q)],
+                        "error": type(exc).__name__, "message": str(exc)}))
+                    continue
+                params.append(q)
+                curves.append(
+                    clear_denominators(induced_curves(triple).curve)[0])
+            scored.extend((score.value, q) for score, q
+                          in zip(mestre_nagao_sums(curves, cfg.N), params))
 
         kept_n = min(len(scored),
                      max(1, math.ceil(cfg.keep * len(scored)))) \

@@ -24,22 +24,24 @@ the quadratic character mod p.
     default sieve depth, the torsion bound and ``induce`` count, so those
     commands never import numpy, whose import costs more than their own
     work.
-  - From p = _INT_BELOW on, ``_count_roots`` takes three windows
+  - From p = _INT_BELOW on, ``_count_roots`` takes three plain slices
     chi[o:o + p], o = -r_i mod p, of one int8 numpy table of chi laid out
-    twice, multiplies them and sums: there the O(p) int table would cost a
-    one-curve count more than the numpy import saves.
+    twice, multiplies them and sums, one curve at a time: there the O(p)
+    int table would cost a one-curve count more than the numpy import
+    saves.
 * ``_count_odd`` serves the other curves (those whose 2-division
   polynomial does not split over Q), at every odd p: it forms the block's
   polynomial values in one int64 numpy array from the shared rows x^2 and
   4x^3 mod p, reduces them and gathers chi at them.  No curve the package
   builds from a triple reaches it.
 
-Each kernel takes a whole batch of curves at one prime; the numpy kernels
-work in blocks of a bounded number of elements, so memory stays flat
-however many curves are scored.  ``count_points_fp`` and the one-curve
-``_count_points_at`` (the reduction torsion bound, the one-curve
-``mestre_nagao_sum`` and ``verify``'s order-mod-4 check) are the same
-kernels with one row.  numpy is imported inside its two kernels only.
+Each kernel takes a whole batch of curves at one prime; ``_count_roots``
+works one row of p elements at a time and ``_count_odd`` in blocks of a
+bounded number of elements, so memory stays flat however many curves are
+scored.  ``count_points_fp`` and the one-curve ``_count_points_at`` (the
+reduction torsion bound, the one-curve ``mestre_nagao_sum`` and
+``verify``'s order-mod-4 check) are the same kernels with one row.
+numpy is imported inside its two kernels only.
 
 The counts are exact integers; only the Mestre-Nagao summand is a float.
 ``mestre_nagao_sums`` adds it per curve in Python floats, in ascending
@@ -100,7 +102,7 @@ def _build_integral_data(E: CurveQ) -> tuple:
             disc, roots)
 
 
-# elements per kernel block; bounds the kernel's temporaries to a few
+# elements per ``_count_odd`` block; bounds its temporaries to a few
 # hundred kB whatever the batch size (a row longer than this is one block)
 _BLOCK_ELEMENTS = 1 << 14
 
@@ -154,11 +156,11 @@ def _count_roots(roots: Sequence[tuple[int, int, int]], p: int) -> list[int]:
     """#E(F_p) for each curve with integral X-roots (r1, r2, r3) at one odd p.
 
     The count is p + 1 + sum_X chi(X - r1) chi(X - r2) chi(X - r3).  chi is
-    stored twice over, so X -> chi(X + o) for 0 <= o < p is the window
-    chi[o:o + p]: row o of the view that sliding_window_view(chi, p) returns,
-    built here by as_strided, which skips the checks that would cost a
-    one-curve count half its time.  A block gathers its rows, and a
-    product of three values in {-1, 0, 1} stays exact in int8.
+    stored twice over, so X -> chi(X + o) for 0 <= o < p is the slice
+    chi[o:o + p], a view that costs no copy.  Each curve multiplies its
+    three slices, and a product of three values in {-1, 0, 1} stays exact
+    in int8; one row of p elements at a time keeps memory flat however
+    many curves there are.
     """
     import numpy as np
 
@@ -167,18 +169,12 @@ def _count_roots(roots: Sequence[tuple[int, int, int]], p: int) -> list[int]:
     chi[half * half % p] = 1
     chi[0] = 0
     chi[p:] = chi[:p]
-    windows = np.lib.stride_tricks.as_strided(
-        chi, shape=(p + 1, p), strides=chi.strides * 2, writeable=False)
-    offsets = np.array([(-r1 % p, -r2 % p, -r3 % p) for r1, r2, r3 in roots],
-                       dtype=np.intp).reshape(-1, 3)
-    rows = max(1, _BLOCK_ELEMENTS // p)
     counts: list[int] = []
-    for lo in range(0, len(offsets), rows):
-        o = offsets[lo:lo + rows]
-        f = windows[o[:, 0]] * windows[o[:, 1]]
-        f *= windows[o[:, 2]]
-        sums = f.sum(axis=1, dtype=np.int64)
-        counts.extend((sums + (p + 1)).tolist())
+    for r1, r2, r3 in roots:
+        o1, o2, o3 = -r1 % p, -r2 % p, -r3 % p
+        f = chi[o1:o1 + p] * chi[o2:o2 + p]
+        f *= chi[o3:o3 + p]
+        counts.append(int(f.sum(dtype=np.int64)) + p + 1)
     return counts
 
 

@@ -11,10 +11,12 @@ ids) so the command-line ``verify`` subcommand can run any slice; the
 test suite runs them all.  Every check returns a CheckResult and never
 raises on a mere claim failure, only on internal errors.
 
-The checks share no state, so ``run_scope`` runs them on a pool of one
-process per available CPU, and hands the results on in the fixed check
-order.  A check's seconds are its own wall time in the process that ran
-it, timed with the monotonic ``time.perf_counter``.
+The checks are grouped into jobs, and ``run_scope`` runs the jobs on a
+pool of one process per available CPU and hands the results on in the
+fixed check order.  A job is one check, except that the three s2 checks
+are one job (see ``section_checks``), so a run loads numpy in one process
+only.  A check's seconds are its own wall time in the process that ran it,
+timed with the monotonic ``time.perf_counter``.
 """
 
 from __future__ import annotations
@@ -374,6 +376,9 @@ def check_record_s6_big_full() -> CheckResult:
 
 HEAVY_RECORDS = {"s3-rank9", "s4-rank7", "s5-rank4", "s6-connell", "s6-big"}
 
+# checks that run in turn in one process
+Job = tuple[Callable[[], CheckResult], ...]
+
 
 def check_record_light(rid: str) -> CheckResult:
     """Triple-only record: validity, family rebuild, exact torsion shape."""
@@ -395,34 +400,39 @@ def check_record_light(rid: str) -> CheckResult:
     return _result(f"record-{rid}", rec.section, t0, not problems, detail)
 
 
-def _light_checks(section: str) -> list[Callable[[], CheckResult]]:
+def _light_checks(section: str) -> list[Job]:
     out = []
     for rec in paper_dataset():
         if rec.section == section and rec.record_id not in HEAVY_RECORDS:
-            out.append(lambda rid=rec.record_id: check_record_light(rid))
+            out.append((lambda rid=rec.record_id: check_record_light(rid),))
     return out
 
 
-def section_checks(section: str, long: bool = False) \
-        -> list[Callable[[], CheckResult]]:
-    checks: dict[str, list] = {
-        "s1": [check_doubling_identity, check_euler_doubling],
-        "s2": [check_summand_forms, check_order_mod_four,
-               check_sieve_reproducibility],
-        "s3": [check_quadruple_extension_fermat,
-               check_quadruple_extension_family,
-               check_record_s3_rank9],
-        "s4": [check_record_s4_rank7],
-        "s5": [check_square_identity_uv, check_t7_reconstruction,
-               check_record_s5_rank4],
-        "s6": [check_z2z8_random, check_record_s6_connell,
-               check_record_s6_big_default],
+def section_checks(section: str, long: bool = False) -> list[Job]:
+    """The jobs of one section, each a tuple of checks run in turn.
+
+    The three s2 checks are one job: they share the numpy import, the int
+    kernel's residue tables and the rank-9 record's integral model, so one
+    process pays for them once.  Every other check is a job of its own.
+    """
+    checks: dict[str, list[Job]] = {
+        "s1": [(check_doubling_identity,), (check_euler_doubling,)],
+        "s2": [(check_summand_forms, check_order_mod_four,
+                check_sieve_reproducibility)],
+        "s3": [(check_quadruple_extension_fermat,),
+               (check_quadruple_extension_family,),
+               (check_record_s3_rank9,)],
+        "s4": [(check_record_s4_rank7,)],
+        "s5": [(check_square_identity_uv,), (check_t7_reconstruction,),
+               (check_record_s5_rank4,)],
+        "s6": [(check_z2z8_random,), (check_record_s6_connell,),
+               (check_record_s6_big_default,)],
     }
     if section not in checks:
         raise UnknownScope(section)
     out = list(checks[section])
     if section == "s6" and long:
-        out.append(check_record_s6_big_full)
+        out.append((check_record_s6_big_full,))
     out.extend(_light_checks(section))
     return out
 
@@ -430,9 +440,8 @@ def section_checks(section: str, long: bool = False) \
 ALL_SECTIONS = ("s1", "s2", "s3", "s4", "s5", "s6")
 
 
-def scope_checks(scope: str, long: bool = False) \
-        -> list[Callable[[], CheckResult]]:
-    """Resolve a scope name to its check list.
+def scope_checks(scope: str, long: bool = False) -> list[Job]:
+    """Resolve a scope name to its jobs, in check order.
 
     Accepts "all", a section tag (s1..s6), or a record id.  Raises
     UnknownScope on anything else.
@@ -448,38 +457,40 @@ def scope_checks(scope: str, long: bool = False) \
     if scope not in known:
         raise UnknownScope(scope)
     heavy = {
-        "s3-rank9": [check_record_s3_rank9],
-        "s4-rank7": [check_record_s4_rank7],
-        "s5-rank4": [check_record_s5_rank4],
-        "s6-connell": [check_record_s6_connell],
-        "s6-big": [check_record_s6_big_full] if long
-        else [check_record_s6_big_default],
+        "s3-rank9": check_record_s3_rank9,
+        "s4-rank7": check_record_s4_rank7,
+        "s5-rank4": check_record_s5_rank4,
+        "s6-connell": check_record_s6_connell,
+        "s6-big": check_record_s6_big_full if long
+        else check_record_s6_big_default,
     }
     if scope in heavy:
-        return heavy[scope]
-    return [lambda rid=scope: check_record_light(rid)]
+        return [(heavy[scope],)]
+    return [(lambda rid=scope: check_record_light(rid),)]
 
 
 def run_scope(scope: str, long: bool = False,
               sink: Optional[Callable[[CheckResult], None]] = None) \
         -> list[CheckResult]:
-    """Run the checks of a scope on the available CPUs, in check order.
+    """Run the jobs of a scope on the available CPUs, in check order.
 
     The scope is resolved here first, so an unknown one raises
     UnknownScope before any process starts.  Each result reaches `sink` in
-    check order as soon as it and every earlier one are done.
+    check order as soon as its job and every earlier one are done.
     """
     jobs = [(scope, long, i) for i in range(len(scope_checks(scope, long)))]
     results = []
-    for res in ordered_map(_run_check, jobs, available_cpus()):
-        results.append(res)
-        if sink is not None:
-            sink(res)
+    for job_results in ordered_map(_run_job, jobs, available_cpus()):
+        for res in job_results:
+            results.append(res)
+            if sink is not None:
+                sink(res)
     return results
 
 
-def _run_check(job: tuple[str, bool, int]) -> CheckResult:
-    """Check number i of a scope.  The process running it resolves the
-    scope itself, so only names and an index cross to a worker."""
+def _run_job(job: tuple[str, bool, int]) -> list[CheckResult]:
+    """The checks of job number i of a scope, in order.  The process running
+    it resolves the scope itself, so only names and an index cross to a
+    worker."""
     scope, long, i = job
-    return scope_checks(scope, long)[i]()
+    return [check() for check in scope_checks(scope, long)[i]]

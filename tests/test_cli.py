@@ -206,6 +206,30 @@ def test_sieve_small_grid_deterministic(tmp_path):
     assert ["1", "3", "120"] in [r["triple"] for r in searches]
 
 
+def test_sieve_in_chunks_prints_the_one_chunk_output(monkeypatch, capsys):
+    # the README grid is one chunk; scored 7 parameters at a time, its 45
+    # chunks print the same bytes, the 3 skip lines included
+    assert len(cli._grid((1, 50), (1, 10))) <= cli.SIEVE_CHUNK
+    assert run(README_SIEVE) == EXIT_OK
+    one = capsys.readouterr()
+    batches = []
+    real = cli.mestre_nagao_sums
+
+    def counting(curves, limit):
+        batches.append(len(curves))
+        return real(curves, limit)
+
+    monkeypatch.setattr(cli, "mestre_nagao_sums", counting)
+    monkeypatch.setattr(cli, "SIEVE_CHUNK", 7)
+    assert run(README_SIEVE) == EXIT_OK
+    chunked = capsys.readouterr()
+    assert len(batches) == 45 and sum(batches) == 310
+    assert max(batches) <= 7
+    assert one.out.count('"kind":"skip"') == 3
+    assert chunked.out == one.out
+    assert chunked.err == one.err
+
+
 def test_sieve_bad_range():
     assert main(["sieve", "K_4K", "--numerators", "5",
                  "--denominators", "1:2"]) == EXIT_USAGE

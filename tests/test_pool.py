@@ -48,6 +48,37 @@ def test_run_scope_same_results_on_one_and_two_cpus(monkeypatch, pools,
     assert runs[1] == runs[2]
 
 
+def test_s2_is_one_job_in_process(monkeypatch, pools):
+    # the three s2 checks share one job, so two CPUs start no pool for them
+    runs = {}
+    for n in (1, 2):
+        _cpus(monkeypatch, n)
+        results = verify.run_scope("s2")
+        runs[n] = [(r.check_id, r.passed, r.detail) for r in results]
+    assert pools == []
+    assert [c for c, _, _ in runs[2]] == [
+        "sieve-summand-forms", "sieve-order-mod-4", "sieve-reproducibility"]
+    assert runs[1] == runs[2]
+
+
+def test_s2_checks_share_a_worker(monkeypatch, pools):
+    # the pool forks, so the patched checks are the ones the workers run
+    def reporting(check_id):
+        def check():
+            return verify.CheckResult(check_id, "s2", True,
+                                      str(os.getpid()), 0.0)
+        return check
+
+    monkeypatch.setattr(verify, "check_summand_forms",
+                        reporting("sieve-summand-forms"))
+    monkeypatch.setattr(verify, "check_sieve_reproducibility",
+                        reporting("sieve-reproducibility"))
+    _cpus(monkeypatch, 2)
+    pids = {r.check_id: r.detail for r in verify.run_scope("all")}
+    assert pools == [2]
+    assert pids["sieve-summand-forms"] == pids["sieve-reproducibility"]
+
+
 def test_counted_failures_survive_the_pool(monkeypatch, pools):
     def broken(t, curves=None):
         raise ArithmeticError("the half point does not double to [1, rsu]")

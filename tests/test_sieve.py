@@ -277,7 +277,8 @@ def test_root_kernel_matches_reference_loop(monkeypatch):
     for p in primes_upto(1100)[1:]:
         want = [reference_count(E, p) for E in curves]
         good = [i for i, n in enumerate(want) if n is not None]
-        # one batch per prime, several kernel blocks at the small primes
+        # one batch per prime, also below the cut, where the sieve itself
+        # counts with the int kernel
         got = sieve_mod._count_roots([roots[i] for i in good], p)
         assert got == [want[i] for i in good], p
 
@@ -365,14 +366,26 @@ def test_int_kernel_matches_reference_and_numpy(monkeypatch):
         assert int_rows == [(p, 1) for p in good if p < cut]
         assert numpy_rows == [(p, 1) for p in good if p > cut]
     # p = 3, the shortest table, and a root that reduces to 0, which puts
-    # a cleared bit at the table's own zero bit
+    # a cleared bit at the table's own zero bit below the cut and reads
+    # numpy's table from offset 0 above it
     assert any(at_three)
     assert any(p < cut for p in zero_root)
-    # the grid batch: all the curves at one prime in one call of one kernel
+    assert any(p > cut for p in zero_root)
+    # the grid batch: all the curves at one prime in one call of one kernel,
+    # with family members enough for more than 16 rows above the cut
+    members = []
+    for k in range(2, 40):
+        try:
+            triple = family_k(K_PLUSMINUS, F(k, 3))
+        except DiocurvesError:
+            continue
+        members.append(induced_curves(triple).curve)
     for p in (3, 997, 1009, 2039):
         int_rows.clear()
         numpy_rows.clear()
-        good = [E for E in curves if reference_count(E, p) is not None]
+        good = [E for E in curves + members
+                if reference_count(E, p) is not None]
+        assert p < cut or len(good) > 16
         data = [sieve_mod._integral_data(E) for E in good]
         assert sieve_mod._count_good(data, p) == \
             [reference_count(E, p) for E in good], p
