@@ -9,8 +9,8 @@ command and configuration the bytes are identical run to run, whatever
 the worker count.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-64 usage error, 70 internal error (a bug or a failed internal check,
-reported on one line of stderr).
+64 usage error, 70 internal error (a bug, a failed internal check or a
+worker process that died, reported on one line of stderr).
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from .descent import naive_point_search, rank_lower_bound
 from .errors import (DatasetCorrupt, DegenerateParameter, DegenerateTriple,
                      NotDiophantine, OutputUnwritable, ParseError,
                      UnknownScope)
-from .families import (FAMILY_CONSTRUCTORS, dataset_record, paper_dataset,
-                       make_family_member)
+from .families import FAMILY_CONSTRUCTORS, dataset_record, paper_dataset
 from .rationals import QQ, format_rational, parse_rational
 from .sieve import mestre_nagao_sum, mestre_nagao_sums
 from .torsion import torsion_subgroup
@@ -52,11 +51,16 @@ MAX_HEIGHT_BOUND = 8.0
 # the package itself never goes beyond 10**4
 MAX_N = 10**6
 # the sieve lists every reduced fraction of its numerators x denominators
-# box and keeps a score for each valid one, so a larger box is refused
+# box in the parent and keeps a score for each valid one, whatever --jobs,
+# so a larger box is refused
 MAX_GRID_CELLS = 10**6
-# the sieve builds and scores its grid this many parameters at a time, so
-# it holds the cleared curves of one chunk only (the README grid is one)
+# the sieve builds and scores its grid in pieces of at most this many
+# parameters, so a process holds the cleared curves of one piece only.  With
+# --jobs 1 the README grid is one piece; with --jobs n the grid is cut into
+# 2n pieces or more, so the n workers share it out
 SIEVE_CHUNK = 4096
+# --jobs forks up to this many worker processes
+MAX_JOBS = 256
 
 
 class Config(NamedTuple):
@@ -72,11 +76,11 @@ class Config(NamedTuple):
         # chained comparisons are False on nan, so nan is rejected too
         if (not 0 < self.N <= MAX_N or not 0 < self.keep <= 1
                 or not 0 <= self.height_bound <= MAX_HEIGHT_BOUND
-                or self.jobs <= 0):
+                or not 0 < self.jobs <= MAX_JOBS):
             raise ValueError(
                 "configuration values out of range: N must lie in "
                 f"[1, {MAX_N}], keep in (0, 1], height_bound in "
-                f"[0, {MAX_HEIGHT_BOUND}], and the integers be positive")
+                f"[0, {MAX_HEIGHT_BOUND}], and jobs in [1, {MAX_JOBS}]")
         return self
 
 
@@ -261,56 +265,58 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _grid(numerators: tuple[int, int],
           denominators: tuple[int, int]) -> list[QQ]:
     """Reduced fractions in the box, smallest max(|num|, den) first."""
-    seen = set()
     items = []
     for num in range(numerators[0], numerators[1] + 1):
         for den in range(denominators[0], denominators[1] + 1):
             if den == 0:
                 continue
+            # only the reduced (num, den) of a fraction is kept, so none
+            # occurs twice
             q = QQ(num, den)
-            if (q.numerator, q.denominator) != (num, den) or q in seen:
-                continue
-            seen.add(q)
-            items.append(q)
+            if (q.numerator, q.denominator) == (num, den):
+                items.append(q)
     items.sort(key=lambda q: (max(abs(q.numerator), q.denominator),
                               q.numerator, q.denominator))
     return items
 
 
-def _sieve_worker(payload) -> str:
-    family_id, params, cfg = payload
-    member = make_family_member(family_id, *params)
-    record = _search_record(member.triple, cfg, family_id=family_id,
-                            parameters=member.parameters)
-    return _dumps(record)
+def _score_piece(family_id: str, piece: Sequence[QQ], N: int) \
+        -> tuple[list[str], list[tuple[float, QQ]]]:
+    """The skip lines of a piece of the grid, and (score, q) for each valid
+    parameter q, both in grid order."""
+    ctor = FAMILY_CONSTRUCTORS[family_id]
+    lines: list[str] = []
+    params: list[QQ] = []
+    curves: list[CurveQ] = []
+    for q in piece:
+        try:
+            triple = ctor(q)
+        except (DegenerateParameter, NotDiophantine, DegenerateTriple) as exc:
+            lines.append(_dumps({
+                "version": JSONL_VERSION, "kind": "skip",
+                "family": family_id, "parameters": [format_rational(q)],
+                "error": type(exc).__name__, "message": str(exc)}))
+            continue
+        params.append(q)
+        curves.append(clear_denominators(induced_curves(triple).curve)[0])
+    return lines, [(score.value, q) for score, q
+                   in zip(mestre_nagao_sums(curves, N), params)]
 
 
 def cmd_sieve(family_id: str, numerators: tuple[int, int],
               denominators: tuple[int, int], cfg: Config) -> int:
     with _open_out(cfg.out) as out:
-        ctor = FAMILY_CONSTRUCTORS[family_id]
+        grid = _grid(numerators, denominators)
+        size = SIEVE_CHUNK if cfg.jobs == 1 else max(1, min(
+            SIEVE_CHUNK, math.ceil(len(grid) / (2 * cfg.jobs))))
+        pieces = [grid[lo:lo + size] for lo in range(0, len(grid), size)]
         lines: list[str] = []
         scored: list[tuple[float, QQ]] = []
-        grid = _grid(numerators, denominators)
-        for lo in range(0, len(grid), SIEVE_CHUNK):
-            params: list[QQ] = []
-            curves: list[CurveQ] = []
-            for q in grid[lo:lo + SIEVE_CHUNK]:
-                try:
-                    triple = ctor(q)
-                except (DegenerateParameter, NotDiophantine,
-                        DegenerateTriple) as exc:
-                    lines.append(_dumps({
-                        "version": JSONL_VERSION, "kind": "skip",
-                        "family": family_id,
-                        "parameters": [format_rational(q)],
-                        "error": type(exc).__name__, "message": str(exc)}))
-                    continue
-                params.append(q)
-                curves.append(
-                    clear_denominators(induced_curves(triple).curve)[0])
-            scored.extend((score.value, q) for score, q
-                          in zip(mestre_nagao_sums(curves, cfg.N), params))
+        for piece_lines, piece_scored in ordered_map(
+                lambda piece: _score_piece(family_id, piece, cfg.N),
+                pieces, cfg.jobs):
+            lines.extend(piece_lines)
+            scored.extend(piece_scored)
 
         kept_n = min(len(scored),
                      max(1, math.ceil(cfg.keep * len(scored)))) \
@@ -320,8 +326,11 @@ def cmd_sieve(family_id: str, numerators: tuple[int, int],
                                     sq[1].numerator, sq[1].denominator))
         kept = [q for _, q in scored[:kept_n]]
 
-        payloads = [(family_id, (format_rational(q),), cfg) for q in kept]
-        lines.extend(ordered_map(_sieve_worker, payloads, cfg.jobs))
+        ctor = FAMILY_CONSTRUCTORS[family_id]
+        lines.extend(ordered_map(
+            lambda q: _dumps(_search_record(ctor(q), cfg, family_id=family_id,
+                                            parameters=(q,))),
+            kept, cfg.jobs))
 
         _emit(lines, out)
         print(f"{family_id}: scored {len(scored)} parameters, "
@@ -400,7 +409,7 @@ _FLAG_HELP = {
     "N": "sieve sum depth (default 1000)",
     "keep": "kept fraction of scored candidates (default 0.01)",
     "height_bound": "naive point search cutoff",
-    "jobs": "worker processes",
+    "jobs": f"worker processes (default 1, at most {MAX_JOBS})",
     "out": "write JSON lines here instead of stdout",
 }
 # the Config fields each subcommand reads; it offers exactly these flags

@@ -71,3 +71,7 @@ class DatasetCorrupt(DiocurvesError):
 
 class OutputUnwritable(DiocurvesError):
     """The --out file cannot be opened for writing."""
+
+
+class WorkerFailed(DiocurvesError):
+    """A pool worker died, or its outcome could not be sent back."""

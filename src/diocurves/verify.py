@@ -12,11 +12,12 @@ test suite runs them all.  Every check returns a CheckResult and never
 raises on a mere claim failure, only on internal errors.
 
 The checks are grouped into jobs, and ``run_scope`` runs the jobs on a
-pool of one process per available CPU and hands the results on in the
-fixed check order.  A job is one check, except that the three s2 checks
-are one job (see ``section_checks``), so a run loads numpy in one process
-only.  A check's seconds are its own wall time in the process that ran it,
-timed with the monotonic ``time.perf_counter``.
+pool of one forked process per available CPU and hands the results on in
+the fixed check order.  The workers inherit the jobs, so a job is handed
+to one by its index alone.  A job is one check, except that the three s2
+checks are one job (see ``section_checks``), so a run loads numpy in one
+process only.  A check's seconds are its own wall time in the process that
+ran it, timed with the monotonic ``time.perf_counter``.
 """
 
 from __future__ import annotations
@@ -478,19 +479,12 @@ def run_scope(scope: str, long: bool = False,
     UnknownScope before any process starts.  Each result reaches `sink` in
     check order as soon as its job and every earlier one are done.
     """
-    jobs = [(scope, long, i) for i in range(len(scope_checks(scope, long)))]
     results = []
-    for job_results in ordered_map(_run_job, jobs, available_cpus()):
+    for job_results in ordered_map(lambda job: [check() for check in job],
+                                   scope_checks(scope, long),
+                                   available_cpus()):
         for res in job_results:
             results.append(res)
             if sink is not None:
                 sink(res)
     return results
-
-
-def _run_job(job: tuple[str, bool, int]) -> list[CheckResult]:
-    """The checks of job number i of a scope, in order.  The process running
-    it resolves the scope itself, so only names and an index cross to a
-    worker."""
-    scope, long, i = job
-    return [check() for check in scope_checks(scope, long)[i]]

@@ -230,6 +230,65 @@ def test_sieve_in_chunks_prints_the_one_chunk_output(monkeypatch, capsys):
     assert chunked.err == one.err
 
 
+# ONE_THREE_C skips 198 of its 200 grid values, so with --jobs 2 the skip
+# lines come from every piece
+STRADDLING_SIEVE = ["sieve", "ONE_THREE_C", "--numerators", "1:200",
+                    "--denominators", "1:1", "--N", "150"]
+
+
+def test_sieve_jobs_scores_the_grid_in_workers(tmp_path, monkeypatch,
+                                               capsys):
+    log = tmp_path / "pieces"
+    real = cli._score_piece
+
+    def logging(family_id, piece, N):
+        lines, scored = real(family_id, piece, N)
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {len(lines)}\n")
+        return lines, scored
+
+    monkeypatch.setattr(cli, "_score_piece", logging)
+    runs = {}
+    for jobs in ("1", "2"):
+        log.unlink(missing_ok=True)
+        assert run([*STRADDLING_SIEVE, "--jobs", jobs]) == EXIT_OK
+        runs[jobs] = capsys.readouterr()
+        pieces = [tuple(map(int, line.split()))
+                  for line in log.read_text().splitlines()]
+        if jobs == "1":
+            assert pieces == [(os.getpid(), 198)]
+            continue
+        pids = {pid for pid, _ in pieces}
+        assert len(pids) == 2 and os.getpid() not in pids
+        assert sum(skips > 0 for _, skips in pieces) > 1
+    assert runs["2"].out == runs["1"].out
+    assert runs["2"].err == runs["1"].err
+
+
+@pytest.mark.parametrize("jobs, refused", [
+    ("256", False), ("257", True), (str(10 ** 9), True)],
+    ids=["at-limit", "one-over", "huge"])
+def test_jobs_above_the_cap_are_refused_up_front(tmp_path, monkeypatch,
+                                                 capsys, jobs, refused):
+    # --jobs forks that many workers, so a larger value is a usage error
+    # before --out is opened; no test run may start a process here
+    def no_fork():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    sieved = []
+    monkeypatch.setattr(cli, "cmd_sieve",
+                        lambda *args: sieved.append(args) or EXIT_OK)
+    out = tmp_path / "f.jsonl"
+    code = run([*README_SIEVE, "--jobs", jobs, "--out", str(out)])
+    assert cli.MAX_JOBS == 256
+    if not refused:
+        assert code == EXIT_OK and sieved[0][3].jobs == 256
+        return
+    assert code == EXIT_USAGE and sieved == [] and not out.exists()
+    assert "jobs in [1, 256]" in capsys.readouterr().err
+
+
 def test_sieve_bad_range():
     assert main(["sieve", "K_4K", "--numerators", "5",
                  "--denominators", "1:2"]) == EXIT_USAGE
@@ -349,23 +408,29 @@ def test_verify_all_under_optimize_flag():
 @pytest.mark.parametrize("module", ["sympy", "numpy", "mpmath",
                                     "diocurves.heights", "multiprocessing",
                                     "concurrent.futures.process",
+                                    "concurrent.futures",
                                     "dataclasses", "inspect"])
 def test_cli_import_leaves_module_unloaded(module):
     # numpy is loaded by the point-counting kernels at p >= 1000 alone, so
-    # the import, `dataset`, `induce` and a sieve at the default N never pay
-    # for it; sympy and mpmath are test-only oracles, the heights serve only
-    # a script and the tests, and the process pool is loaded only where a
-    # command starts one.  The records and value types write their methods
-    # in the source, so no class is generated by dataclasses (which loads
-    # inspect) on a cold start.  The exit code is the number of the first
-    # command after which the module is loaded
+    # the import, `dataset`, `induce`, a sieve at the default N and `verify
+    # s1` never pay for it; sympy and mpmath are test-only oracles, and the
+    # heights serve only a script and the tests.  The process pool forks
+    # with os alone, and its workers do the pooled work, so a pooled `sieve
+    # --jobs 2` or `verify` loads nothing more in the parent.  The records
+    # and value types write their methods in the source, so no class is
+    # generated by dataclasses (which loads inspect) on a cold start.  The
+    # exit code is the number of the first command after which the module
+    # is loaded
     src = pathlib.Path(diocurves.__file__).resolve().parents[1]
-    commands = [["dataset"], ["induce", "{1,3,8}"],
-                ["sieve", "K_PLUSMINUS", "--numerators", "1:6",
-                 "--denominators", "1:2"]]
-    code = ("import sys, diocurves.cli as c\n"
+    sieve = ["sieve", "K_PLUSMINUS", "--numerators", "1:6",
+             "--denominators", "1:2"]
+    commands = [[*argv, "--out", os.devnull] for argv in (
+        ["dataset"], ["induce", "{1,3,8}"], sieve, [*sieve, "--jobs", "2"])]
+    commands.append(["verify", "s1"])
+    code = ("import sys, diocurves.cli as c, diocurves.verify as v\n"
+            "v.available_cpus = lambda: 2\n"
             f"for i, argv in enumerate({commands!r}, 1):\n"
-            f"    assert c.main([*argv, '--out', {os.devnull!r}]) == 0\n"
+            "    assert c.main(argv) == 0\n"
             f"    if {module!r} in sys.modules:\n"
             "        sys.exit(i)\n")
     env = {**os.environ, "PYTHONPATH": str(src)}

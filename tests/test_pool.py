@@ -3,30 +3,30 @@
 Every test fixes its worker count, so none depends on the host.
 """
 
-import concurrent.futures
 import io
 import os
+import signal
 import time
 
 import pytest
 
 import diocurves.cli as cli
-from diocurves import verify
+from diocurves import _pool, verify
 from diocurves._pool import ordered_map
 from diocurves.cli import EXIT_SOFTWARE, EXIT_USAGE, EXIT_VERIFY_FAILED
 
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The max_workers of every process pool started."""
+    """The worker count of every process pool started."""
     started = []
+    forked_map = _pool._forked_map
 
-    class Counting(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
+    def counting(fn, items, workers):
+        started.append(workers)
+        return forked_map(fn, items, workers)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+    monkeypatch.setattr(_pool, "_forked_map", counting)
     return started
 
 
@@ -145,3 +145,106 @@ def test_ordered_map_cancels_pending_jobs(tmp_path):
         list(ordered_map(_mark_unless_first, jobs, 2))
     time.sleep(1.5)
     assert len(os.listdir(tmp_path)) < 10
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _square_unless_three(i):
+    if i == 3:
+        raise ValueError("forced failure of item 3")
+    return i * i
+
+
+@pytest.mark.parametrize("ending", ["returns", "raises", "closed-early",
+                                    "interrupted", "fork-fails"])
+def test_ordered_map_leaves_no_child(monkeypatch, pools, ending):
+    if ending == "returns":
+        assert list(ordered_map(_square_unless_three, [0, 1, 2], 2)) == \
+            [0, 1, 4]
+    elif ending == "raises":
+        got = []
+        with pytest.raises(ValueError, match="item 3"):
+            got.extend(ordered_map(_square_unless_three, range(8), 2))
+        # the items before the failure still come out, in order
+        assert got == [0, 1, 4]
+    elif ending == "fork-fails":
+        # the first worker is running when the second fork fails
+        fork = os.fork
+        forks = []
+
+        def fork_once():
+            if forks:
+                raise BlockingIOError("forced failure of the second fork")
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        with pytest.raises(BlockingIOError, match="second fork"):
+            list(ordered_map(_square_unless_three, range(8), 2))
+    else:
+        results = ordered_map(_square_unless_three, range(8), 2)
+        assert next(results) == 0
+        if ending == "closed-early":
+            results.close()
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                results.throw(KeyboardInterrupt)
+    assert pools == [2]
+    _assert_no_child_left()
+
+
+def test_ordered_map_runs_items_in_forked_workers(pools):
+    # the workers inherit fn and items, so neither has to pickle
+    parent = os.getpid()
+    pids = list(ordered_map(lambda i: os.getpid(), range(6), 3))
+    assert pools == [3]
+    assert parent not in pids and len(set(pids)) > 1
+    _assert_no_child_left()
+
+
+def _killed_in_a_worker(parent):
+    def check():
+        if os.getpid() == parent:
+            raise AssertionError("the check ran in the test process")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return check
+
+
+class _NoRebuild(Exception):
+    # pickles, but unpickling calls __init__ with one argument and fails
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+def _unpicklable_local():
+    class Local(Exception):
+        pass
+    raise Local("forced failure with a local class")
+
+
+def _no_rebuild():
+    raise _NoRebuild("forced failure", "two arguments")
+
+
+@pytest.mark.parametrize("failure", ["sigkill", "local-class",
+                                     "no-rebuild"])
+def test_lost_worker_outcome_is_exit_70_without_traceback(
+        monkeypatch, pools, capsys, failure):
+    check = {"sigkill": _killed_in_a_worker(os.getpid()),
+             "local-class": _unpicklable_local,
+             "no-rebuild": _no_rebuild}[failure]
+    monkeypatch.setattr(verify, "check_doubling_identity", check)
+    _cpus(monkeypatch, 2)
+    assert cli.main(["verify", "s1"]) == EXIT_SOFTWARE
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: WorkerFailed: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    if failure == "sigkill":
+        assert f"(exit status {-signal.SIGKILL})" in err
+    else:
+        assert "cannot be sent back" in err
+    assert pools == [2]
+    _assert_no_child_left()

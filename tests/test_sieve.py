@@ -132,7 +132,7 @@ def reference_sum(E, limit):
     return total, used, skipped
 
 
-def test_mestre_nagao_sums_bit_identical():
+def test_mestre_nagao_sums_bit_identical(monkeypatch):
     limit = 1000
     curves = []
     for k in range(2, 60):
@@ -143,11 +143,25 @@ def test_mestre_nagao_sums_bit_identical():
         curves.append(clear_denominators(induced_curves(triple).curve)[0])
         if len(curves) == 24:
             break
-    # the batch must fill more than one kernel block at the largest prime
+    # the primes each split-curve kernel is asked to count at
+    reached = {"_count_roots_int": set(), "_count_roots": set()}
+    for name, primes in reached.items():
+        monkeypatch.setattr(sieve_mod, name, lambda roots, p, real=getattr(
+            sieve_mod, name), primes=primes: primes.add(p) or real(roots, p))
+    # the largest prime of the sum is counted by the int kernel, and the
+    # next prime, past its cut, by the numpy one; both match the reference
     p = primes_upto(limit)[-1]
-    good = [E for E in curves if reference_count(E, p) is not None]
-    assert len(good) * p > sieve_mod._BLOCK_ELEMENTS
+    assert p == 997
+    for q in (p, 1009):
+        good = [E for E in curves if reference_count(E, q) is not None]
+        assert len(good) > 1
+        counts = sieve_mod._count_good(
+            [sieve_mod._integral_data(E) for E in good], q)
+        assert counts == [reference_count(E, q) for E in good]
+    assert reached == {"_count_roots_int": {997}, "_count_roots": {1009}}
     batch = mestre_nagao_sums(curves, limit)
+    assert 997 in reached["_count_roots_int"]
+    assert reached["_count_roots"] == {1009}
     assert len(batch) == len(curves)
     for E, res in zip(curves, batch):
         total, used, skipped = reference_sum(E, limit)
