@@ -321,9 +321,9 @@ def cmd_sieve(family_id: str, numerators: tuple[int, int],
         kept_n = min(len(scored),
                      max(1, math.ceil(cfg.keep * len(scored)))) \
             if scored else 0
-        scored.sort(key=lambda sq: (-sq[0], max(abs(sq[1].numerator),
-                                                sq[1].denominator),
-                                    sq[1].numerator, sq[1].denominator))
+        # scored is in grid order and the sort is stable, so equal scores
+        # keep the grid's smallest-parameter-first order
+        scored.sort(key=lambda sq: -sq[0])
         kept = [q for _, q in scored[:kept_n]]
 
         ctor = FAMILY_CONSTRUCTORS[family_id]

@@ -299,14 +299,13 @@ def rank_lower_bound(E: CurveQ, points: Sequence[PointQ]) -> RankBound:
     return RankBound(len(certificate), "descent", tuple(sorted(certificate)))
 
 
-def naive_point_search(E: CurveQ, height_bound: float,
-                       max_den: int | None = None) -> list[PointQ]:
+def naive_point_search(E: CurveQ, height_bound: float) -> list[PointQ]:
     """All affine points of E in a naive-height box, sorted by (x, y).
 
     Every affine point of the integral model Ei of clear_denominators has
     x = m / e^2 with gcd(m, e) = 1.  With cap = floor(exp(height_bound)),
-    the box is |m| <= cap, e^2 <= cap (and e <= max_den when given),
-    gcd(m, e) = 1, all bounds inclusive; hits are mapped back to E.
+    the box is |m| <= cap, e^2 <= cap, gcd(m, e) = 1, all bounds
+    inclusive; hits are mapped back to E.
 
     x = m / e^2 has a rational y exactly when the integer
 
@@ -323,11 +322,8 @@ def naive_point_search(E: CurveQ, height_bound: float,
     inv = invariants(Ei)
     b2, b4, b6 = int(inv.b2), int(inv.b4), int(inv.b6)
     cap = math.floor(math.exp(height_bound))
-    emax = math.isqrt(cap)
-    if max_den is not None:
-        emax = min(emax, max_den)
     found: set[PointQ] = set()
-    for e in range(1, emax + 1):
+    for e in range(1, math.isqrt(cap) + 1):
         e2, e3 = e * e, e * e * e
         c2, c1, c0 = b2 * e2, 2 * b4 * e2 * e2, b6 * e3 * e3
         ms: Sequence[int] = range(-cap, cap + 1)

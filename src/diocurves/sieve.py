@@ -39,14 +39,14 @@ Each kernel takes a whole batch of curves at one prime; ``_count_roots``
 works one row of p elements at a time and ``_count_odd`` in blocks of a
 bounded number of elements, so memory stays flat however many curves are
 scored.  ``count_points_fp`` and the one-curve ``_count_points_at`` (the
-reduction torsion bound, the one-curve ``mestre_nagao_sum`` and
-``verify``'s order-mod-4 check) are the same kernels with one row.
+reduction torsion bound and ``verify``'s order-mod-4 check) are the same
+kernels with one row.
 numpy is imported inside its two kernels only.
 
 The counts are exact integers; only the Mestre-Nagao summand is a float.
 ``mestre_nagao_sums`` adds it per curve in Python floats, in ascending
-prime order and with the same expression as the one-curve sum, so a
-curve's score is bit-identical whether it is scored alone or in a batch.
+prime order, so a curve's score is bit-identical whether it is scored
+alone (``mestre_nagao_sum`` is a batch of one) or in a batch.
 numpy float sums (pairwise summation) or np.log would move the last bits.
 """
 
@@ -317,7 +317,7 @@ def mestre_nagao_sums(curves: Sequence[CurveQ],
     Each good prime contributes (1 - (p-1)/#E(F_p)) log p; large values
     correlate with high rank.  Primes are visited in ascending order and
     each curve's terms are added in that order, so every result is
-    reproducible bit for bit and equal to scoring the curve alone.
+    reproducible bit for bit and does not depend on the rest of the batch.
     """
     data = [_integral_data(E) for E in curves]
     totals = [0.0] * len(data)
@@ -341,15 +341,5 @@ def mestre_nagao_sums(curves: Sequence[CurveQ],
 
 
 def mestre_nagao_sum(E: CurveQ, limit: int) -> SieveResult:
-    """The rank-selection sum of one curve; see ``mestre_nagao_sums``.
-
-    The counts come from ``_count_points_at``, and the terms are added in
-    ascending prime order with the batch's expression, so the score is
-    bit-identical to the curve's score in a batch.
-    """
-    primes = primes_upto(limit)
-    good = _good_primes(E, primes)
-    total = 0.0
-    for p, n in zip(good, _count_points_at(E, good)):
-        total += (1.0 - (p - 1) / n) * math.log(p)
-    return SieveResult(total, len(good), len(primes) - len(good))
+    """The rank-selection sum of one curve: its ``mestre_nagao_sums``."""
+    return mestre_nagao_sums([E], limit)[0]

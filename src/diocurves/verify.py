@@ -1,10 +1,13 @@
 """Reproduction checks for the bundled record dataset.
 
-Each check re-derives one published claim from scratch: algebraic
-identities are tested on randomized inputs, record curves are rebuilt
-from their triples and matched against the stored minimal models, stored
-points are re-verified, torsion subgroups are recomputed exactly, and
-rank lower bounds are re-certified from the stored generator points.
+Each check re-derives one published claim from scratch.  A section's
+fixed checks test the paper's algebraic identities and constructions on
+randomized inputs.  ``check_record`` checks one record and reads what to
+certify from the record itself: every record's triple is rebuilt from its
+family parameters and its torsion subgroup recomputed exactly, and a
+record that stores a curve is also matched against that minimal model,
+its stored points are re-verified, and its stored generators re-certify
+its claimed rank as a lower bound.
 
 Checks are grouped by dataset section (s1..s6 plus individual record
 ids) so the command-line ``verify`` subcommand can run any slice; the
@@ -22,9 +25,9 @@ ran it, timed with the monotonic ``time.perf_counter``.
 
 from __future__ import annotations
 
-import math
 import random
 import time
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from ._pool import available_cpus, ordered_map
@@ -292,149 +295,101 @@ def check_sieve_reproducibility(limit: int = 10000) -> CheckResult:
                    f"primes used, {r1.primes_skipped} bad skipped")
 
 
-def _heavy_record_check(rid: str, expect_rank: int, *,
-                        points_slice: Optional[int] = None,
-                        expect_at_least: bool = False,
-                        check_id: Optional[str] = None) -> CheckResult:
-    """Full reproduction of one record with stored curve and points.
-
-    Rebuilds the companion curve from the triple and matches it to the
-    stored model, re-verifies every stored point, recomputes the torsion
-    subgroup exactly, and re-certifies the rank lower bound from the
-    stored generator points.
-    """
-    t0 = time.perf_counter()
-    rec = dataset_record(rid)
-    E = rec.curve
-    problems = []
-
-    iso = find_isomorphism(induced_curves(rec.triple).curve, E)
-    if iso is None:
-        problems.append("triple does not induce the stored model")
-
-    for P in rec.torsion_points + rec.points:
-        if not is_on_curve(E, P):
-            problems.append(f"stored point x={P.x} off curve")
-
-    ts = torsion_subgroup(E)
-    if ts.invariants != rec.torsion_shape or not ts.exact:
-        problems.append(f"torsion {ts.invariants} exact={ts.exact}, "
-                        f"expected {rec.torsion_shape} exact")
-    if ts.order != len(rec.torsion_points) + 1:
-        problems.append(f"torsion order {ts.order} != stored "
-                        f"{len(rec.torsion_points)} affine points + O")
-
-    pts = list(rec.points if points_slice is None
-               else rec.points[:points_slice])
-    rb = rank_lower_bound(E, pts)
-    rank_ok = (rb.bound >= expect_rank if expect_at_least
-               else rb.bound == expect_rank)
-    if not rank_ok:
-        problems.append(f"rank lower bound {rb.bound} via {rb.method}, "
-                        f"expected {'>=' if expect_at_least else '=='} "
-                        f"{expect_rank}")
-
-    detail = (f"model match, {len(rec.torsion_points) + 1} torsion points, "
-              f"torsion {ts.invariants} exact, rank >= {rb.bound} "
-              f"via {rb.method} from {len(pts)} stored points")
-    if problems:
-        detail = "; ".join(problems)
-    return _result(check_id or f"record-{rid}", rec.section, t0,
-                   not problems, detail)
-
-
-def check_record_s3_rank9() -> CheckResult:
-    return _heavy_record_check("s3-rank9", 9)
-
-
-def check_record_s4_rank7() -> CheckResult:
-    return _heavy_record_check("s4-rank7", 7)
-
-
-def check_record_s5_rank4() -> CheckResult:
-    return _heavy_record_check("s5-rank4", 4)
-
-
-def check_record_s6_connell() -> CheckResult:
-    return _heavy_record_check("s6-connell", 3)
-
-
-def check_record_s6_big_default() -> CheckResult:
-    """Default slice of the largest record: first two generators only."""
-    return _heavy_record_check("s6-big", 2, points_slice=2,
-                               expect_at_least=True,
-                               check_id="record-s6-big-default")
-
-
-def check_record_s6_big_full() -> CheckResult:
-    """Full certification including the third stored generator.
-
-    Its x has a 96-digit numerator and a 74-digit denominator.
-    """
-    return _heavy_record_check("s6-big", 3,
-                               check_id="record-s6-big-full")
-
-
-HEAVY_RECORDS = {"s3-rank9", "s4-rank7", "s5-rank4", "s6-connell", "s6-big"}
+# records whose default check certifies only their first n stored
+# generators, rank >= n; with `long` they certify all of them
+_DEFAULT_SLICE = {"s6-big": 2}
 
 # checks that run in turn in one process
 Job = tuple[Callable[[], CheckResult], ...]
 
 
-def check_record_light(rid: str) -> CheckResult:
-    """Triple-only record: validity, family rebuild, exact torsion shape."""
+def check_record(rid: str, long: bool = False) -> CheckResult:
+    """Re-derive one record's claims from what the dataset stores.
+
+    Every record: its family parameters rebuild the triple, and the
+    torsion subgroup is exactly the published shape.  A record that stores
+    a curve also gets: the triple induces the stored model, every stored
+    point lies on it, the stored torsion points and O make up the whole
+    group, and its stored generators certify rank == claimed_rank.  A
+    record of _DEFAULT_SLICE certifies only its slice unless `long`.
+    """
     t0 = time.perf_counter()
     rec = dataset_record(rid)
+    E = induced_curves(rec.triple).curve
     problems = []
-    ts = torsion_subgroup(induced_curves(rec.triple).curve)
+    if rec.curve is not None:
+        if find_isomorphism(E, rec.curve) is None:
+            problems.append("triple does not induce the stored model")
+        E = rec.curve
+        for P in rec.torsion_points + rec.points:
+            if not is_on_curve(E, P):
+                problems.append(f"stored point x={P.x} off curve")
+
+    ts = torsion_subgroup(E)
     if ts.invariants != rec.torsion_shape or not ts.exact:
         problems.append(f"torsion {ts.invariants} exact={ts.exact}, "
                         f"expected {rec.torsion_shape} exact")
+    check_id = f"record-{rid}"
+    if rec.curve is None:
+        detail = (f"triple valid, torsion {ts.invariants} equals "
+                  f"{rec.torsion_shape}, published rank {rec.claimed_rank} "
+                  "not re-certified (no stored points)")
+    else:
+        if ts.order != len(rec.torsion_points) + 1:
+            problems.append(f"torsion order {ts.order} != stored "
+                            f"{len(rec.torsion_points)} affine points + O")
+        if rid in _DEFAULT_SLICE:
+            check_id += "-full" if long else "-default"
+        n = None if long else _DEFAULT_SLICE.get(rid)
+        pts = list(rec.points[:n])
+        rb = rank_lower_bound(E, pts)
+        if rb.bound != rec.claimed_rank if n is None else rb.bound < n:
+            problems.append(f"rank lower bound {rb.bound} via {rb.method}, "
+                            "expected " + (f"== {rec.claimed_rank}"
+                                           if n is None else f">= {n}"))
+        detail = (f"model match, {len(rec.torsion_points) + 1} torsion "
+                  f"points, torsion {ts.invariants} exact, rank >= "
+                  f"{rb.bound} via {rb.method} from {len(pts)} stored points")
     if rec.family is not None and \
             rec.family.triple.elements != rec.triple.elements:
         problems.append("family parameters do not rebuild the triple")
-    detail = (f"triple valid, torsion {ts.invariants} equals "
-              f"{rec.torsion_shape}, published rank {rec.claimed_rank} "
-              "not re-certified (no stored points)")
     if problems:
         detail = "; ".join(problems)
-    return _result(f"record-{rid}", rec.section, t0, not problems, detail)
-
-
-def _light_checks(section: str) -> list[Job]:
-    out = []
-    for rec in paper_dataset():
-        if rec.section == section and rec.record_id not in HEAVY_RECORDS:
-            out.append((lambda rid=rec.record_id: check_record_light(rid),))
-    return out
+    return _result(check_id, rec.section, t0, not problems, detail)
 
 
 def section_checks(section: str, long: bool = False) -> list[Job]:
     """The jobs of one section, each a tuple of checks run in turn.
 
-    The three s2 checks are one job: they share the numpy import, the int
-    kernel's residue tables and the rank-9 record's integral model, so one
-    process pays for them once.  Every other check is a job of its own.
+    The section's fixed checks come first, then one job per record: those
+    that store a curve, in dataset order, then with `long` the full check
+    of each record of _DEFAULT_SLICE, then the other records in dataset
+    order.  The three s2 checks are one job: they share the numpy import,
+    the int kernel's residue tables and the rank-9 record's integral
+    model, so one process pays for them once.  Every other check is a job
+    of its own.
     """
-    checks: dict[str, list[Job]] = {
+    fixed: dict[str, list[Job]] = {
         "s1": [(check_doubling_identity,), (check_euler_doubling,)],
         "s2": [(check_summand_forms, check_order_mod_four,
                 check_sieve_reproducibility)],
         "s3": [(check_quadruple_extension_fermat,),
-               (check_quadruple_extension_family,),
-               (check_record_s3_rank9,)],
-        "s4": [(check_record_s4_rank7,)],
-        "s5": [(check_square_identity_uv,), (check_t7_reconstruction,),
-               (check_record_s5_rank4,)],
-        "s6": [(check_z2z8_random,), (check_record_s6_connell,),
-               (check_record_s6_big_default,)],
+               (check_quadruple_extension_family,)],
+        "s4": [],
+        "s5": [(check_square_identity_uv,), (check_t7_reconstruction,)],
+        "s6": [(check_z2z8_random,)],
     }
-    if section not in checks:
+    if section not in fixed:
         raise UnknownScope(section)
-    out = list(checks[section])
-    if section == "s6" and long:
-        out.append((check_record_s6_big_full,))
-    out.extend(_light_checks(section))
+    records = [r for r in paper_dataset() if r.section == section]
+    rids = [r.record_id for r in records if r.curve is not None]
+    out = list(fixed[section])
+    out += [(partial(check_record, rid),) for rid in rids]
+    if long:
+        out += [(partial(check_record, rid, True),) for rid in rids
+                if rid in _DEFAULT_SLICE]
+    out += [(partial(check_record, r.record_id),) for r in records
+            if r.curve is None]
     return out
 
 
@@ -454,20 +409,9 @@ def scope_checks(scope: str, long: bool = False) -> list[Job]:
         return out
     if scope in ALL_SECTIONS:
         return section_checks(scope, long)
-    known = {r.record_id for r in paper_dataset()}
-    if scope not in known:
+    if scope not in {r.record_id for r in paper_dataset()}:
         raise UnknownScope(scope)
-    heavy = {
-        "s3-rank9": check_record_s3_rank9,
-        "s4-rank7": check_record_s4_rank7,
-        "s5-rank4": check_record_s5_rank4,
-        "s6-connell": check_record_s6_connell,
-        "s6-big": check_record_s6_big_full if long
-        else check_record_s6_big_default,
-    }
-    if scope in heavy:
-        return [(heavy[scope],)]
-    return [(lambda rid=scope: check_record_light(rid),)]
+    return [(partial(check_record, scope, long),)]
 
 
 def run_scope(scope: str, long: bool = False,

@@ -45,15 +45,13 @@ curves built separately each build their own copy.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from typing import Callable, NamedTuple, TypeVar
 
 from ._poly import rational_roots
 from .errors import ParseError, PointNotOnCurve, SingularCurve
 from .factoring import factor_best_effort
-from .rationals import (format_rational, is_perfect_square, parse_rational,
-                        to_fraction)
+from .rationals import format_rational, is_perfect_square, to_fraction
 
 _T = TypeVar("_T")
 
@@ -724,40 +722,3 @@ def minimal_model(E: CurveQ) -> MinimalModelResult:
     if M is None:  # pragma: no cover - would be an internal defect
         raise SingularCurve("minimal model construction lost the isomorphism")
     return MinimalModelResult(_carry_two_torsion_x(E, M, Emin), M, complete)
-
-
-# ---------------------------------------------------------------------------
-# parsing / printing
-
-_BRACKET_RE = re.compile(r"^\s*\[(.*)\]\s*$", re.S)
-
-
-def _split_bracket_list(text: str, n: int) -> list[str]:
-    m = _BRACKET_RE.match(text)
-    if not m:
-        raise ParseError(f"expected a bracketed list: {text!r}")
-    parts = [p.strip() for p in m.group(1).split(",")]
-    if len(parts) != n:
-        raise ParseError(f"expected {n} entries: {text!r}")
-    return parts
-
-
-def curve_to_str(E: CurveQ) -> str:
-    return "[%s]" % ",".join(format_rational(a) for a in E.coefficients())
-
-
-def parse_curve(text: str) -> CurveQ:
-    return CurveQ(*[parse_rational(p) for p in _split_bracket_list(text, 5)])
-
-
-def point_to_str(P: PointQ) -> str:
-    if P.is_infinity:
-        return "O"
-    return "[%s,%s]" % (format_rational(P.x), format_rational(P.y))
-
-
-def parse_point(text: str) -> PointQ:
-    if text.strip() == "O":
-        return INFINITY
-    x, y = [parse_rational(p) for p in _split_bracket_list(text, 2)]
-    return PointQ(x, y)

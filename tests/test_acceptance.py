@@ -44,13 +44,13 @@ def test_criterion_2_quadruple_extension():
 def test_criterion_3_rank9_record():
     # minimal-model isomorphism, all printed points exact, Z2xZ2 exact,
     # certified rank lower bound 9; budget 10min.
-    _run(600, V.check_record_s3_rank9)
+    _run(600, lambda: V.check_record("s3-rank9"))
 
 
 def test_criterion_4_rank7_record():
     # T = 7995/6562 reconstruction, 8 torsion points, Z2xZ4 exact,
     # certified rank lower bound 7; budget 10min.
-    _run(600, V.check_record_s4_rank7)
+    _run(600, lambda: V.check_record("s4-rank7"))
 
 
 def test_criterion_5_z2z6_family_and_rank4_record():
@@ -58,21 +58,21 @@ def test_criterion_5_z2z6_family_and_rank4_record():
     # T=7 triple reconstruction, u=34/35 v=8 record with Z2xZ6 exact
     # and certified rank lower bound 4; budget 5min.
     _run(300, V.check_square_identity_uv, V.check_t7_reconstruction,
-         V.check_record_s5_rank4)
+         lambda: V.check_record("s5-rank4"))
 
 
 def test_criterion_6_z2z8_family_and_records():
     # 200 random parameters give valid triples with Z2xZ8 torsion
     # structure, the classical 16-torsion record checks exactly, and the
     # large record certifies rank >= 2 by default; budget 5min default.
-    _run(300, V.check_z2z8_random, V.check_record_s6_connell,
-         V.check_record_s6_big_default)
+    _run(300, V.check_z2z8_random, lambda: V.check_record("s6-connell"),
+         lambda: V.check_record("s6-big"))
 
 
 def test_criterion_6_long_path_rank3():
     # opt-in long certification reaches rank lower bound 3 on the large
     # record (exercised unconditionally here because it is cheap)
-    _run(600, V.check_record_s6_big_full)
+    _run(600, lambda: V.check_record("s6-big", long=True))
 
 
 def test_criterion_7_prime_score():

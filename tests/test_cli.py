@@ -26,6 +26,7 @@ from diocurves.cli import (
     _read_config_file,
     main,
 )
+from diocurves.families import paper_dataset
 from diocurves.triples import make_triple
 from diocurves.verify import RANK_DISCLAIMER
 
@@ -596,11 +597,42 @@ def test_random_triples_are_the_validated_euler_triples(seed, count):
 
 def test_light_record_check_requires_equal_torsion(monkeypatch):
     # a computed group larger than the stored shape is a defect, not a pass
-    real = verify.check_record_light("s4-rank5-a")
+    real = verify.check_record("s4-rank5-a")
     assert real.passed and "equals (2, 4)" in real.detail
     big = torsion.TorsionSubgroup((), 16, (2, 8), 16, True)
     monkeypatch.setattr(verify, "torsion_subgroup", lambda E: big)
-    assert not verify.check_record_light("s4-rank5-a").passed
+    assert not verify.check_record("s4-rank5-a").passed
+
+
+def test_record_check_certifies_the_claimed_rank(monkeypatch):
+    # the rank a stored-curve record must certify is read from the record:
+    # every one passes at its claimed_rank and fails one above it
+    records = [rec for rec in paper_dataset() if rec.curve is not None]
+    assert records
+    for rec in records:
+        res = verify.check_record(rec.record_id, long=True)
+        assert res.passed, res.detail
+        assert f"rank >= {rec.claimed_rank} " in res.detail
+        patched = rec._replace(claimed_rank=rec.claimed_rank + 1)
+        monkeypatch.setattr(verify, "dataset_record",
+                            lambda rid, patched=patched: patched)
+        res = verify.check_record(rec.record_id, long=True)
+        assert not res.passed
+        assert f"expected == {rec.claimed_rank + 1}" in res.detail
+        monkeypatch.undo()
+
+
+def test_cli_import_leaves_dataset_unread():
+    # verify resolves its record checks from the dataset when a scope runs,
+    # never at import, so a cold start does not parse the record list
+    src = pathlib.Path(diocurves.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import diocurves.cli, diocurves.families as f;"
+         " print(f._DATASET is None)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -719,17 +719,14 @@ def test_naive_point_search_bound_zero():
     assert all(abs(P.x) <= 1 for P in pts)
 
 
-def reference_search(E, height_bound, max_den=None):
+def reference_search(E, height_bound):
     """The search loop the residue sieve replaced: a Fraction square test
     on every x = m / e^2 of the box, kept as the reference."""
     Ei, M = clear_denominators(E)
     Minv = M.inverse()
     cap = math.floor(math.exp(height_bound))
     out = []
-    emax = math.isqrt(cap)
-    if max_den is not None:
-        emax = min(emax, max_den)
-    for e in range(1, emax + 1):
+    for e in range(1, math.isqrt(cap) + 1):
         for m in range(-cap, cap + 1):
             if math.gcd(m, e) != 1:
                 continue
@@ -779,18 +776,16 @@ def _heavy_record_curves():
 SEARCH_BOUNDS = (0.0, 2.0, 4.5, 5.0)
 
 
-@pytest.mark.parametrize("curves, bounds, max_den", [
-    (_readme_kept_curves, (5.0,), None),
-    (_small_curves, SEARCH_BOUNDS, None),
-    (_small_curves, (5.0,), 3),
-    (_random_integral_curves, SEARCH_BOUNDS, None),
-    (_heavy_record_curves, (0.0, 2.0), None),
-], ids=["readme-kept", "small", "small-max-den", "random", "heavy-record"])
-def test_naive_point_search_matches_reference(curves, bounds, max_den):
+@pytest.mark.parametrize("curves, bounds", [
+    (_readme_kept_curves, (5.0,)),
+    (_small_curves, SEARCH_BOUNDS),
+    (_random_integral_curves, SEARCH_BOUNDS),
+    (_heavy_record_curves, (0.0, 2.0)),
+], ids=["readme-kept", "small", "random", "heavy-record"])
+def test_naive_point_search_matches_reference(curves, bounds):
     for E in curves():
         for h in bounds:
-            want = reference_search(E, h, max_den)
-            assert naive_point_search(E, h, max_den) == want, (E, h)
+            assert naive_point_search(E, h) == reference_search(E, h), (E, h)
 
 
 def test_quadruple_point_correspondence():

@@ -29,7 +29,6 @@ from diocurves.torsion import (
 from diocurves.rationals import is_perfect_square
 from diocurves.sieve import count_points_fp
 from diocurves.triples import canonical_points, induced_curves, make_triple
-from diocurves.verify import HEAVY_RECORDS
 from diocurves.weierstrass import (INFINITY, CurveQ, ModelMap, PointQ, add,
                                    complete_the_square, dbl, is_on_curve,
                                    map_point, minimal_model, scalar_mul)
@@ -638,15 +637,19 @@ def _z2z8_members(count=30, seed=404):
     return out
 
 
+def _heavy_records():
+    # the records that store a curve, and so points and a rank to certify
+    return [rec for rec in paper_dataset() if rec.curve is not None]
+
+
 def _light_record_curves():
     return [induced_curves(rec.triple).curve for rec in paper_dataset()
-            if rec.record_id not in HEAVY_RECORDS]
+            if rec.curve is None]
 
 
 TORSION_CASES = {
     "small": lambda: [E11, E14, E15, E27, EK, E37, EQ4],
-    "heavy-records": lambda: [dataset_record(r).curve
-                              for r in sorted(HEAVY_RECORDS)],
+    "heavy-records": lambda: [rec.curve for rec in _heavy_records()],
     "light-records": _light_record_curves,
     "z2z8-family": _z2z8_members,
     "kubert": lambda: [E for _, E in KUBERT],
@@ -674,8 +677,7 @@ def test_point_order_matches_add_chain():
         pts = [P for x in range(-5, 6) for P in points_with_x(E, F(x))]
         pts += [scalar_mul(E, k, P) for P in pts[:4] for k in (2, 3)]
         cases.append((E, list(torsion_subgroup(E).points) + pts))
-    for rid in sorted(HEAVY_RECORDS):
-        rec = dataset_record(rid)
+    for rec in _heavy_records():
         cases.append((rec.curve, list(rec.torsion_points + rec.points[:3])))
     for rec in paper_dataset()[:20]:
         t = rec.triple

@@ -8,7 +8,7 @@ from diocurves.heights import canonical_height
 from diocurves.sieve import SieveResult
 from diocurves.triples import make_triple
 from diocurves.verify import CheckResult
-from diocurves.errors import ParseError, PointNotOnCurve, SingularCurve
+from diocurves.errors import PointNotOnCurve, SingularCurve
 from diocurves.torsion import torsion_subgroup
 from diocurves.weierstrass import (
     INFINITY,
@@ -23,7 +23,6 @@ from diocurves.weierstrass import (
     clear_denominators,
     complete_the_square,
     curve_from_c4c6,
-    curve_to_str,
     dbl,
     find_isomorphism,
     invariants,
@@ -31,9 +30,6 @@ from diocurves.weierstrass import (
     map_point,
     minimal_model,
     neg,
-    parse_curve,
-    parse_point,
-    point_to_str,
     scalar_mul,
     sub,
 )
@@ -298,20 +294,6 @@ def test_minimal_model_backoff_at_3():
     res = minimal_model(E)
     assert res.curve == E and res.complete
     assert res.map == IDENTITY_MAP
-
-
-def test_parsing_round_trips():
-    assert parse_curve(curve_to_str(E37)) == E37
-    E = CurveQ(1, F(-3, 2), 0, F(22, 7), -4)
-    assert parse_curve(curve_to_str(E)) == E
-    P = PointQ(F(1, 4), F(-5, 8))
-    assert parse_point(point_to_str(P)) == P
-    assert parse_point("O") == INFINITY
-    assert point_to_str(INFINITY) == "O"
-    with pytest.raises(ParseError):
-        parse_curve("[1,2,3]")
-    with pytest.raises(ParseError):
-        parse_point("[1;2]")
 
 
 def test_memo_is_invisible_to_equality_hash_repr_and_pickle():
