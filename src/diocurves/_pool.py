@@ -14,10 +14,16 @@ pickled.  A worker leaves only through
 returns into its parent's code.  The CLI starts no thread, so the fork copies
 no lock that another thread holds.  Where ``os.fork`` is missing (Windows),
 the work runs in the calling process.
+
+The parent's heap is frozen at fork (``gc.freeze``) and thawed once every
+worker is reaped.  A worker's garbage collector then never walks the
+objects it inherited, so it does not write to, and copy, the pages that
+hold them.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 from typing import Callable, Iterator, Sequence, TypeVar
 
@@ -151,6 +157,10 @@ def _forked_map(fn: Callable[[T], R], items: Sequence[T],
 
     pool: list[_Worker] = []
     selector = None
+    # a heap someone else froze stays as they left it
+    thaw = gc.get_freeze_count() == 0
+    if thaw:
+        gc.freeze()
     try:
         for first in range(workers):
             pool.append(_start_worker(fn, items, first))
@@ -202,3 +212,5 @@ def _forked_map(fn: Callable[[T], R], items: Sequence[T],
             if w.pid is not None:
                 os.kill(w.pid, signal.SIGKILL)
                 os.waitpid(w.pid, 0)
+        if thaw:
+            gc.unfreeze()

@@ -29,12 +29,13 @@ from .errors import (DatasetCorrupt, DegenerateParameter, DegenerateTriple,
                      UnknownScope)
 from .families import FAMILY_CONSTRUCTORS, dataset_record, paper_dataset
 from .rationals import QQ, format_rational, parse_rational
-from .sieve import mestre_nagao_sum, mestre_nagao_sums
+from .sieve import (_int_rows, _sums_from_data, _triple_data,
+                    mestre_nagao_sum)
 from .torsion import torsion_subgroup
 from .triples import (Triple, canonical_points, extend_to_quadruple,
                       induced_curves, make_triple)
 from .verify import RANK_DISCLAIMER, run_scope
-from .weierstrass import CurveQ, clear_denominators, map_point, minimal_model
+from .weierstrass import CurveQ, map_point, minimal_model
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -54,8 +55,8 @@ MAX_N = 10**6
 # box in the parent and keeps a score for each valid one, whatever --jobs,
 # so a larger box is refused
 MAX_GRID_CELLS = 10**6
-# the sieve builds and scores its grid in pieces of at most this many
-# parameters, so a process holds the cleared curves of one piece only.  With
+# the sieve scores its grid in pieces of at most this many parameters, so a
+# process holds the integral data (ints, no curve) of one piece only.  With
 # --jobs 1 the README grid is one piece; with --jobs n the grid is cut into
 # 2n pieces or more, so the n workers share it out
 SIEVE_CHUNK = 4096
@@ -283,11 +284,12 @@ def _grid(numerators: tuple[int, int],
 def _score_piece(family_id: str, piece: Sequence[QQ], N: int) \
         -> tuple[list[str], list[tuple[float, QQ]]]:
     """The skip lines of a piece of the grid, and (score, q) for each valid
-    parameter q, both in grid order."""
+    parameter q, both in grid order.  A valid parameter is scored from its
+    triple's integral data; no curve is built for it here."""
     ctor = FAMILY_CONSTRUCTORS[family_id]
     lines: list[str] = []
     params: list[QQ] = []
-    curves: list[CurveQ] = []
+    data: list[tuple] = []
     for q in piece:
         try:
             triple = ctor(q)
@@ -298,9 +300,9 @@ def _score_piece(family_id: str, piece: Sequence[QQ], N: int) \
                 "error": type(exc).__name__, "message": str(exc)}))
             continue
         params.append(q)
-        curves.append(clear_denominators(induced_curves(triple).curve)[0])
+        data.append(_triple_data(triple))
     return lines, [(score.value, q) for score, q
-                   in zip(mestre_nagao_sums(curves, N), params)]
+                   in zip(_sums_from_data(data, N), params)]
 
 
 def cmd_sieve(family_id: str, numerators: tuple[int, int],
@@ -310,6 +312,9 @@ def cmd_sieve(family_id: str, numerators: tuple[int, int],
         size = SIEVE_CHUNK if cfg.jobs == 1 else max(1, min(
             SIEVE_CHUNK, math.ceil(len(grid) / (2 * cfg.jobs))))
         pieces = [grid[lo:lo + size] for lo in range(0, len(grid), size)]
+        # the scoring loop's per-prime tables, built before any fork, so
+        # every worker inherits them warm
+        _int_rows(cfg.N)
         lines: list[str] = []
         scored: list[tuple[float, QQ]] = []
         for piece_lines, piece_scored in ordered_map(

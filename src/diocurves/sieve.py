@@ -17,31 +17,38 @@ the quadratic character mod p.
   integers.  chi is multiplicative and chi(16) = 1, so the sum is
   sum_X chi(X - r1) chi(X - r2) chi(X - r3), and each curve costs three
   reductions mod p per prime, with no polynomial to evaluate.
-  - Below p = _INT_BELOW, ``_count_roots_int`` reads the sum off one
-    p-bit Python int of non-residues, built once per prime: the three
-    shifts of it XORed together hold the sign of every term, and
-    ``int.bit_count`` counts the -1s.  These primes are every prime the
-    default sieve depth, the torsion bound and ``induce`` count, so those
-    commands never import numpy, whose import costs more than their own
-    work.
-  - From p = _INT_BELOW on, ``_count_roots`` takes three plain slices
-    chi[o:o + p], o = -r_i mod p, of one int8 numpy table of chi laid out
-    twice, multiplies them and sums, one curve at a time: there the O(p)
-    int table would cost a one-curve count more than the numpy import
-    saves.
+  - Below p = _INT_BELOW, ``_count_split`` runs one loop per curve over
+    prebuilt rows, one per odd prime, each holding a p-bit Python int of
+    non-residues: it and two shifts of it, XORed together, hold the sign of
+    every term, ``int.bit_count`` counts the -1s, and two lookups in the
+    row's byte string of non-residues discount the terms that are 0.  The same loop adds
+    the curve's Mestre-Nagao terms as it goes.  These primes are every
+    prime the default sieve depth, the torsion bound and ``induce`` count,
+    so those commands never import numpy, whose import costs more than
+    their own work.
+  - From p = _INT_BELOW on, ``_count_roots`` counts a batch of curves per
+    prime: it takes three plain slices chi[o:o + p], o = -r_i mod p, of one
+    int8 numpy table of chi laid out twice, multiplies them and sums, one
+    curve at a time: there the O(p) int table would cost a one-curve count
+    more than the numpy import saves.
 * ``_count_odd`` serves the other curves (those whose 2-division
-  polynomial does not split over Q), at every odd p: it forms the block's
-  polynomial values in one int64 numpy array from the shared rows x^2 and
-  4x^3 mod p, reduces them and gathers chi at them.  No curve the package
-  builds from a triple reaches it.
+  polynomial does not split over Q), a batch per prime at every odd p: it
+  forms the block's polynomial values in one int64 numpy array from the
+  shared rows x^2 and 4x^3 mod p, reduces them and gathers chi at them.
+  No curve the package builds from a triple reaches it.
 
-Each kernel takes a whole batch of curves at one prime; ``_count_roots``
-works one row of p elements at a time and ``_count_odd`` in blocks of a
-bounded number of elements, so memory stays flat however many curves are
-scored.  ``count_points_fp`` and the one-curve ``_count_points_at`` (the
-reduction torsion bound and ``verify``'s order-mod-4 check) are the same
-kernels with one row.
+p = 2 is counted a batch per prime too, on the integral model.
+``_count_roots`` works one row of p elements at a time and ``_count_odd``
+in blocks of a bounded number of elements, so memory stays flat however
+many curves are scored.  ``count_points_fp`` and the one-curve
+``_count_points_at`` (the reduction torsion bound and ``verify``'s
+order-mod-4 check) use the same loop and kernels.
 numpy is imported inside its two kernels only.
+
+The sieve needs no curve object: ``_triple_data`` computes a triple's
+integral data straight from its integers, through the same integer core
+(``_model_data``) as ``_integral_data`` of a curve, and ``_sums_from_data``
+scores such data.
 
 The counts are exact integers; only the Mestre-Nagao summand is a float.
 ``mestre_nagao_sums`` adds it per curve in Python floats, in ascending
@@ -54,13 +61,14 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import repeat
-from typing import NamedTuple, Sequence
+from itertools import compress, repeat
+from typing import Iterable, NamedTuple, Sequence
 
-from .errors import BadReduction
+from .errors import BadReduction, SingularCurve
 from .factoring import is_probable_prime
-from .weierstrass import (CurveQ, _int_invariants, _memo, clear_denominators,
-                          two_torsion_x)
+from .triples import Triple, _companion_ints
+from .weierstrass import (CurveQ, _int_model_of, _invariants_of_ints, _memo,
+                          clear_denominators, two_torsion_x)
 
 
 def primes_upto(n: int) -> list[int]:
@@ -72,34 +80,66 @@ def primes_upto(n: int) -> list[int]:
     for i in range(2, math.isqrt(n) + 1):
         if flags[i]:
             flags[i * i:: i] = bytes(len(range(i * i, n + 1, i)))
-    return [i for i in range(2, n + 1) if flags[i]]
+    return list(compress(range(n + 1), flags))
 
 
 def _integral_data(E: CurveQ) -> tuple[tuple[int, ...], tuple[int, int, int],
                                         int, tuple[int, int, int] | None]:
     """Integer model coefficients, its (b2, b4, b6), its discriminant, and
-    the roots of X^3 + b2 X^2 + 8b4 X + 16b6 when all three are rational
-    (else None)."""
+    the roots of X^3 + b2 X^2 + 8b4 X + 16b6, ascending, when all three are
+    rational (else None)."""
     return _memo(E, "_integral_data", _build_integral_data)
 
 
 def _build_integral_data(E: CurveQ) -> tuple:
     Ei, _ = clear_denominators(E)
-    _, b2, b4, b6, _, _, _, disc = _int_invariants(Ei)
     xs = two_torsion_x(Ei)
+    return _model_data(tuple(int(a) for a in Ei.coefficients()),
+                       [x.as_integer_ratio() for x in xs]
+                       if len(xs) == 3 else None)
+
+
+def _triple_data(t: Triple) -> tuple:
+    """The ``_integral_data`` of clear_denominators(induced_curves(t).curve),
+    from the triple's integers alone: no curve and no Fraction is built."""
+    den, e1, e2, e3, xs = _companion_ints(t)
+    dd = den * den
+    m, *coefficients = _int_model_of((
+        (0, 1), _lowest(e2, den), (0, 1), _lowest(e3 * e1, dd),
+        _lowest(e3 * e3, dd)))
+    mm = m * m
+    return _model_data(tuple(coefficients), [(n * mm, d) for n, d in xs])
+
+
+def _lowest(n: int, d: int) -> tuple[int, int]:
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+def _model_data(coefficients: tuple[int, ...],
+                xs: Sequence[tuple[int, int]] | None) -> tuple:
+    """``_integral_data`` of the integral model with these coefficients,
+    given the x-coordinates of its three points of order two as
+    (numerator, denominator) pairs, or None when they are not all rational.
+
+    The invariant identities, a nonzero discriminant, and the x (seeded,
+    carried or solved) by Vieta's formulas for X^3 + b2 X^2 + 8b4 X + 16b6
+    with X = 4x, are all checked here, once per curve.
+    """
+    b2, b4, b6, _, _, _, disc = _invariants_of_ints(*coefficients)
+    if disc == 0:
+        raise SingularCurve(f"discriminant is zero for {coefficients}")
     roots = None
-    if len(xs) == 3:
-        # X = 4x; seeded or carried x are checked here, once per curve, by
-        # Vieta's formulas for X^3 + b2 X^2 + 8b4 X + 16b6
-        r = [4 * x for x in xs]
-        r1, r2, r3 = roots = tuple(v.numerator for v in r)
-        if (any(v.denominator != 1 for v in r)
-                or (r1 + r2 + r3, r1 * r2 + r1 * r3 + r2 * r3, r1 * r2 * r3)
-                != (-b2, 8 * b4, -16 * b6)):
-            raise ArithmeticError(
-                f"{xs} are not the two-torsion x-coordinates of {Ei}")
-    return (tuple(int(a) for a in Ei.coefficients()), (b2, b4, b6),
-            disc, roots)
+    if xs is not None:
+        if any(4 * n % d for n, d in xs):
+            raise ArithmeticError(f"4x is not integral for the x {xs} of "
+                                  f"the model {coefficients}")
+        r1, r2, r3 = roots = tuple(sorted(4 * n // d for n, d in xs))
+        if (r1 + r2 + r3, r1 * r2 + r1 * r3 + r2 * r3, r1 * r2 * r3) \
+                != (-b2, 8 * b4, -16 * b6):
+            raise ArithmeticError(f"{xs} are not the two-torsion "
+                                  f"x-coordinates of the model {coefficients}")
+    return coefficients, (b2, b4, b6), disc, roots
 
 
 # elements per ``_count_odd`` block; bounds its temporaries to a few
@@ -178,27 +218,30 @@ def _count_roots(roots: Sequence[tuple[int, int, int]], p: int) -> list[int]:
     return counts
 
 
-# split curves are counted by ``_count_roots_int`` at the odd primes below
-# this and by ``_count_roots`` from it on.  The int kernel's table costs
-# O(p) once per prime, about 0.1 ms at p = 997: a one-curve sum to the cut
-# costs about 10 ms with its tables, against 0.07-0.13 s for the numpy
-# import it spares.  Past the cut the tables grow quadratically (a one-curve
-# sum to N = 10^4 takes 0.66 s, against 0.06 s of numpy counts), and only
+# split curves are counted by ``_count_split`` at the odd primes below this
+# and by ``_count_roots`` from it on.  The int loop's table costs O(p) once
+# per prime, about 0.1 ms at p = 997: a one-curve sum to the cut costs about
+# 10 ms with its tables, against 0.07-0.13 s for the numpy import it
+# spares.  Past the cut the tables grow quadratically (a one-curve sum to
+# N = 10^4 takes 0.66 s, against 0.06 s of numpy counts), and only
 # ``verify``'s two s2 checks and a sieve depth --N above 1000 count there
 # (BENCH_int_kernel.json)
 _INT_BELOW = 1000
 
 
 @functools.cache
-def _nonresidues(p: int) -> tuple[int, int]:
-    """(N | N << p, 2^p - 1) for the p-bit int N whose bit X is set when X
-    is a quadratic non-residue mod the odd prime p.
+def _nonresidues(p: int) -> tuple[int, int, int, int, bytes, bool, float,
+                                  int]:
+    """The row (p, N, N | N << p, 2^p - 2, text, p % 4 == 3, log p, p - 1)
+    of ``_count_split`` at the odd prime p, for the p-bit int N whose bit X
+    is set when X is a quadratic non-residue mod p; character X of text is
+    an ASCII 1 when bit X of N is set, else an ASCII 0.
 
     Built at C speed: in a bytearray of ASCII 1s, character X is zeroed at
     0 and, by map, at each square.  int(..., 2) reads the most significant
-    bit first, so it parses the reversed text, where bit X is the
-    character at p - 1 - X.  ``_count_good`` asks for primes below
-    _INT_BELOW only, so there the cache holds at most 167 entries.
+    bit first, so it parses the reversed text, where bit X is the character
+    at p - 1 - X.  Rows are asked for primes below _INT_BELOW only, so the
+    cache holds at most 167 entries.
     """
     text = bytearray(b"1") * p
     text[0] = ord("0")
@@ -206,42 +249,66 @@ def _nonresidues(p: int) -> tuple[int, int]:
     # any() drains the map: __setitem__ returns None
     any(map(text.__setitem__, squares, repeat(ord("0"))))
     n = int(text[::-1], 2)
-    return n | n << p, (1 << p) - 1
+    return (p, n, n | n << p, (1 << p) - 2, bytes(text), p % 4 == 3,
+            math.log(p), p - 1)
 
 
-def _count_roots_int(roots: Sequence[tuple[int, int, int]],
-                     p: int) -> list[int]:
-    """#E(F_p) for each curve with integral X-roots (r1, r2, r3) at one odd
-    p of good reduction, in Python ints.
+def _int_rows(limit: int) -> list[tuple]:
+    """The ``_nonresidues`` rows of the odd primes p <= limit below
+    _INT_BELOW, ascending."""
+    return [_nonresidues(p)
+            for p in primes_upto(min(limit, _INT_BELOW - 1))[1:]]
 
-    Off the three roots chi(X - r1) chi(X - r2) chi(X - r3) is -1 exactly
-    when an odd number of X - r_i are non-residues, and bit X of
-    N2 >> (p - r_i mod p) is whether X - r_i is one, for 0 <= X < p.  So the
-    XOR of the three shifts, with the three bits X = r_i cleared (distinct
-    at a good prime), has a bit for each -1 among the p - 3 terms that are
-    not 0, and #E(F_p) = p + 1 + (p - 3) - 2 * popcount.
+
+def _count_split(roots: tuple[int, int, int], disc: int,
+                 rows: Iterable[tuple], total: float = 0.0) \
+        -> tuple[list[int], float]:
+    """#E(F_p) of one curve with integral X-roots (r1, r2, r3) at each row's
+    prime that does not divide disc, in row order, and total plus those
+    primes' Mestre-Nagao terms, added in row order.
+
+    With Y = X - r1, s = r1 - r2 and t = r1 - r3 mod p, the sum is
+    sum_Y chi(Y) chi(Y + s) chi(Y + t); at a good prime 0, s and t are
+    distinct.  Off Y in {0, -s, -t} a term is -1 exactly when an odd number
+    of Y, Y + s, Y + t are non-residues, and for 0 <= Y < p bit Y of N,
+    N2 >> s and N2 >> t says whether each is one.  Their XOR, bit 0
+    cleared, has a bit for each -1 among the p - 3 terms that are not 0,
+    plus its bits at Y = -s and Y = -t, where the term is 0: those are
+    nr(-s) ^ nr(t - s) and nr(-t) ^ nr(s - t), for nr(x) the non-residue
+    bit of x mod p, and as nr(-x) = nr(x) ^ q for x != 0, with q set when
+    -1 is a non-residue (p = 3 mod 4), they are q ^ nr(s) ^ nr(t - s) and
+    nr(t) ^ nr(t - s), read off the ASCII text (the XOR of two of its
+    characters is their bits' XOR).  With popcount the -1s,
+    #E(F_p) = p + 1 + (p - 3) - 2 * popcount.
     """
-    n2, mask = _nonresidues(p)
+    r1, r2, r3 = roots
+    d2, d3 = r1 - r2, r1 - r3
     counts: list[int] = []
-    for r1, r2, r3 in roots:
-        r1, r2, r3 = r1 % p, r2 % p, r3 % p
-        odd = ((n2 >> (p - r1)) ^ (n2 >> (p - r2)) ^ (n2 >> (p - r3))) & (
-            mask ^ (1 << r1 | 1 << r2 | 1 << r3))
-        counts.append(2 * p - 2 - 2 * odd.bit_count())
-    return counts
+    append = counts.append
+    for p, n, n2, mask, text, q, logp, pm1 in rows:
+        if disc % p:
+            s, t = d2 % p, d3 % p
+            u = text[t - s]
+            c = 2 * p - 2 - 2 * (((n ^ (n2 >> s) ^ (n2 >> t)) & mask
+                                  ).bit_count() - (q ^ text[s] ^ u)
+                                 - (text[t] ^ u))
+            append(c)
+            total += (1.0 - pm1 / c) * logp
+    return counts, total
 
 
 def _count_good(data: Sequence[tuple], p: int) -> list[int]:
     """#E(F_p) for each curve's integral data at one prime of good reduction,
-    each curve through the kernel its two-torsion picks."""
+    each curve through the batch kernel its two-torsion picks.  Callers
+    count split curves at the odd primes below _INT_BELOW with
+    ``_count_split`` instead."""
     if p == 2:
         return [_count_mod_two(d[0]) for d in data]
     split = [i for i, d in enumerate(data) if d[3] is not None]
     other = [i for i, d in enumerate(data) if d[3] is None]
     counts = [0] * len(data)
     if split:
-        kernel = _count_roots_int if p < _INT_BELOW else _count_roots
-        for i, n in zip(split, kernel([data[i][3] for i in split], p)):
+        for i, n in zip(split, _count_roots([data[i][3] for i in split], p)):
             counts[i] = n
     if other:
         for i, n in zip(other, _count_odd([data[i][1] for i in other], p)):
@@ -255,12 +322,9 @@ def count_points_fp(E: CurveQ, p: int) -> int:
     Raises BadReduction when p is not a prime or divides the integral
     model's discriminant.
     """
-    data = _integral_data(E)
     if not is_probable_prime(p):
         raise BadReduction(f"{p} is not a prime")
-    if data[2] % p == 0:
-        raise BadReduction(f"bad reduction at {p}")
-    return _count_good([data], p)[0]
+    return _count_points_at(E, [p])[0]
 
 
 def _good_primes(E: CurveQ, primes: Sequence[int]) -> list[int]:
@@ -273,14 +337,21 @@ def _good_primes(E: CurveQ, primes: Sequence[int]) -> list[int]:
 def _count_points_at(E: CurveQ, primes: Sequence[int]) -> list[int]:
     """#E(F_p) at each of the given primes, in their order.
 
-    Each prime is counted as ``count_points_fp`` counts it.  Raises
+    A split curve is counted in one ``_count_split`` loop at its odd primes
+    below _INT_BELOW, and every other prime in a batch of one.  Raises
     BadReduction when one of the primes is bad.
     """
     data = _integral_data(E)
     for p in primes:
         if data[2] % p == 0:
             raise BadReduction(f"bad reduction at {p}")
-    return [_count_good([data], p)[0] for p in primes]
+    counts = {}
+    if data[3] is not None:
+        small = [p for p in primes if 2 < p < _INT_BELOW]
+        counts = dict(zip(small, _count_split(
+            data[3], data[2], map(_nonresidues, small))[0]))
+    return [counts[p] if p in counts else _count_good([data], p)[0]
+            for p in primes]
 
 
 def trace_of_frobenius(E: CurveQ, p: int) -> int:
@@ -315,28 +386,55 @@ def mestre_nagao_sums(curves: Sequence[CurveQ],
     """The rank-selection sum over good primes p <= limit, for each curve.
 
     Each good prime contributes (1 - (p-1)/#E(F_p)) log p; large values
-    correlate with high rank.  Primes are visited in ascending order and
-    each curve's terms are added in that order, so every result is
-    reproducible bit for bit and does not depend on the rest of the batch.
+    correlate with high rank.  Each curve's terms are added in ascending
+    prime order, so every result is reproducible bit for bit and does not
+    depend on the rest of the batch.
     """
-    data = [_integral_data(E) for E in curves]
+    return _sums_from_data([_integral_data(E) for E in curves], limit)
+
+
+def _sums_from_data(data: Sequence[tuple], limit: int) -> list[SieveResult]:
+    """``mestre_nagao_sums`` of the curves with this ``_integral_data``.
+
+    p = 2 comes first, as a batch.  A split curve then runs its odd primes
+    below _INT_BELOW in one ``_count_split`` loop; every other curve counts
+    those primes a batch per prime, and all curves count the primes from
+    the cut on a batch per prime.
+    """
     totals = [0.0] * len(data)
     used = [0] * len(data)
     skipped = [0] * len(data)
-    for p in primes_upto(limit):
-        good = []
-        for i, d in enumerate(data):
-            if d[2] % p:
-                good.append(i)
-            else:
-                skipped[i] += 1
-        if not good:
+
+    def per_prime(primes: Sequence[int], members: Sequence[int]) -> None:
+        for p in primes:
+            good = []
+            for i in members:
+                if data[i][2] % p:
+                    good.append(i)
+                else:
+                    skipped[i] += 1
+            if not good:
+                continue
+            counts = _count_good([data[i] for i in good], p)
+            logp = math.log(p)
+            for i, n in zip(good, counts):
+                used[i] += 1
+                totals[i] += (1.0 - (p - 1) / n) * logp
+
+    primes = primes_upto(limit)
+    rows = _int_rows(limit)
+    every = range(len(data))
+    per_prime(primes[:1], every)
+    other = []
+    for i, (_, _, disc, roots) in enumerate(data):
+        if roots is None:
+            other.append(i)
             continue
-        counts = _count_good([data[i] for i in good], p)
-        logp = math.log(p)
-        for i, n in zip(good, counts):
-            used[i] += 1
-            totals[i] += (1.0 - (p - 1) / n) * logp
+        counts, totals[i] = _count_split(roots, disc, rows, totals[i])
+        used[i] += len(counts)
+        skipped[i] += len(rows) - len(counts)
+    per_prime(primes[1:1 + len(rows)], other)
+    per_prime(primes[1 + len(rows):], every)
     return [SieveResult(t, u, s) for t, u, s in zip(totals, used, skipped)]
 
 

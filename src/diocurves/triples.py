@@ -146,23 +146,30 @@ class InducedCurves(NamedTuple):
         return PointQ(self.scale * QQ(x), self.scale * QQ(y))
 
 
-def induced_curves(t: Triple) -> InducedCurves:
-    """Both models, each coefficient one Fraction of integers: with
-    a = A/p, b = B/q, c = C/r, every symmetric function of a, b, c has
-    denominator a power of pqr."""
+def _companion_ints(t: Triple) -> tuple[int, int, int, int,
+                                         tuple[tuple[int, int], ...]]:
+    """(den, e1, e2, e3, xs) in ints: with a = A/p, b = B/q, c = C/r,
+    den = pqr, e_k / den is the k-th elementary symmetric function of
+    a, b, c, and xs holds -ab, -ac, -bc as (numerator, denominator) pairs,
+    not reduced.  The companion model is
+    y^2 = x^3 + (e2/den) x^2 + (e3 e1/den^2) x + e3^2/den^2, as
+    abc (a + b + c) = ab ac + ab bc + ac bc."""
     (A, p), (B, q), (C, r) = (v.as_integer_ratio() for v in t.elements)
-    den = p * q * r
-    e1 = A * q * r + B * p * r + C * p * q          # (a + b + c) den
-    e2 = A * B * r + A * C * q + B * C * p          # (ab + ac + bc) den
-    e3 = A * B * C                                  # abc den
+    return (p * q * r, A * q * r + B * p * r + C * p * q,
+            A * B * r + A * C * q + B * C * p, A * B * C,
+            ((-A * B, p * q), (-A * C, p * r), (-B * C, q * r)))
+
+
+def induced_curves(t: Triple) -> InducedCurves:
+    """Both models, each coefficient one Fraction of integers: every
+    symmetric function of a, b, c has denominator a power of pqr."""
+    den, e1, e2, e3, xs = _companion_ints(t)
     scale = Fraction(e3, den)
     cubic = (scale, Fraction(e2, den), Fraction(e1, den), QQ(1))
-    # (x + ab)(x + ac)(x + bc), as abc (a + b + c) = ab ac + ab bc + ac bc
+    # (x + ab)(x + ac)(x + bc)
     curve = CurveQ(0, cubic[1], 0, Fraction(e3 * e1, den * den),
                    Fraction(e3 * e3, den * den))
-    _seed_two_torsion_x(curve, tuple(sorted((
-        Fraction(-A * B, p * q), Fraction(-A * C, p * r),
-        Fraction(-B * C, q * r)))))
+    _seed_two_torsion_x(curve, tuple(sorted(Fraction(n, d) for n, d in xs)))
     return InducedCurves(t, cubic, curve, scale)
 
 

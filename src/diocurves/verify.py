@@ -365,7 +365,7 @@ def section_checks(section: str, long: bool = False) -> list[Job]:
     that store a curve, in dataset order, then with `long` the full check
     of each record of _DEFAULT_SLICE, then the other records in dataset
     order.  The three s2 checks are one job: they share the numpy import,
-    the int kernel's residue tables and the rank-9 record's integral
+    the int loop's residue tables and the rank-9 record's integral
     model, so one process pays for them once.  Every other check is a job
     of its own.
     """

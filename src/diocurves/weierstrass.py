@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from ._poly import rational_roots
 from .errors import ParseError, PointNotOnCurve, SingularCurve
@@ -195,7 +195,14 @@ def _int_invariants(E: CurveQ) -> tuple[int, ...]:
 
 
 def _build_int_invariants(E: CurveQ) -> tuple[int, ...]:
-    m, a1, a2, a3, a4, a6 = _int_model(E)
+    m, *coefficients = _int_model(E)
+    return (m, *_invariants_of_ints(*coefficients))
+
+
+def _invariants_of_ints(a1: int, a2: int, a3: int, a4: int,
+                        a6: int) -> tuple[int, ...]:
+    """(b2, b4, b6, b8, c4, c6, disc) of an integral model, with both
+    invariant identities checked."""
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
@@ -207,7 +214,7 @@ def _build_int_invariants(E: CurveQ) -> tuple[int, ...]:
     disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
     if 1728 * disc != c4 ** 3 - c6 * c6:
         raise ArithmeticError("invariant identity 1728 D = c4^3 - c6^2 failed")
-    return m, b2, b4, b6, b8, c4, c6, disc
+    return b2, b4, b6, b8, c4, c6, disc
 
 
 _TWO_TORSION_X = "_two_torsion_x"
@@ -251,9 +258,15 @@ def _int_model(E: CurveQ) -> tuple[int, int, int, int, int, int]:
 
 
 def _build_int_model(E: CurveQ) -> tuple[int, ...]:
-    m = math.lcm(*(a.denominator for a in E.coefficients()))
+    return _int_model_of([a.as_integer_ratio() for a in E.coefficients()])
+
+
+def _int_model_of(ratios: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """`_int_model` of the coefficients a1, a2, a3, a4, a6 given as
+    (numerator, denominator) pairs in lowest terms, denominators positive."""
+    m = math.lcm(*(d for _, d in ratios))
     return (m, *(n * (m ** k // d) for (n, d), k in zip(
-        (a.as_integer_ratio() for a in E.coefficients()), (1, 2, 3, 4, 6))))
+        ratios, (1, 2, 3, 4, 6))))
 
 
 def is_on_curve(E: CurveQ, P: PointQ) -> bool:

@@ -214,13 +214,13 @@ def test_sieve_in_chunks_prints_the_one_chunk_output(monkeypatch, capsys):
     assert run(README_SIEVE) == EXIT_OK
     one = capsys.readouterr()
     batches = []
-    real = cli.mestre_nagao_sums
+    real = cli._sums_from_data
 
-    def counting(curves, limit):
-        batches.append(len(curves))
-        return real(curves, limit)
+    def counting(data, limit):
+        batches.append(len(data))
+        return real(data, limit)
 
-    monkeypatch.setattr(cli, "mestre_nagao_sums", counting)
+    monkeypatch.setattr(cli, "_sums_from_data", counting)
     monkeypatch.setattr(cli, "SIEVE_CHUNK", 7)
     assert run(README_SIEVE) == EXIT_OK
     chunked = capsys.readouterr()
@@ -647,7 +647,11 @@ def test_unwritable_out_is_usage_error_before_any_work(tmp_path, monkeypatch,
     work = []
     monkeypatch.setattr(cli, "_search_record",
                         lambda *a, **k: work.append("record"))
-    monkeypatch.setattr(cli, "mestre_nagao_sums",
+    monkeypatch.setattr(cli, "_triple_data",
+                        lambda *a, **k: work.append("data"))
+    monkeypatch.setattr(cli, "_int_rows",
+                        lambda *a, **k: work.append("tables") or [])
+    monkeypatch.setattr(cli, "_sums_from_data",
                         lambda *a, **k: work.append("grid") or [])
     out = tmp_path / "missing" / "f.jsonl"
     assert run([*argv, "--out", str(out)]) == EXIT_USAGE

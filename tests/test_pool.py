@@ -3,6 +3,7 @@
 Every test fixes its worker count, so none depends on the host.
 """
 
+import gc
 import io
 import os
 import signal
@@ -11,7 +12,7 @@ import time
 import pytest
 
 import diocurves.cli as cli
-from diocurves import _pool, verify
+from diocurves import _pool, sieve, verify
 from diocurves._pool import ordered_map
 from diocurves.cli import EXIT_SOFTWARE, EXIT_USAGE, EXIT_VERIFY_FAILED
 
@@ -248,3 +249,55 @@ def test_lost_worker_outcome_is_exit_70_without_traceback(
         assert "cannot be sent back" in err
     assert pools == [2]
     _assert_no_child_left()
+
+
+@pytest.mark.parametrize("ending", ["exhausted", "raises", "closed-early"])
+def test_ordered_map_thaws_the_heap_it_froze(pools, ending):
+    before = gc.get_freeze_count()
+    items = range(3) if ending == "exhausted" else range(8)
+    results = ordered_map(_square_unless_three, items, 2)
+    assert next(results) == 0
+    # frozen while the workers run
+    assert gc.get_freeze_count() > before
+    if ending == "exhausted":
+        assert list(results) == [1, 4]
+    elif ending == "raises":
+        with pytest.raises(ValueError, match="item 3"):
+            list(results)
+    else:
+        results.close()
+    assert gc.get_freeze_count() == before
+    assert pools == [2]
+    _assert_no_child_left()
+
+
+def test_ordered_map_keeps_a_heap_frozen_elsewhere(pools):
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert list(ordered_map(_square_unless_three, range(3), 2)) == \
+            [0, 1, 4]
+        assert gc.get_freeze_count() >= frozen
+    finally:
+        gc.unfreeze()
+    assert pools == [2]
+
+
+@pytest.mark.parametrize("N", [150, 1200])
+def test_sieve_workers_start_with_warm_tables(monkeypatch, capsys, N):
+    # the int loop's tables for every odd prime below min(N, 1000) exist
+    # before the first worker forks, so no worker builds its own
+    sieve._nonresidues.cache_clear()
+    cached = []
+    start = _pool._start_worker
+
+    def spying(fn, items, first):
+        cached.append(sieve._nonresidues.cache_info().currsize)
+        return start(fn, items, first)
+
+    monkeypatch.setattr(_pool, "_start_worker", spying)
+    cfg = cli.Config(N=N, keep=0.05, jobs=2)
+    assert cli.cmd_sieve("K_PLUSMINUS", (1, 12), (1, 3), cfg) == cli.EXIT_OK
+    assert '"kind":"search"' in capsys.readouterr().out
+    odd = sieve.primes_upto(min(N, sieve._INT_BELOW - 1))[1:]
+    assert cached and cached == [len(odd)] * len(cached)

@@ -13,7 +13,7 @@ import diocurves.sieve as sieve_mod
 from diocurves import weierstrass
 from diocurves._poly import rational_roots
 from diocurves.cli import _grid
-from diocurves.errors import BadReduction, DiocurvesError
+from diocurves.errors import BadReduction, DiocurvesError, SingularCurve
 from diocurves.families import (FAMILY_CONSTRUCTORS, K_PLUSMINUS,
                                 dataset_record, family_k, z2z8_family)
 from diocurves.sieve import (
@@ -143,24 +143,34 @@ def test_mestre_nagao_sums_bit_identical(monkeypatch):
         curves.append(clear_denominators(induced_curves(triple).curve)[0])
         if len(curves) == 24:
             break
-    # the primes each split-curve kernel is asked to count at
-    reached = {"_count_roots_int": set(), "_count_roots": set()}
-    for name, primes in reached.items():
-        monkeypatch.setattr(sieve_mod, name, lambda roots, p, real=getattr(
-            sieve_mod, name), primes=primes: primes.add(p) or real(roots, p))
-    # the largest prime of the sum is counted by the int kernel, and the
-    # next prime, past its cut, by the numpy one; both match the reference
+    # the primes the split-curve loop and the numpy kernel count at
+    reached = {"_count_split": set(), "_count_roots": set()}
+    real_split, real_roots = sieve_mod._count_split, sieve_mod._count_roots
+
+    def split(roots, disc, rows, total=0.0):
+        rows = list(rows)
+        reached["_count_split"].update(r[0] for r in rows if disc % r[0])
+        return real_split(roots, disc, rows, total)
+
+    def numpy_roots(roots, p):
+        reached["_count_roots"].add(p)
+        return real_roots(roots, p)
+
+    monkeypatch.setattr(sieve_mod, "_count_split", split)
+    monkeypatch.setattr(sieve_mod, "_count_roots", numpy_roots)
+    # the largest prime of the sum is counted by the int loop, and the
+    # next prime, past its cut, by the numpy kernel; both match the
+    # reference
     p = primes_upto(limit)[-1]
     assert p == 997
     for q in (p, 1009):
         good = [E for E in curves if reference_count(E, q) is not None]
         assert len(good) > 1
-        counts = sieve_mod._count_good(
-            [sieve_mod._integral_data(E) for E in good], q)
+        counts = [sieve_mod._count_points_at(E, [q])[0] for E in good]
         assert counts == [reference_count(E, q) for E in good]
-    assert reached == {"_count_roots_int": {997}, "_count_roots": {1009}}
+    assert reached == {"_count_split": {997}, "_count_roots": {1009}}
     batch = mestre_nagao_sums(curves, limit)
-    assert 997 in reached["_count_roots_int"]
+    assert 997 in reached["_count_split"]
     assert reached["_count_roots"] == {1009}
     assert len(batch) == len(curves)
     for E, res in zip(curves, batch):
@@ -292,7 +302,7 @@ def test_root_kernel_matches_reference_loop(monkeypatch):
         want = [reference_count(E, p) for E in curves]
         good = [i for i, n in enumerate(want) if n is not None]
         # one batch per prime, also below the cut, where the sieve itself
-        # counts with the int kernel
+        # counts with the int loop
         got = sieve_mod._count_roots([roots[i] for i in good], p)
         assert got == [want[i] for i in good], p
 
@@ -311,7 +321,7 @@ def test_curves_without_rational_two_torsion_count_by_polynomial(monkeypatch):
 
     monkeypatch.setattr(sieve_mod, "_count_odd", counting_odd)
     monkeypatch.setattr(sieve_mod, "_count_roots", _forbidden)
-    monkeypatch.setattr(sieve_mod, "_count_roots_int", _forbidden)
+    monkeypatch.setattr(sieve_mod, "_count_split", _forbidden)
     for E in curves:
         for p in (101, 499):
             want = reference_count(E, p)
@@ -352,14 +362,35 @@ def _recording(monkeypatch, name, rows):
     return real
 
 
+def _split_rows(monkeypatch, calls):
+    """Replace sieve._count_split by one that also appends the primes of
+    each call's rows at which it counts, as one list per call."""
+    real = sieve_mod._count_split
+
+    def recording(roots, disc, rows, total=0.0):
+        rows = list(rows)
+        calls.append([r[0] for r in rows if disc % r[0]])
+        return real(roots, disc, rows, total)
+
+    monkeypatch.setattr(sieve_mod, "_count_split", recording)
+
+
+def _int_counts(E, primes):
+    """The int loop's counts of E at the given good primes, whichever side
+    of the cut they lie."""
+    _, _, disc, roots = sieve_mod._integral_data(E)
+    return sieve_mod._count_split(
+        roots, disc, map(sieve_mod._nonresidues, primes))[0]
+
+
 def test_int_kernel_matches_reference_and_numpy(monkeypatch):
     curves = _packed_kernel_curves()
     assert any(E.a1 != 0 for E in curves)
     odd = primes_upto(2047)[1:]
     cut = sieve_mod._INT_BELOW
     assert odd[0] == 3 and odd[0] < cut < odd[-1]
-    int_rows, numpy_rows = [], []
-    count_int = _recording(monkeypatch, "_count_roots_int", int_rows)
+    int_calls, numpy_rows = [], []
+    _split_rows(monkeypatch, int_calls)
     count_numpy = _recording(monkeypatch, "_count_roots", numpy_rows)
     at_three, zero_root = [], set()
     for E in curves:
@@ -367,26 +398,26 @@ def test_int_kernel_matches_reference_and_numpy(monkeypatch):
         good = sieve_mod._good_primes(E, odd)
         at_three.append(good[0] == 3)
         want = [reference_count(E, p) for p in good]
-        # the int kernel is exact on both sides of the cut, where numpy's
+        # the int loop is exact on both sides of the cut, where numpy's
         # kernel counts the same
-        assert [count_int([roots], p)[0] for p in good] == want, E
+        assert _int_counts(E, good) == want, E
         assert [count_numpy([roots], p)[0] for p in good] == want, E
         zero_root.update(p for p in good if any(r % p == 0 for r in roots))
-        # the one-curve path: one int kernel call per prime below the cut,
+        # the one-curve path: one int loop over the primes below the cut,
         # one numpy call per prime above it
-        int_rows.clear()
+        int_calls.clear()
         numpy_rows.clear()
         assert sieve_mod._count_points_at(E, good) == want, E
-        assert int_rows == [(p, 1) for p in good if p < cut]
+        assert int_calls == [[p for p in good if p < cut]]
         assert numpy_rows == [(p, 1) for p in good if p > cut]
-    # p = 3, the shortest table, and a root that reduces to 0, which puts
-    # a cleared bit at the table's own zero bit below the cut and reads
-    # numpy's table from offset 0 above it
+    # p = 3, the shortest table, and a root that reduces to 0 on both
+    # sides of the cut (numpy reads its table from offset 0 there)
     assert any(at_three)
     assert any(p < cut for p in zero_root)
     assert any(p > cut for p in zero_root)
-    # the grid batch: all the curves at one prime in one call of one kernel,
-    # with family members enough for more than 16 rows above the cut
+    # the grid batch, with family members enough for more than 16 rows
+    # above the cut: one int loop per curve over its good primes below the
+    # cut, then all the curves at one prime in one numpy call
     members = []
     for k in range(2, 40):
         try:
@@ -394,17 +425,23 @@ def test_int_kernel_matches_reference_and_numpy(monkeypatch):
         except DiocurvesError:
             continue
         members.append(induced_curves(triple).curve)
-    for p in (3, 997, 1009, 2039):
-        int_rows.clear()
-        numpy_rows.clear()
-        good = [E for E in curves + members
-                if reference_count(E, p) is not None]
-        assert p < cut or len(good) > 16
+    batch = curves + members
+    int_calls.clear()
+    numpy_rows.clear()
+    mestre_nagao_sums(batch, cut)
+    assert int_calls == [sieve_mod._good_primes(E, odd[:odd.index(997) + 1])
+                         for E in batch]
+    assert numpy_rows == []
+    for p in (1009, 2039):
+        int_calls.clear()
+        good = [E for E in batch if reference_count(E, p) is not None]
+        assert len(good) > 16
         data = [sieve_mod._integral_data(E) for E in good]
+        numpy_rows.clear()
         assert sieve_mod._count_good(data, p) == \
             [reference_count(E, p) for E in good], p
-        assert (int_rows if p < cut else numpy_rows) == [(p, len(good))]
-        assert (numpy_rows if p < cut else int_rows) == []
+        assert numpy_rows == [(p, len(good))]
+        assert int_calls == []
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -419,9 +456,108 @@ def test_int_kernel_matches_reference_on_family_members(z2z8, n, d, p):
     E = induced_curves(triple).curve
     want = reference_count(E, p)
     assume(want is not None)
-    roots = sieve_mod._integral_data(E)[3]
-    assert sieve_mod._count_roots_int([roots], p) == [want]
+    assert _int_counts(E, [p]) == [want]
     assert count_points_fp(E, p) == want
+
+
+# the one-parameter families, the ones `sieve` takes
+ONE_PARAMETER = sorted(family for family, ctor in FAMILY_CONSTRUCTORS.items()
+                       if ctor.__code__.co_argcount == 1)
+
+
+def _valid_parameters(family):
+    """A few parameters of the family that build a triple."""
+    ctor = FAMILY_CONSTRUCTORS[family]
+    valid = []
+    for q in _grid((-30, 30), (1, 7)):
+        try:
+            ctor(q)
+        except DiocurvesError:
+            continue
+        valid.append(q)
+    return valid[::max(1, len(valid) // 12)]
+
+
+# a denominator that some small prime, odd or 2, divides
+_DENOMINATORS = st.builds(lambda k, p: k * p, st.integers(1, 6),
+                          st.sampled_from(primes_upto(97)))
+
+
+@pytest.mark.parametrize("family", ONE_PARAMETER)
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_triple_data_scores_as_the_cleared_curves(family, data):
+    # the grid's integral data, read off a triple's integers, is the data
+    # of its cleared curve, and scores bit for bit as those curves do, in a
+    # batch and alone, on both sides of the int loop's cut
+    assert len(ONE_PARAMETER) == 7
+    ctor = FAMILY_CONSTRUCTORS[family]
+    drawn = data.draw(st.lists(st.builds(
+        F, st.integers(-60, 60), _DENOMINATORS), max_size=4))
+    drawn.append(data.draw(st.sampled_from(_valid_parameters(family))))
+    triples = []
+    for q in drawn:
+        try:
+            triples.append(ctor(q))
+        except DiocurvesError:
+            continue
+    cleared = [clear_denominators(induced_curves(t).curve)[0]
+               for t in triples]
+    grid = [sieve_mod._triple_data(t) for t in triples]
+    assert grid == [sieve_mod._integral_data(E) for E in cleared]
+    for limit in (997, 1000, 1200):
+        want = mestre_nagao_sums(cleared, limit)
+        got = sieve_mod._sums_from_data(grid, limit)
+        # a fresh curve solves its cubic for the two-torsion x
+        alone = [mestre_nagao_sum(_fresh(E), limit) for E in cleared]
+        for g, w, a in zip(got, want, alone):
+            assert repr(g.value) == repr(w.value) == repr(a.value)
+            assert (g.primes_used, g.primes_skipped) == \
+                (w.primes_used, w.primes_skipped) == \
+                (a.primes_used, a.primes_skipped)
+
+
+def test_triple_data_batch_with_a_non_split_curve():
+    # E11 has no rational two-torsion, so it counts a batch per prime by
+    # _count_odd below the cut while the triples around it run their loops
+    ctor = FAMILY_CONSTRUCTORS[K_PLUSMINUS]
+    triples = [ctor(q) for q in _valid_parameters(K_PLUSMINUS)[:3]]
+    cleared = [clear_denominators(induced_curves(t).curve)[0]
+               for t in triples]
+    curves = cleared[:2] + [E11] + cleared[2:]
+    data = [sieve_mod._triple_data(t) for t in triples]
+    data = data[:2] + [sieve_mod._integral_data(E11)] + data[2:]
+    for limit in (997, 1200):
+        for E, res in zip(curves, sieve_mod._sums_from_data(data, limit)):
+            total, used, skipped = reference_sum(E, limit)
+            assert repr(res.value) == repr(total)
+            assert (res.primes_used, res.primes_skipped) == (used, skipped)
+
+
+def test_triple_data_keeps_every_check(monkeypatch):
+    # the triple path checks what building the cleared curve checks: the
+    # invariant identities, a nonzero discriminant and Vieta's formulas
+    t = make_triple(1, 3, 8)
+    real = sieve_mod._companion_ints
+    den, e1, e2, e3, xs = real(t)
+    monkeypatch.setattr(sieve_mod, "_companion_ints",
+                        lambda t: (den, e1, e2, e3, xs[:2] + ((1, 1),)))
+    with pytest.raises(ArithmeticError, match="two-torsion"):
+        sieve_mod._triple_data(t)
+    monkeypatch.setattr(sieve_mod, "_companion_ints",
+                        lambda t: (den, e1, e2, e3, xs[:2] + ((1, 8),)))
+    with pytest.raises(ArithmeticError, match="not integral"):
+        sieve_mod._triple_data(t)
+    monkeypatch.setattr(sieve_mod, "_companion_ints", real)
+    # the invariants come from the one int function that checks
+    # 4 b8 = b2 b6 - b4^2 and 1728 D = c4^3 - c6^2, and D = 0 is refused
+    checked = []
+    monkeypatch.setattr(sieve_mod, "_invariants_of_ints", lambda *a: (
+        checked.append(a) or weierstrass._invariants_of_ints(*a)))
+    coefficients = sieve_mod._triple_data(t)[0]
+    assert checked == [coefficients]
+    with pytest.raises(SingularCurve):
+        sieve_mod._model_data((0, 0, 0, 0, 0), None)
 
 
 def test_count_points_at_bad_primes_raise():
@@ -435,8 +571,8 @@ def test_count_points_at_bad_primes_raise():
 
 @pytest.mark.parametrize("limit", [200, 1000, 10**4])
 def test_one_curve_score_is_its_score_in_a_batch(limit):
-    # the one-curve sum counts one row per kernel call, the batch many;
-    # both sides of the int kernel's cut, and the floats agree bit for bit
+    # the one-curve sum and the batch, on both sides of the int loop's
+    # cut; the floats agree bit for bit
     curves = _packed_kernel_curves()[::2] + [
         E11, dataset_record("s3-rank9").curve]
     batch = mestre_nagao_sums(curves, limit)

@@ -195,21 +195,22 @@ def test_reduction_bound_walks_the_same_primes(monkeypatch, prime_count):
         return real(E, primes)
 
     int_rows = []
-    real_int = sieve._count_roots_int
+    real_int = sieve._count_split
 
-    def recording_int(roots, p):
-        int_rows.append(p)
-        return real_int(roots, p)
+    def recording_int(roots, disc, rows, total=0.0):
+        rows = list(rows)
+        int_rows.extend(r[0] for r in rows)
+        return real_int(roots, disc, rows, total)
 
     monkeypatch.setattr(torsion, "_count_points_at", recording)
-    monkeypatch.setattr(sieve, "_count_roots_int", recording_int)
+    monkeypatch.setattr(sieve, "_count_split", recording_int)
     for E, bound in zip(curves, want):
         primes = _first_good_odd_primes(E, prime_count)
         calls.clear()
         int_rows.clear()
         assert reduction_torsion_bound(E, prime_count) == bound
         assert calls == [primes]
-        # with split two-torsion, every prime is below the int kernel's
+        # with split two-torsion, every prime is below the int loop's
         # cut and counted by it, so the bound loads no numpy
         split = len(two_torsion_points(E)) == 3
         assert int_rows == (primes if split else [])
