@@ -155,8 +155,7 @@ def _curve_json(E: CurveQ) -> list[str]:
 
 def _search_record(triple: Triple, cfg: Config,
                    family_id: Optional[str] = None,
-                   parameters: Sequence[QQ] = (),
-                   with_extension: bool = False) -> dict:
+                   parameters: Sequence[QQ] = ()) -> dict:
     """Run the whole pipeline on one triple and collect the outcome.
 
     The working model is the one `minimal_model` returns; `curve_minimal`
@@ -178,7 +177,7 @@ def _search_record(triple: Triple, cfg: Config,
     tors = torsion_subgroup(E)
     rank = rank_lower_bound(E, candidates)
 
-    record = {
+    return {
         "version": JSONL_VERSION,
         "kind": "search",
         "family": family_id,
@@ -195,14 +194,6 @@ def _search_record(triple: Triple, cfg: Config,
                  "certificate": list(rank.certificate_indices)},
         "points": [_point_json(P) for P in candidates],
     }
-    if with_extension:
-        ext = extend_to_quadruple(triple)
-        record["quadruple_extension"] = {
-            "values": sorted(format_rational(v)
-                             for v in (ext.plus_branch, ext.minus_branch)),
-            "usable": [format_rational(v) for v in ext.usable()],
-        }
-    return record
 
 
 def _open_out(path: Optional[str]) -> contextlib.AbstractContextManager:
@@ -239,7 +230,13 @@ def cmd_induce(triple_text: str, cfg: Config) -> int:
         print(f"invalid triple: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     with _open_out(cfg.out) as out:
-        record = _search_record(triple, cfg, with_extension=True)
+        record = _search_record(triple, cfg)
+        ext = extend_to_quadruple(triple)
+        record["quadruple_extension"] = {
+            "values": sorted(format_rational(v)
+                             for v in (ext.plus_branch, ext.minus_branch)),
+            "usable": [format_rational(v) for v in ext.usable()],
+        }
         _emit([_dumps(record)], out)
     tors = record["torsion"]
     print(f"triple {{{', '.join(record['triple'])}}}: "

@@ -146,14 +146,6 @@ def _coprime_basis(values: Sequence[int]) -> list[int]:
     return sorted(_Classes(values).basis)
 
 
-def _descent_vectors(triples: Sequence[Sequence[int]]) -> list[int]:
-    """F2 vectors of value triples that add as their square classes multiply:
-    two triples get equal vectors exactly when their values agree modulo
-    rational squares, slot by slot."""
-    classes = _Classes([v for t in triples for v in t])
-    return [classes.vector(t) for t in triples]
-
-
 def _reduce(rows: dict[int, tuple[int, int]], vec: int) -> tuple[int, int]:
     """vec reduced by echelon rows {top bit: (vector, mask)}: the remainder,
     zero exactly when vec is in their span, and the xor of the masks used."""
@@ -179,6 +171,23 @@ def _echelon(vectors: Sequence[int]) \
     return rows, gained
 
 
+def _descent_echelon(E: CurveQ, points: Sequence[PointQ]) -> tuple:
+    """Descent vectors of E's torsion points, then `points`, in echelon form.
+
+    Returns the torsion points, the value triples of torsion + points, the
+    _Classes that reads them as vectors (which add as their square classes
+    multiply), the echelon rows (whose masks index torsion + points), and
+    the indices into `points` of those independent of the torsion image and
+    of the points before them.
+    """
+    torsion = torsion_subgroup(E).points
+    values = [_descent_values(E, X) for X in (*torsion, *points)]
+    classes = _Classes([v for t in values for v in t])
+    rows, gained = _echelon([classes.vector(t) for t in values])
+    return (torsion, values, classes, rows,
+            [i - len(torsion) for i in gained if i >= len(torsion)])
+
+
 class IndependenceResult(NamedTuple):
     independent: bool          # True: certified; False: merely inconclusive
     rank_gain: int             # new F2 dimensions beyond the torsion image
@@ -196,10 +205,7 @@ def independent_mod_two(E: CurveQ,
     """
     for P in points:
         _require_on_curve(E, P)
-    tors = torsion_subgroup(E).points
-    vecs = _descent_vectors([_descent_values(E, X)
-                             for X in (*tors, *points)])
-    gained = [i - len(tors) for i in _echelon(vecs)[1] if i >= len(tors)]
+    gained = _descent_echelon(E, points)[4]
     return IndependenceResult(len(gained) == len(points), len(gained),
                               tuple(gained))
 
@@ -255,20 +261,17 @@ def rank_lower_bound(E: CurveQ, points: Sequence[PointQ]) -> RankBound:
                 if not P.is_infinity and point_order(E, P) is None]
     if not infinite:
         return RankBound(0, "descent", ())
-    torsion = torsion_subgroup(E).points
+    found = [P for _, P in infinite]
+    torsion, values, classes, rows, gained = _descent_echelon(E, found)
     # gens[i] has the descent values values[i]; echelon masks index gens
-    gens = [*torsion, *(P for _, P in infinite)]
-    values = [_descent_values(E, X) for X in gens]
-    classes = _Classes([v for t in values for v in t])
-    rows, gained = _echelon([classes.vector(t) for t in values])
-    certificate = [infinite[i - len(torsion)][0] for i in gained
-                   if i >= len(torsion)]
+    gens = [*torsion, *found]
+    certificate = [infinite[j][0] for j in gained]
     if len(certificate) == len(infinite):
         return RankBound(len(certificate), "descent", tuple(certificate))
     pivots = set(gained)
     # the orbit +-Q + T of a point Q is kept as the x-coordinates of Q + T
     seen: set[Fraction] = set()
-    for j, (i, P) in enumerate(infinite, len(torsion)):
+    for j, (i, P) in enumerate(infinite):
         if j in pivots:
             continue
         Q, chain = P, set()

@@ -185,6 +185,16 @@ class CanonicalPoints(NamedTuple):
         return self.two_torsion + (self.x_zero, self.x_one, self.half_x_one)
 
 
+def _half_point(R: int, i: int, S: int, j: int, U: int, k: int) -> PointQ:
+    """(rs + ru + su + 1, (r + s)(r + u)(s + u)) for r = R/i, s = S/j and
+    u = U/k, in ints: with the roots of ab + 1, ac + 1 and bc + 1 it is a
+    half of [1, rsu] on the companion model."""
+    den = i * j * k
+    return PointQ(Fraction(R * S * k + R * U * j + S * U * i + den, den),
+                  Fraction((R * j + S * i) * (R * k + U * i) * (S * k + U * j),
+                           den * den))
+
+
 def canonical_points(t: Triple, curves: InducedCurves | None = None) -> CanonicalPoints:
     if curves is None:
         curves = induced_curves(t)
@@ -198,11 +208,7 @@ def canonical_points(t: Triple, curves: InducedCurves | None = None) -> Canonica
                PointQ(Fraction(-A * B, p * q), 0))
     x_zero = PointQ(0, Fraction(A * B * C, p * q * n))
     x_one = PointQ(1, Fraction(R * S * U, i * j * k))
-    # (rs + ru + su + 1, (r + s)(r + u)(s + u))
-    half = PointQ(Fraction(R * S * k + R * U * j + S * U * i + i * j * k,
-                           i * j * k),
-                  Fraction((R * j + S * i) * (R * k + U * i) * (S * k + U * j),
-                           (i * j * k) ** 2))
+    half = _half_point(R, i, S, j, U, k)
     _require_on_curve(E, half)
     if not _doubles_to(E, half, x_one):
         raise ArithmeticError("the half point does not double to [1, rsu]")

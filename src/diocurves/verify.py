@@ -16,11 +16,11 @@ raises on a mere claim failure, only on internal errors.
 
 The checks are grouped into jobs, and ``run_scope`` runs the jobs on a
 pool of one forked process per available CPU and hands the results on in
-the fixed check order.  The workers inherit the jobs, so a job is handed
-to one by its index alone.  A job is one check, except that the three s2
-checks are one job (see ``section_checks``), so a run loads numpy in one
-process only.  A check's seconds are its own wall time in the process that
-ran it, timed with the monotonic ``time.perf_counter``.
+the fixed check order.  The workers inherit the jobs, and each runs a
+fixed share of them.  A job is one check, except that the three s2 checks
+are one job (see ``section_checks``), so a run loads numpy in one process
+only.  A check's seconds are its own wall time in the process that ran
+it, timed with the monotonic ``time.perf_counter``.
 """
 
 from __future__ import annotations
@@ -40,10 +40,9 @@ from .rationals import QQ, is_perfect_square
 from .sieve import (_count_points_at, _good_primes, mestre_nagao_sum,
                     primes_upto, summand_forms)
 from .torsion import torsion_subgroup
-from .triples import (Triple, canonical_points, extend_to_quadruple,
-                      induced_curves, make_triple)
-from .weierstrass import (PointQ, dbl, find_isomorphism, is_on_curve, neg,
-                          scalar_mul)
+from .triples import (Triple, _half_point, canonical_points,
+                      extend_to_quadruple, induced_curves, make_triple)
+from .weierstrass import dbl, find_isomorphism, is_on_curve, neg, scalar_mul
 
 # what a family constructor or make_triple raises on a bad parameter
 _INVALID_TRIPLE = (DegenerateParameter, DegenerateTriple, NotDiophantine)
@@ -154,10 +153,7 @@ def check_euler_doubling(count: int = 500, seed: int = 202) -> CheckResult:
                                   for v in (t.a, t.b, t.root_ab))
         S, j = A * k + N * p, p * k
         U, i = B * k + N * q, q * k
-        den = i * j * k
-        R = PointQ(QQ(N * S * i + N * U * j + S * U * k + den, den),
-                   QQ((N * j + S * k) * (N * i + U * k) * (S * i + U * j),
-                      den * den))
+        R = _half_point(N, k, S, j, U, i)
         if scalar_mul(ic.curve, 2, cp.x_zero) != neg(ic.curve,
                                                      dbl(ic.curve, R)):
             bad += 1

@@ -410,7 +410,7 @@ def test_verify_all_under_optimize_flag():
                                     "diocurves.heights", "multiprocessing",
                                     "concurrent.futures.process",
                                     "concurrent.futures",
-                                    "dataclasses", "inspect"])
+                                    "dataclasses", "inspect", "selectors"])
 def test_cli_import_leaves_module_unloaded(module):
     # numpy is loaded by the point-counting kernels at p >= 1000 alone, so
     # the import, `dataset`, `induce`, a sieve at the default N and `verify

@@ -11,9 +11,9 @@ from diocurves import cli, descent, heights
 from diocurves.descent import (
     IndependenceResult,
     RankBound,
+    _Classes,
     _coprime_basis,
     _descent_values,
-    _descent_vectors,
     descent_image,
     independent_mod_two,
     naive_point_search,
@@ -636,7 +636,8 @@ def test_descent_vectors_compare_square_classes():
     E = IC.curve
     pts = naive_point_search(E, math.log(40))
     triples = [_descent_values(E, P) for P in pts]
-    vecs = _descent_vectors(triples)
+    classes = _Classes([v for t in triples for v in t])
+    vecs = [classes.vector(t) for t in triples]
     for i, P in enumerate(pts):
         for j, Q in enumerate(pts):
             assert (vecs[i] == vecs[j]) == \

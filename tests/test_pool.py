@@ -6,7 +6,10 @@ Every test fixes its worker count, so none depends on the host.
 import gc
 import io
 import os
+import pathlib
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -206,6 +209,31 @@ def test_ordered_map_runs_items_in_forked_workers(pools):
     _assert_no_child_left()
 
 
+def test_ordered_map_gives_each_worker_a_fixed_share(pools):
+    # worker k of n runs items k, k + n, k + 2n, ...
+    pids = list(ordered_map(lambda i: os.getpid(), range(6), 3))
+    assert pools == [3]
+    assert len(set(pids)) == 3
+    assert all(pids[i] == pids[i % 3] for i in range(6))
+    _assert_no_child_left()
+
+
+def test_ordered_map_left_open_at_exit_is_quiet():
+    # the generator is closed at interpreter exit, after the import system
+    # is torn down, so its cleanup may import nothing
+    src = pathlib.Path(_pool.__file__).resolve().parents[1]
+    code = ("import gc\n"
+            "from diocurves._pool import ordered_map\n"
+            "gc.disable()\n"
+            "results = ordered_map(abs, range(8), 2)\n"
+            "assert next(results) == 0\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stderr == ""
+    assert proc.returncode == 0
+
+
 def _killed_in_a_worker(parent):
     def check():
         if os.getpid() == parent:
@@ -291,9 +319,9 @@ def test_sieve_workers_start_with_warm_tables(monkeypatch, capsys, N):
     cached = []
     start = _pool._start_worker
 
-    def spying(fn, items, first):
+    def spying(fn, items, k, workers):
         cached.append(sieve._nonresidues.cache_info().currsize)
-        return start(fn, items, first)
+        return start(fn, items, k, workers)
 
     monkeypatch.setattr(_pool, "_start_worker", spying)
     cfg = cli.Config(N=N, keep=0.05, jobs=2)
