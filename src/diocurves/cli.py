@@ -10,7 +10,8 @@ the worker count.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 64 usage error, 70 internal error (a bug, a failed internal check or a
-worker process that died, reported on one line of stderr).
+worker process that died, reported on one line of stderr), 74 output
+that could not be written (silent when the reader of stdout is gone).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from typing import Iterable, NamedTuple, Optional, Sequence, TextIO
 
@@ -42,6 +44,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_USAGE = 64
 EXIT_SOFTWARE = 70
+EXIT_IOERR = 74
 
 JSONL_VERSION = 1
 
@@ -210,9 +213,32 @@ def _open_out(path: Optional[str]) -> contextlib.AbstractContextManager:
             f"cannot write --out {path}: {exc.strerror or exc}") from exc
 
 
+class _OutputLost(Exception):
+    """A write of the output failed; its message, if any, is for stderr."""
+
+
 def _emit(lines: Iterable[str], out: TextIO) -> None:
-    for line in lines:
-        out.write(line + "\n")
+    """Write the lines to out and flush it; a failed write raises
+    _OutputLost.  On stdout, fd 1 is first pointed at os.devnull, so the
+    flush at exit cannot fail again, and a closed stdout is not reported.
+    A --out file is closed, so its `with` block retries no flush."""
+    try:
+        for line in lines:
+            out.write(line + "\n")
+        out.flush()
+    except OSError as exc:
+        if out is not sys.stdout:
+            with contextlib.suppress(OSError):
+                out.close()
+            raise _OutputLost(f"cannot write --out {out.name}: "
+                              f"{exc.strerror or exc}") from exc
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            raise _OutputLost() from exc
+        raise _OutputLost(f"cannot write stdout: {exc.strerror or exc}") \
+            from exc
 
 
 def _dumps(obj: dict) -> str:
@@ -347,12 +373,10 @@ def cmd_verify(scope: str, long: bool,
     stream = sys.stdout if stream is None else stream
     scope = scope.replace("§", "s")
     results = run_scope(scope, long=long,
-                        sink=lambda r: print(r.line(),
-                                             file=stream, flush=True))
+                        sink=lambda r: _emit([r.line()], stream))
     passed = sum(r.passed for r in results)
-    print(f"{passed}/{len(results)} checks passed, scope {scope}"
-          f"{' (long)' if long else ''}", file=stream)
-    print(RANK_DISCLAIMER, file=stream)
+    _emit([f"{passed}/{len(results)} checks passed, scope {scope}"
+           f"{' (long)' if long else ''}", RANK_DISCLAIMER], stream)
     return EXIT_OK if passed == len(results) else EXIT_VERIFY_FAILED
 
 
@@ -505,6 +529,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OutputUnwritable as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
+    except _OutputLost as exc:
+        if exc.args:
+            print(exc, file=sys.stderr)
+        return EXIT_IOERR
     except DatasetCorrupt as exc:
         print(f"dataset corrupt: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED

@@ -22,8 +22,8 @@ from typing import NamedTuple, Sequence
 
 from .rationals import square_class
 from .torsion import _a_half, _square_completed, point_order, torsion_subgroup
-from .weierstrass import (INFINITY, CurveQ, PointQ, _add, _map_point, _neg,
-                          _require_on_curve, clear_denominators, invariants)
+from .weierstrass import (INFINITY, CurveQ, PointQ, _add, _int_invariants,
+                          _int_model, _neg, _require_on_curve)
 
 
 # ---------------------------------------------------------------------------
@@ -33,16 +33,15 @@ from .weierstrass import (INFINITY, CurveQ, PointQ, _add, _map_point, _neg,
 def _descent_values(E: CurveQ, P: PointQ) -> tuple[int, int, int]:
     """Integers in the square classes of x - e_i at a point P of E.
 
-    The differences are taken on the square-completed model, and each
-    difference num / den is stood for by num * den, its square class.  At a
-    two-torsion point the vanishing difference is replaced by the product
-    of the other two, which keeps the map a group homomorphism.
+    Completing the square moves no x, so the differences are taken at P.x,
+    and each difference num / den is stood for by num * den, its square
+    class.  At a two-torsion point the vanishing difference is replaced by
+    the product of the other two, which keeps the map a group homomorphism.
     """
-    _, M, _, roots = _square_completed(E)
+    roots = _square_completed(E)[3]
     if P.is_infinity:
         return (1, 1, 1)
-    x0 = _map_point(M, P).x
-    diffs = [x0 - e for e in roots]
+    diffs = [P.x - e for e in roots]
     if 0 in diffs:
         i = diffs.index(0)
         diffs[i] = math.prod(roots[i] - roots[j] for j in range(3) if j != i)
@@ -305,10 +304,11 @@ def rank_lower_bound(E: CurveQ, points: Sequence[PointQ]) -> RankBound:
 def naive_point_search(E: CurveQ, height_bound: float) -> list[PointQ]:
     """All affine points of E in a naive-height box, sorted by (x, y).
 
-    Every affine point of the integral model Ei of clear_denominators has
-    x = m / e^2 with gcd(m, e) = 1.  With cap = floor(exp(height_bound)),
-    the box is |m| <= cap, e^2 <= cap, gcd(m, e) = 1, all bounds
-    inclusive; hits are mapped back to E.
+    Every affine point of E's integral model (`_int_model`, x scaled by
+    k^2) has x = m / e^2 with gcd(m, e) = 1.  With cap =
+    floor(exp(height_bound)), the box is |m| <= cap, e^2 <= cap,
+    gcd(m, e) = 1, all bounds inclusive; a hit (m / e^2, y / (2 e^3))
+    there is (m / (e^2 k^2), y / (2 e^3 k^3)) on E.
 
     x = m / e^2 has a rational y exactly when the integer
 
@@ -319,11 +319,9 @@ def naive_point_search(E: CurveQ, height_bound: float) -> list[PointQ]:
     prime p of _SIEVE_PRIMES, D(m) must be a square mod p (zero included).
     Only the few m that pass every prime get an exact isqrt.
     """
-    Ei, M = clear_denominators(E)
-    Minv = M.inverse()
-    a1, a3 = int(Ei.a1), int(Ei.a3)
-    inv = invariants(Ei)
-    b2, b4, b6 = int(inv.b2), int(inv.b4), int(inv.b6)
+    k, a1, _, a3, _, _ = _int_model(E)
+    _, b2, b4, b6, *_ = _int_invariants(E)
+    kk = k * k
     cap = math.floor(math.exp(height_bound))
     found: set[PointQ] = set()
     for e in range(1, math.isqrt(cap) + 1):
@@ -345,8 +343,8 @@ def naive_point_search(E: CurveQ, height_bound: float) -> list[PointQ]:
             r = math.isqrt(D)
             if r * r != D:
                 continue
-            x = Fraction(m, e2)
+            x = Fraction(m, e2 * kk)
             t = a1 * m * e + a3 * e3
             for y in {r - t, -r - t}:
-                found.add(_map_point(Minv, PointQ(x, Fraction(y, 2 * e3))))
+                found.add(PointQ(x, Fraction(y, 2 * e3 * kk * k)))
     return sorted(found, key=lambda P: (P.x, P.y))

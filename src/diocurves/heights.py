@@ -29,8 +29,8 @@ from ._poly import gcdex
 from .errors import PointNotOnCurve
 from .rationals import log_int
 from .torsion import _point_order
-from .weierstrass import (CurveQ, PointQ, _map_point, _memo, add,
-                          clear_denominators, invariants, is_on_curve, sub)
+from .weierstrass import (CurveQ, PointQ, _coefficient_scale, _int_invariants,
+                          _memo, add, is_on_curve, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -46,9 +46,9 @@ class _DuplicationData(NamedTuple):
 
 
 def _duplication_data(E: CurveQ) -> _DuplicationData:
-    """The duplication data of the integral model E, built once per curve.
+    """The duplication data of E's integral model, built once per curve.
 
-    It is read off E's coefficients alone and never changes afterwards:
+    It is read off the integral invariants alone and never changes afterwards:
     the gcd of a duplication step divides C, and `_height_run` finds it
     without factoring C.
     """
@@ -56,8 +56,7 @@ def _duplication_data(E: CurveQ) -> _DuplicationData:
 
 
 def _build_duplication_data(E: CurveQ) -> _DuplicationData:
-    inv = invariants(E)
-    b2, b4, b6, b8 = (int(inv.b2), int(inv.b4), int(inv.b6), int(inv.b8))
+    _, b2, b4, b6, b8, *_ = _int_invariants(E)
     # x(2P) = F(x) / g(x)
     F = [1, 0, -b4, -2 * b6, -b8]
     g = [4, b2, 2 * b4, b6]
@@ -125,13 +124,14 @@ def canonical_height(E: CurveQ, P: PointQ, eps: float = 1e-6) -> float:
     hit = heights.get((P, eps))
     if hit is not None:
         return hit
-    Ei, M = clear_denominators(E)
-    heights[P, eps] = _height_run(Ei, _map_point(M, P), eps)
+    m = _coefficient_scale(E)
+    heights[P, eps] = _height_run(E, PointQ(P.x * m ** 2, P.y * m ** 3), eps)
     return heights[P, eps]
 
 
 def _height_run(Ei: CurveQ, Pi: PointQ, eps: float) -> float:
-    """The telescoped height series of Pi on the integral model Ei.
+    """The telescoped height series of Pi, given as (m^2 x, m^3 y) on the
+    integral model a_i m^i of Ei (`_int_model`).
 
     X_n and Z_n are coprime, and the Bezout identity homogenizes to
     U F + V G = C Z^7 with F = X^4 (mod Z), so g_n = gcd(F, G) divides C.

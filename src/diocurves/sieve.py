@@ -67,8 +67,8 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import BadReduction, SingularCurve
 from .factoring import is_probable_prime
 from .triples import Triple, _companion_ints
-from .weierstrass import (CurveQ, _int_model_of, _invariants_of_ints, _memo,
-                          clear_denominators, two_torsion_x)
+from .weierstrass import (CurveQ, _int_model, _int_model_of,
+                          _invariants_of_ints, _memo, two_torsion_x)
 
 
 def primes_upto(n: int) -> list[int]:
@@ -85,23 +85,22 @@ def primes_upto(n: int) -> list[int]:
 
 def _integral_data(E: CurveQ) -> tuple[tuple[int, ...], tuple[int, int, int],
                                         int, tuple[int, int, int] | None]:
-    """Integer model coefficients, its (b2, b4, b6), its discriminant, and
+    """E's `_int_model` coefficients, their (b2, b4, b6), discriminant, and
     the roots of X^3 + b2 X^2 + 8b4 X + 16b6, ascending, when all three are
-    rational (else None)."""
+    rational (else None): E's two-torsion x, scaled by 4 m^2."""
     return _memo(E, "_integral_data", _build_integral_data)
 
 
 def _build_integral_data(E: CurveQ) -> tuple:
-    Ei, _ = clear_denominators(E)
-    xs = two_torsion_x(Ei)
-    return _model_data(tuple(int(a) for a in Ei.coefficients()),
-                       [x.as_integer_ratio() for x in xs]
+    m, *coefficients = _int_model(E)
+    xs = [x.as_integer_ratio() for x in two_torsion_x(E)]
+    return _model_data(tuple(coefficients), [(n * m * m, d) for n, d in xs]
                        if len(xs) == 3 else None)
 
 
 def _triple_data(t: Triple) -> tuple:
-    """The ``_integral_data`` of clear_denominators(induced_curves(t).curve),
-    from the triple's integers alone: no curve and no Fraction is built."""
+    """The ``_integral_data`` of induced_curves(t).curve, from the
+    triple's integers alone: no curve and no Fraction is built."""
     den, e1, e2, e3, xs = _companion_ints(t)
     dd = den * den
     m, *coefficients = _int_model_of((

@@ -29,17 +29,16 @@ weight k is the one of the integral model divided by m^k, once, at the
 end.
 
 Data derived from a curve (its integral model and invariants, its
-cleared and square-completed models, the x-coordinates of its points of
-order two, its torsion subgroup, and the duplication data and canonical
-heights of the `heights` module) is built once, on first use, and kept on
-the curve object by `_memo`; it is dropped with the curve.  The two-torsion
-x-coordinates are the one entry that is also handed on:
-`triples.induced_curves` seeds them in closed form, `clear_denominators`
-carries them as x m^2, and `apply_map` and `minimal_model` carry them
-across their change of variables as x' = (x - r) / u^2, so
-`rational_roots` solves the cubic only for a curve that came from none of
-these.  The package has no module-level caches and no size caps: two equal
-curves built separately each build their own copy.
+square-completed model, the x-coordinates of its points of order two, its
+torsion subgroup, and the duplication data and canonical heights of the
+`heights` module) is built once, on first use, and kept on the curve
+object by `_memo`; it is dropped with the curve.  The integral model is
+read as ints off the curve itself, and `clear_denominators` builds it as a
+curve only on request, keeping nothing.  The two-torsion x are handed on:
+`triples.induced_curves` seeds them in closed form and `minimal_model`
+carries them as x' = (x - r) / u^2, so only a curve that came from neither
+solves its cubic.  The package has no module-level caches and no size
+caps: two equal curves built separately each build their own copy.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ def _memo(E: CurveQ, name: str, build: Callable[[CurveQ], _T]) -> _T:
 
     The value lives in the frozen instance's __dict__ under `name`, beside
     the fields, so ==, hash and repr, which read the fields alone, never
-    see it.
+    see it.  Only `_seed_two_torsion_x` writes there otherwise.
     """
     try:
         return E.__dict__[name]
@@ -224,8 +223,8 @@ def two_torsion_x(E: CurveQ) -> tuple[Fraction, ...]:
     """The rational x-coordinates of the points of order two, ascending.
 
     They are the rational roots of 4x^3 + b2 x^2 + 2b4 x + b6: none, one,
-    or all three.  A curve that was seeded or carried (see the module
-    docstring) already holds them; any other solves the cubic once.
+    or all three.  A curve seeded by `induced_curves` or carried by
+    `minimal_model` holds them already; any other solves the cubic once.
     """
     return _memo(E, _TWO_TORSION_X, _two_torsion_roots)
 
@@ -238,16 +237,6 @@ def _two_torsion_roots(E: CurveQ) -> tuple[Fraction, ...]:
 def _seed_two_torsion_x(E: CurveQ, xs: tuple[Fraction, ...]) -> None:
     """Put already known two-torsion x-coordinates, ascending, on E."""
     E.__dict__[_TWO_TORSION_X] = xs
-
-
-def _carry_two_torsion_x(E: CurveQ, M: ModelMap, target: CurveQ) -> CurveQ:
-    """Hand E's two-torsion x-coordinates, if known, to the model M carries
-    E to; x' = (x - r) / u^2 keeps their order."""
-    xs = E.__dict__.get(_TWO_TORSION_X)
-    if xs is not None:
-        u2 = M.u * M.u
-        _seed_two_torsion_x(target, tuple((x - M.r) / u2 for x in xs))
-    return target
 
 
 def _int_model(E: CurveQ) -> tuple[int, int, int, int, int, int]:
@@ -448,15 +437,6 @@ class ModelMap(_Frozen):
         u, r, s, t = self.u, self.r, self.s, self.t
         return ModelMap(1 / u, -r / u ** 2, -s / u, (r * s - t) / u ** 3)
 
-    def compose(self, other: "ModelMap") -> "ModelMap":
-        """self: E -> E1 followed by other: E1 -> E2."""
-        u1, r1, s1, t1 = self.u, self.r, self.s, self.t
-        u2, r2, s2, t2 = other.u, other.r, other.s, other.t
-        return ModelMap(u1 * u2,
-                        u1 * u1 * r2 + r1,
-                        s1 + u1 * s2,
-                        t1 + u1 * u1 * s1 * r2 + u1 ** 3 * t2)
-
 
 IDENTITY_MAP = ModelMap(1, 0, 0, 0)
 
@@ -465,13 +445,13 @@ def apply_map(E: CurveQ, M: ModelMap) -> CurveQ:
     """The model E is carried to by the change of variables M."""
     a1, a2, a3, a4, a6 = E.coefficients()
     u, r, s, t = M.u, M.r, M.s, M.t
-    return _carry_two_torsion_x(E, M, CurveQ(
+    return CurveQ(
         (a1 + 2 * s) / u,
         (a2 - s * a1 + 3 * r - s * s) / u ** 2,
         (a3 + r * a1 + 2 * t) / u ** 3,
         (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u ** 4,
         (a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1) / u ** 6,
-    ))
+    )
 
 
 def map_point(E: CurveQ, M: ModelMap, P: PointQ) -> PointQ:
@@ -565,25 +545,13 @@ def clear_denominators(E: CurveQ) -> tuple[CurveQ, ModelMap]:
     """An isomorphic model with integer coefficients, and the map onto it.
 
     Uses the scaling x -> x / m^2 with m the lcm of the coefficient
-    denominators, so a_i picks up the factor m^i.  An integral E is its
-    own integral model.
+    denominators, so a_i picks up the factor m^i; it is built anew on each
+    call.  An integral E is its own integral model.
     """
-    if _coefficient_scale(E) == 1:
-        return E, IDENTITY_MAP
-    return _memo(E, "_cleared", _clear_denominators)
-
-
-def _clear_denominators(E: CurveQ) -> tuple[CurveQ, ModelMap]:
-    """The model of `_int_model`, with E's two-torsion x, if known, carried
-    as x m^2 (the map x' = (x - r)/u^2 at r = 0, u = 1/m)."""
     m, *coefficients = _int_model(E)
-    Ei = CurveQ(*coefficients)
-    xs = E.__dict__.get(_TWO_TORSION_X)
-    if xs is not None:
-        mm = m * m
-        _seed_two_torsion_x(Ei, tuple(Fraction(n * mm, d) for n, d
-                                      in (x.as_integer_ratio() for x in xs)))
-    return Ei, ModelMap(Fraction(1, m), 0, 0, 0)
+    if m == 1:
+        return E, IDENTITY_MAP
+    return CurveQ(*coefficients), ModelMap(Fraction(1, m), 0, 0, 0)
 
 
 def _coefficient_scale(E: CurveQ) -> int:
@@ -734,4 +702,7 @@ def minimal_model(E: CurveQ) -> MinimalModelResult:
     M = _solve_rst(E, Emin, Fraction(u, m * bump))
     if M is None:  # pragma: no cover - would be an internal defect
         raise SingularCurve("minimal model construction lost the isomorphism")
-    return MinimalModelResult(_carry_two_torsion_x(E, M, Emin), M, complete)
+    xs = E.__dict__.get(_TWO_TORSION_X)     # carried as (x - r) / u^2
+    if xs is not None:
+        _seed_two_torsion_x(Emin, tuple((x - M.r) / M.u ** 2 for x in xs))
+    return MinimalModelResult(Emin, M, complete)

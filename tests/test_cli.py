@@ -18,6 +18,7 @@ import diocurves.cli as cli
 from diocurves import torsion, verify
 from diocurves.cli import (
     EXIT_INVALID_INPUT,
+    EXIT_IOERR,
     EXIT_OK,
     EXIT_SOFTWARE,
     EXIT_USAGE,
@@ -450,6 +451,61 @@ def test_internal_error_is_exit_70_without_traceback(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == ("internal error: ArithmeticError: "
                             "forced certification failure\n")
+
+
+def _cli_process(argv, stdout):
+    """Run the CLI in a fresh interpreter on this checkout, stdout to the
+    given file descriptor; stderr is captured."""
+    src = pathlib.Path(diocurves.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-m", "diocurves.cli", *argv],
+                          env=env, stdout=stdout, stderr=subprocess.PIPE,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("argv", [["dataset"], ["verify", "s1"]],
+                         ids=["dataset", "verify"])
+def test_closed_stdout_is_exit_74_without_a_word(argv):
+    # the reader of stdout is gone before the first write, as after
+    # `| head -1`: the write fails with EPIPE, which is nobody's error to
+    # read, and the flush at exit stays quiet too
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _cli_process(argv, write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (EXIT_IOERR, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv, name", [
+    (["dataset", "--out", "/dev/full"], "--out /dev/full"),
+    (["dataset"], "stdout"),
+    (["verify", "s1"], "stdout"),
+], ids=["dataset-out", "dataset-stdout", "verify-stdout"])
+def test_full_device_is_exit_74_on_one_line(argv, name):
+    with open("/dev/full", "wb") as full:
+        proc = _cli_process(argv, full)
+    assert proc.returncode == EXIT_IOERR
+    assert proc.stderr.decode() == \
+        f"cannot write {name}: No space left on device\n"
+
+
+def test_failed_fork_is_still_an_internal_error(monkeypatch, capsys):
+    # only a failed write of the output is exit 74; any other OSError is
+    # a defect or a resource shortage, reported as before
+    def no_fork():
+        raise BlockingIOError("forced failure of the fork")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run(["sieve", "K_PLUSMINUS", "--numerators", "1:6",
+                "--denominators", "1:2", "--jobs", "2"]) == EXIT_SOFTWARE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal error: BlockingIOError: "
+                            "forced failure of the fork\n")
 
 
 def test_search_record_computes_torsion_once(monkeypatch):

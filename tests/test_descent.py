@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from diocurves import cli, descent, heights
+from diocurves import cli, descent, heights, verify
 from diocurves.descent import (
     IndependenceResult,
     RankBound,
@@ -20,7 +20,6 @@ from diocurves.descent import (
     rank_lower_bound,
 )
 from diocurves.errors import (
-    DiocurvesError,
     FactorizationIncomplete,
     FormMismatch,
     SingularCurve,
@@ -477,15 +476,11 @@ def reference_rank_lower_bound(E, points, *, eps=1e-3):
 
 def _search_input(triple, height_bound=5.0):
     """The curve and candidate points the CLI's search record certifies:
-    the minimal model (or the cleared one), the stock points and a naive
-    search."""
+    the minimal model, the stock points and a naive search."""
     ic = induced_curves(triple)
     cp = canonical_points(triple, ic)
-    try:
-        mm = minimal_model(ic.curve)
-        E, to_E = mm.curve, mm.map
-    except DiocurvesError:
-        E, to_E = clear_denominators(ic.curve)
+    mm = minimal_model(ic.curve)
+    E, to_E = mm.curve, mm.map
     stock = [map_point(ic.curve, to_E, P)
              for P in (cp.x_zero, cp.x_one, cp.half_x_one)]
     found = naive_point_search(E, height_bound)
@@ -700,6 +695,35 @@ def test_hard_discriminant_rank_path_factors_nothing(monkeypatch):
     assert calls == []
     assert record["rank"]["method"] == "descent"
     assert record["rank"]["lower_bound"] >= 1
+
+
+def test_no_command_builds_a_cleared_model(monkeypatch):
+    # every integer fact about a curve is read off the curve itself, so a
+    # search record, the record checks and a height build no second,
+    # cleared curve
+    def refuse(*args, **kwargs):
+        raise AssertionError("clear_denominators called")
+
+    bound = [mod for mod in list(sys.modules.values())
+             if mod.__name__.startswith("diocurves")
+             and hasattr(mod, "clear_denominators")]
+    assert {"diocurves", "diocurves.weierstrass"} <= {
+        mod.__name__ for mod in bound}
+    # a non-integral induced curve, with its point of x = 0
+    t = FAMILY_CONSTRUCTORS[K_PLUSMINUS](F(7, 3))
+    E = induced_curves(t).curve
+    assert any(a.denominator > 1 for a in E.coefficients())
+    P = canonical_points(t).x_zero
+    mm = minimal_model(E)
+    want = canonical_height(mm.curve, map_point(E, mm.map, P))
+    for mod in bound:
+        monkeypatch.setattr(mod, "clear_denominators", refuse)
+    kept = FAMILY_CONSTRUCTORS[K_PLUSMINUS](F(README_KEPT[0]))
+    for triple in (FERMAT, kept):
+        assert cli._search_record(triple, cli.Config())["rank"]["lower_bound"]
+    assert verify.check_record("s6-big", True).passed
+    assert verify.check_z2z8_random(count=5).passed
+    assert abs(canonical_height(E, P) - want) < 1e-5
 
 
 def test_rank_lower_bound_needs_full_two_torsion():

@@ -80,15 +80,12 @@ def reference_scalar_mul(E, n, P):
 
 
 def reference_clear_denominators(E):
-    """apply_map with u = 1/m, and the two-torsion x carried as
-    (x - r) / u^2."""
+    """apply_map with u = 1/m."""
     m = math.lcm(*(a.denominator for a in E.coefficients()))
     if m == 1:
-        return E, IDENTITY_MAP, E.__dict__.get("_two_torsion_x")
+        return E, IDENTITY_MAP
     M = ModelMap(F(1, m), 0, 0, 0)
-    xs = E.__dict__.get("_two_torsion_x")
-    carried = None if xs is None else tuple(x / M.u ** 2 for x in xs)
-    return apply_map(E, M), M, carried
+    return apply_map(E, M), M
 
 
 def reference_closed_form_halves(roots, P):
@@ -242,20 +239,10 @@ def test_cleared_model_matches_apply_map(kind, q, r, u, mr, ms, mt):
     t = _triple(kind, q, r)
     assume(t is not None)
     for E, _ in _models(t, u, mr, ms, mt):
-        # a fresh copy of E without memo entries, and one seeded with the
-        # two-torsion x, so both the carried and the solved paths run
-        for seeded in (False, True):
-            E2 = CurveQ(*E.coefficients())
-            if seeded:
-                weierstrass._seed_two_torsion_x(
-                    E2, weierstrass.two_torsion_x(E))
-            want, want_map, want_xs = reference_clear_denominators(E2)
-            got, got_map = clear_denominators(E2)
-            assert got == want and got_map == want_map
-            assert all(type(a) is F for a in got.coefficients())
-            assert got.__dict__.get("_two_torsion_x") == want_xs
-            if want_xs is not None:
-                assert weierstrass.two_torsion_x(got) == want_xs
+        want, want_map = reference_clear_denominators(E)
+        got, got_map = clear_denominators(E)
+        assert got == want and got_map == want_map
+        assert all(type(a) is F for a in got.coefficients())
 
 
 @PROPERTY

@@ -35,6 +35,7 @@ from diocurves.weierstrass import (
     neg,
     scalar_mul,
     sub,
+    two_torsion_x,
 )
 
 COMMON = settings(max_examples=30, derandomize=True, deadline=None)
@@ -126,20 +127,26 @@ def _family_triple(kind, q, r):
 @COMMON
 @given(kind=st.sampled_from(["sum", "z2z8", "k"]), q=nonzero_q, r=root_q)
 def test_seeded_and_carried_two_torsion_x_are_the_cubic_roots(kind, q, r):
-    # induced_curves seeds the x-coordinates and every model map carries
-    # them; each model holds them before anything is solved, and they are
-    # exactly the rational roots of its own 2-division polynomial
+    # induced_curves seeds the x-coordinates and minimal_model carries
+    # them; those two models hold them before anything is solved, and they
+    # are exactly the rational roots of its own 2-division polynomial.
+    # The cleared and square-completed models solve their own cubic, and
+    # its roots are E's x moved by the map, x' = (x - r) / u^2
     t = _family_triple(kind, q, r)
     assume(t is not None)
     E = induced_curves(t).curve
-    models = [E, clear_denominators(E)[0], complete_the_square(E)[0],
-              minimal_model(E).curve]
-    for model in models:
-        carried = model.__dict__["_two_torsion_x"]
+
+    def roots(model):
         inv = invariants(model)
-        assert carried == tuple(
-            rational_roots([4, inv.b2, 2 * inv.b4, inv.b6]))
+        return tuple(rational_roots([4, inv.b2, 2 * inv.b4, inv.b6]))
+
+    for model in (E, minimal_model(E).curve):
+        carried = model.__dict__["_two_torsion_x"]
+        assert carried == roots(model)
         assert len(carried) == 3
+    for model, M in (clear_denominators(E), complete_the_square(E)):
+        assert two_torsion_x(model) == roots(model) == tuple(
+            (x - M.r) / M.u ** 2 for x in two_torsion_x(E))
 
 
 @COMMON

@@ -238,12 +238,12 @@ def test_mestre_nagao_reproducible():
 
 
 def test_clear_denominators_builds_each_model_once():
-    # an integral curve is its own integral model, so scoring cmd_sieve's
-    # cleared curves rebuilds nothing; a rational one is cleared once
+    # an integral curve is its own integral model; a rational one is
+    # scaled by the lcm m of its denominators, x -> m^2 x
     E = CurveQ(0, F(35, 4), 0, 18, 9)
-    Ei, _ = clear_denominators(E)
+    Ei, M = clear_denominators(E)
     assert Ei.coefficients() == (0, 140, 0, 4608, 36864)
-    assert clear_denominators(E)[0] is Ei
+    assert M == weierstrass.ModelMap(F(1, 4), 0, 0, 0)
     assert clear_denominators(Ei)[0] is Ei
     assert clear_denominators(Ei)[1] == IDENTITY_MAP
     assert clear_denominators(E37)[0] is E37
@@ -285,10 +285,13 @@ def test_root_kernel_matches_reference_loop(monkeypatch):
     solved = []
     monkeypatch.setattr(weierstrass, "rational_roots",
                         lambda f: solved.append(f) or rational_roots(f))
-    # seeded by induced_curves and carried by the model maps
+    # seeded by induced_curves and carried by minimal_model; the cleared
+    # models of the two induced curves that are not integral hold no x,
+    # and each solves its cubic once
     curves = _root_kernel_curves()
     roots = [sieve_mod._integral_data(E)[3] for E in curves]
-    assert solved == []
+    assert len(solved) == 2
+    solved.clear()
     # the stored record models, and an odd a1 whose x have denominator 4,
     # build the entry from the cubic
     stored = [_fresh(dataset_record(rid).curve)
@@ -595,8 +598,7 @@ def test_mixed_batch_scores_each_curve_as_alone():
 
 def test_readme_grid_scoring_solves_no_cubic(monkeypatch):
     # every grid curve arrives with its two-torsion x from induced_curves,
-    # carried through clear_denominators, so scoring solves nothing and
-    # counts every curve with the root kernel
+    # so scoring solves nothing and counts every curve with the root kernel
     solved = []
     monkeypatch.setattr(weierstrass, "rational_roots",
                         lambda f: solved.append(f) or rational_roots(f))
@@ -608,7 +610,7 @@ def test_readme_grid_scoring_solves_no_cubic(monkeypatch):
             triple = ctor(q)
         except DiocurvesError:
             continue
-        curves.append(clear_denominators(induced_curves(triple).curve)[0])
+        curves.append(induced_curves(triple).curve)
     assert len(curves) == 310
     assert len(mestre_nagao_sums(curves, 1000)) == 310
     assert solved == []
