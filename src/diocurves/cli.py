@@ -12,6 +12,8 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 64 usage error, 70 internal error (a bug, a failed internal check or a
 worker process that died, reported on one line of stderr), 74 output
 that could not be written (silent when the reader of stdout is gone).
+A message that cannot be written to stderr is dropped; the exit code
+stays the one of the outcome.
 """
 
 from __future__ import annotations
@@ -94,10 +96,16 @@ _CONFIG_KEYS = {name: str if default is None else type(default)
                 for name, default in Config._field_defaults.items()}
 
 
+def _say(message) -> None:
+    """Print one message to stderr, best effort: a failed write is
+    dropped, so the exit code stays the one the outcome has."""
+    with contextlib.suppress(OSError):
+        print(message, file=sys.stderr)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):       # argparse default exits with 2
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        _say(f"{self.format_usage()}{self.prog}: error: {message}")
         raise SystemExit(EXIT_USAGE)
 
 
@@ -162,9 +170,10 @@ def _search_record(triple: Triple, cfg: Config,
     """Run the whole pipeline on one triple and collect the outcome.
 
     The working model is the one `minimal_model` returns; `curve_minimal`
-    is false exactly when a factoring shortfall may have left it
-    non-minimal.  `minimal_model` raises only on an internal defect, which
-    is not caught here.  All emitted points live on the emitted curve.
+    is false exactly when gcd(c4, c6) of the curve's integral model did not
+    factor, so a prime of it may still be removable.  `minimal_model`
+    raises only on an internal defect, which is not caught here.  All
+    emitted points live on the emitted curve.
     """
     ic = induced_curves(triple)
     cp = canonical_points(triple, ic)
@@ -253,7 +262,7 @@ def cmd_induce(triple_text: str, cfg: Config) -> int:
     try:
         triple = _parse_triple_text(triple_text)
     except (ParseError, NotDiophantine, DegenerateTriple) as exc:
-        print(f"invalid triple: {exc}", file=sys.stderr)
+        _say(f"invalid triple: {exc}")
         return EXIT_INVALID_INPUT
     with _open_out(cfg.out) as out:
         record = _search_record(triple, cfg)
@@ -265,13 +274,12 @@ def cmd_induce(triple_text: str, cfg: Config) -> int:
         }
         _emit([_dumps(record)], out)
     tors = record["torsion"]
-    print(f"triple {{{', '.join(record['triple'])}}}: "
-          f"torsion {tuple(tors['shape'])}"
-          f"{' exact' if tors['exact'] else ''}, "
-          f"rank >= {record['rank']['lower_bound']} "
-          f"({record['rank']['method']}), "
-          f"score S({cfg.N}) = {record['score']['value']:.4f}",
-          file=sys.stderr)
+    _say(f"triple {{{', '.join(record['triple'])}}}: "
+         f"torsion {tuple(tors['shape'])}"
+         f"{' exact' if tors['exact'] else ''}, "
+         f"rank >= {record['rank']['lower_bound']} "
+         f"({record['rank']['method']}), "
+         f"score S({cfg.N}) = {record['score']['value']:.4f}")
     return EXIT_OK
 
 
@@ -361,10 +369,9 @@ def cmd_sieve(family_id: str, numerators: tuple[int, int],
             kept, cfg.jobs))
 
         _emit(lines, out)
-        print(f"{family_id}: scored {len(scored)} parameters, "
-              f"kept {kept_n}, skipped {len(lines) - kept_n} invalid "
-              "(degenerate or not Diophantine)",
-              file=sys.stderr)
+        _say(f"{family_id}: scored {len(scored)} parameters, "
+             f"kept {kept_n}, skipped {len(lines) - kept_n} invalid "
+             "(degenerate or not Diophantine)")
         return EXIT_OK
 
 
@@ -420,7 +427,7 @@ def cmd_dataset(record_id: Optional[str], cfg: Config) -> int:
     try:
         rec = dataset_record(record_id.replace("§", "s"))
     except KeyError:
-        print(f"unknown record id: {record_id}", file=sys.stderr)
+        _say(f"unknown record id: {record_id}")
         return EXIT_USAGE
     with _open_out(cfg.out) as out:
         _emit([_dumps(_record_json(rec, full=True))], out)
@@ -496,7 +503,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # verify takes no configuration
         cfg = None if args.command == "verify" else _build_config(args)
     except (ValueError, TypeError) as exc:
-        print(f"bad configuration: {exc}", file=sys.stderr)
+        _say(f"bad configuration: {exc}")
         return EXIT_USAGE
 
     try:
@@ -515,31 +522,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     raise ValueError(f"the grid has {cells} cells, more "
                                      f"than {MAX_GRID_CELLS}")
             except ValueError as exc:
-                print(f"bad range: {exc}", file=sys.stderr)
+                _say(f"bad range: {exc}")
                 return EXIT_USAGE
             return cmd_sieve(args.family, nums, dens, cfg)
         if args.command == "verify":
             try:
                 return cmd_verify(args.scope, args.long)
             except UnknownScope:
-                print(f"unknown scope: {args.scope}", file=sys.stderr)
+                _say(f"unknown scope: {args.scope}")
                 return EXIT_USAGE
         if args.command == "dataset":
             return cmd_dataset(args.record_id, cfg)
     except OutputUnwritable as exc:
-        print(exc, file=sys.stderr)
+        _say(exc)
         return EXIT_USAGE
     except _OutputLost as exc:
         if exc.args:
-            print(exc, file=sys.stderr)
+            _say(exc)
         return EXIT_IOERR
     except DatasetCorrupt as exc:
-        print(f"dataset corrupt: {exc}", file=sys.stderr)
+        _say(f"dataset corrupt: {exc}")
         return EXIT_VERIFY_FAILED
     except Exception as exc:
         # every invalid input is refused where it is parsed, so a library
         # error that gets this far is a defect too
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _say(f"internal error: {type(exc).__name__}: {exc}")
         return EXIT_SOFTWARE
     raise AssertionError("unreachable")
 

@@ -54,8 +54,7 @@ ALLOWED_SHAPES = frozenset(
     [()] + [(n,) for n in (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)]
     + [(2, 2), (2, 4), (2, 6), (2, 8)]
 )
-# element orders are therefore among {1,...,10,12}: prime powers up to 9
-_SEARCH_PRIME_POWERS = (3, 4, 5, 7, 8, 9)
+# element orders are therefore among {1,...,10,12}
 _MAX_ELEMENT_ORDER = 12
 
 

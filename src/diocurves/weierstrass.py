@@ -37,8 +37,9 @@ read as ints off the curve itself, and `clear_denominators` builds it as a
 curve only on request, keeping nothing.  The two-torsion x are handed on:
 `triples.induced_curves` seeds them in closed form and `minimal_model`
 carries them as x' = (x - r) / u^2, so only a curve that came from neither
-solves its cubic.  The package has no module-level caches and no size
-caps: two equal curves built separately each build their own copy.
+solves its cubic.  The package has no module-level cache of curve data
+and no size caps: two equal curves built separately each build their own
+copy.
 """
 
 from __future__ import annotations
@@ -570,7 +571,11 @@ def complete_the_square(E: CurveQ) -> tuple[CurveQ, ModelMap]:
 
 
 # ---------------------------------------------------------------------------
-# minimal models (Laska-Kraus-Connell, best effort within the factoring bound)
+# minimal models (Laska-Kraus-Connell): from the ints c4, c6, disc of the
+# integral model, divide by p^e at each prime p of gcd(c4, c6), with
+# e = min(v(c4) // 4, v(c6) // 6, v(disc) // 12), one step less at 3 or 2
+# where the reduced pair fails Kraus's conditions; best effort within the
+# factoring bound
 
 
 class MinimalModelResult(NamedTuple):
@@ -624,85 +629,40 @@ def curve_from_c4c6(c4: int, c6: int) -> CurveQ:
 
 
 def minimal_model(E: CurveQ) -> MinimalModelResult:
-    """Reduce E toward its global minimal model.
+    """Reduce E to its global minimal model.
 
-    Factoring shortfalls degrade the result to "reduced as far as the known
-    primes allow" and clear the .complete flag; they never raise.
+    The reduction starts from the integral model a_i m^i of `_int_model`,
+    whose c4, c6 and disc are ints, and factors gcd(c4, c6) once.  At each
+    of its primes p the model is divided by p^e, with
+
+        e = min(v_p(c4) // 4, v_p(c6) // 6, v_p(disc) // 12),
+
+    the largest scale that keeps c4, c6 and disc integral.  At p = 3, then
+    at p = 2, e drops by one when the reduced pair fails Kraus's conditions
+    (Cremona, Algorithms for Modular Elliptic Curves, 3.2); one step is
+    enough, since it leaves 3^6 | c6, or 2^4 | c4 and 2^6 | c6.  The pair
+    at e = 0 is the integral model's own, so a reduced pair is always
+    realized by `curve_from_c4c6`, and the map onto it is solved from the
+    scale u / m.  A factoring shortfall leaves the primes of the unfactored
+    part in place and clears .complete; it never raises.
     """
-    inv = invariants(E)
-    c4, c6 = inv.c4, inv.c6
-    complete = True
+    m, *_, c4, c6, disc = _int_invariants(E)
+    fac = factor_best_effort(math.gcd(c4, c6))
+    u = 1
+    for p, _ in fac.factors:
+        u *= p ** min(_valuation(c4, p) // 4, _valuation(c6, p) // 6,
+                      _valuation(disc, p) // 12)
+    c4, c6 = c4 // u ** 4, c6 // u ** 6
+    if u % 3 == 0 and not _kraus_ok_3(c6):
+        u, c4, c6 = u // 3, c4 * 3 ** 4, c6 * 3 ** 6
+    if u % 2 == 0 and not _kraus_ok_2(c4, c6):
+        u, c4, c6 = u // 2, c4 * 2 ** 4, c6 * 2 ** 6
 
-    # step 1: clear denominators with the smallest usable scale
-    den_primes: dict[int, int] = {}
-    for den, weight in ((c4.denominator, 4), (c6.denominator, 6)):
-        if den == 1:
-            continue
-        fac = factor_best_effort(den)
-        if not fac.complete:
-            # fall back to the denominator itself; correct, maybe oversized
-            complete = False
-            wanted = den
-            den_primes[wanted] = max(den_primes.get(wanted, 0), 1)
-            continue
-        for p, e in fac.factors:
-            k = -(-e // weight)  # ceil
-            den_primes[p] = max(den_primes.get(p, 0), k)
-    m = 1
-    for p, k in den_primes.items():
-        m *= p ** k
-    while (c4 * m ** 4).denominator != 1 or (c6 * m ** 6).denominator != 1:
-        m *= max(c4.denominator, c6.denominator)  # defensive; complete fallback
-        complete = False
-    c4i = int(c4 * m ** 4)
-    c6i = int(c6 * m ** 6)
-
-    # step 2: largest u with u^4 | c4 and u^6 | c6 on the factorable part
-    if c4i == 0:
-        target = abs(c6i)
-    elif c6i == 0:
-        target = abs(c4i)
-    else:
-        target = math.gcd(abs(c4i), abs(c6i))
-    exps: dict[int, int] = {}
-    if target > 1:
-        fac = factor_best_effort(target)
-        if not fac.complete:
-            complete = False
-        for p, _ in fac.factors:
-            d = min(_valuation(c4i, p) // 4, _valuation(c6i, p) // 6)
-            if d > 0:
-                exps[p] = d
-
-    def reduced(exps_map):
-        u = 1
-        for p, d in exps_map.items():
-            u *= p ** d
-        return u, c4i // u ** 4, c6i // u ** 6
-
-    # step 3: back off at 3 then at 2 until the integrality conditions hold
-    u, rc4, rc6 = reduced(exps)
-    while exps.get(3, 0) > 0 and not _kraus_ok_3(rc6):
-        exps[3] -= 1
-        u, rc4, rc6 = reduced(exps)
-    while exps.get(2, 0) > 0 and not _kraus_ok_2(rc4, rc6):
-        exps[2] -= 1
-        u, rc4, rc6 = reduced(exps)
-    # when the fully backed-off pair still fails, no integral model exists
-    # at this scale and the minimal one sits exactly one step up
-    bump = 1
-    while not _kraus_ok_3(rc6):
-        bump *= 3
-        rc4, rc6 = rc4 * 3 ** 4, rc6 * 3 ** 6
-    while not _kraus_ok_2(rc4, rc6):
-        bump *= 2
-        rc4, rc6 = rc4 * 2 ** 4, rc6 * 2 ** 6
-
-    Emin = curve_from_c4c6(rc4, rc6)
-    M = _solve_rst(E, Emin, Fraction(u, m * bump))
+    Emin = curve_from_c4c6(c4, c6)
+    M = _solve_rst(E, Emin, Fraction(u, m))
     if M is None:  # pragma: no cover - would be an internal defect
         raise SingularCurve("minimal model construction lost the isomorphism")
     xs = E.__dict__.get(_TWO_TORSION_X)     # carried as (x - r) / u^2
     if xs is not None:
         _seed_two_torsion_x(Emin, tuple((x - M.r) / M.u ** 2 for x in xs))
-    return MinimalModelResult(Emin, M, complete)
+    return MinimalModelResult(Emin, M, fac.complete)

@@ -58,9 +58,13 @@ HEIGHTS_PINS = {
 }
 
 
+# sha256 of `induce "{1,3,8}"` stdout at the defaults
+INDUCE_SHA256 = (
+    "ab9f0acbb47818bc24b0938fed32c45530bcfd0b2e2b442b9b603fb22143790e")
+
+
 @pytest.mark.parametrize("argv, digest", [
-    (["{1,3,8}"],
-     "ab9f0acbb47818bc24b0938fed32c45530bcfd0b2e2b442b9b603fb22143790e"),
+    (["{1,3,8}"], INDUCE_SHA256),
     (["{1,3,8}", "--height-bound", "8"],
      "7cfb7c39969deecfc82daf382e1befa2d2b30e74897c36c2bacf01d42c73c78c"),
     *(([t], d) for t, d in HEIGHTS_PINS.items()),
@@ -766,6 +770,48 @@ def test_minimal_model_defect_is_an_internal_error(monkeypatch, capsys):
     assert captured.out == "" and "curve_minimal" not in captured.err
     assert captured.err == ("internal error: SingularCurve: minimal model "
                             "construction lost the isomorphism\n")
+
+
+@pytest.mark.parametrize("triple", ["{2/9,-72/25,-328/225}",
+                                    "{-6/5,40/49,-24/245}"])
+def test_induce_reduces_at_2_within_the_discriminant(capsys, triple):
+    # at 2 the integral model's c4 and c6 allow the scale 2^3, but its
+    # discriminant only 2^2; dividing by 2^3 anyway gave a pair whose
+    # discriminant is not an integer, which no integral model has, and
+    # so an internal error
+    assert run(["induce", triple]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["kind"] == "search" and record["curve_minimal"] is True
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv, code, digest", [
+    (["induce", "{1,3,8}"], EXIT_OK, INDUCE_SHA256),
+    (README_SIEVE, EXIT_OK, README_SIEVE_SHA256),
+    (["induce", "{1,3}"], EXIT_INVALID_INPUT, None),
+    (["induce", "{1,3,8}", "--N", "0"], EXIT_USAGE, None),
+    (["dataset", "nope"], EXIT_USAGE, None),
+    (["induce", "{1,3,8}", "--bogus"], EXIT_USAGE, None),
+], ids=["induce", "sieve", "invalid-triple", "bad-config", "unknown-record",
+        "unknown-flag"])
+def test_unwritable_stderr_keeps_the_exit_code(argv, code, digest):
+    # a message stderr cannot take is dropped: the exit code is still the
+    # outcome's, never 1, which means a failed verification, and stdout
+    # is untouched
+    src = pathlib.Path(diocurves.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "diocurves.cli", *argv],
+                              env=env, stdout=subprocess.PIPE, stderr=full,
+                              timeout=120)
+    assert proc.returncode == code
+    if digest is None:
+        assert proc.stdout == b""
+    else:
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 # sha256 of `verify all --long` stdout with the ` (0.12s)` timing fields

@@ -11,7 +11,8 @@ from diocurves.descent import (descent_image, naive_point_search,
                                rank_lower_bound)
 from diocurves.families import F_uv, K_PLUSMINUS, family_k, z2z8_family
 from diocurves.errors import (DegenerateParameter, DegenerateTriple,
-                              NotDiophantine)
+                              NotDiophantine, SingularCurve)
+from diocurves.factoring import factor_best_effort
 from diocurves.heights import gram_certificate
 from diocurves.rationals import is_perfect_square
 from diocurves.torsion import halve_point, point_order
@@ -24,7 +25,10 @@ from diocurves.triples import (
 from diocurves._poly import rational_roots
 from diocurves.weierstrass import (
     INFINITY,
+    CurveQ,
+    ModelMap,
     add,
+    apply_map,
     clear_denominators,
     complete_the_square,
     dbl,
@@ -252,3 +256,44 @@ def test_perfect_square_roundtrip(q):
     if q > 0 and is_perfect_square(q) is None:
         # non-squares stay non-squares after scaling by a square
         assert is_perfect_square(q * 4) is None
+
+
+def _kraus(p, c4, c6):
+    """Kraus's conditions at p for an integral pair with integral disc:
+    exactly then some integral model has these c4 and c6."""
+    if p == 3:
+        return c6 % 27 == 0 or c6 % 9 != 0
+    if p == 2:
+        return c6 % 4 == 3 or (c4 % 16 == 0 and c6 % 32 in (0, 8))
+    return True
+
+
+coefficient_q = st.fractions(min_value=F(-40), max_value=F(40),
+                             max_denominator=12)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(coeffs=st.tuples(*[coefficient_q] * 5), u=nonzero_q,
+       r=coefficient_q, s=coefficient_q, t=coefficient_q)
+def test_minimal_model_is_integral_isomorphic_minimal_and_unique(
+        coeffs, u, r, s, t):
+    # an arbitrary rational model and an arbitrary move of it: the result
+    # is an integral model E is carried onto, minimal at every prime of
+    # its discriminant, and the same curve from either starting model
+    try:
+        E = CurveQ(*coeffs)
+    except SingularCurve:
+        assume(False)
+    res = minimal_model(E)
+    Em = res.curve
+    assert all(a.denominator == 1 for a in Em.coefficients())
+    assert apply_map(E, res.map) == Em
+    assert res.complete
+    inv = invariants(Em)
+    c4, c6, disc = int(inv.c4), int(inv.c6), int(inv.disc)
+    fac = factor_best_effort(disc)
+    assert fac.complete
+    for p, e in fac.factors:
+        if e >= 12 and c4 % p ** 4 == 0 and c6 % p ** 6 == 0:
+            assert not _kraus(p, c4 // p ** 4, c6 // p ** 6), p
+    assert minimal_model(apply_map(E, ModelMap(u, r, s, t))).curve == Em

@@ -249,15 +249,20 @@ def test_curve_from_c4c6_oracle():
 
 
 def test_minimal_model_recovers_reduced_curve():
-    M = ModelMap(F(1, 2), 1, 2, 3)
-    E_big = apply_map(E37, M)
-    res = minimal_model(E_big)
-    assert res.complete
-    assert res.curve == E37
-    assert apply_map(E_big, res.map) == E37
-    # already-minimal input comes back unchanged
-    res2 = minimal_model(E37)
-    assert res2.curve == E37 and res2.complete
+    # 37a1 moved by a full change of variables, then 11a1 and 15a1 scaled
+    # by u = 1/6, which the reduction must undo at both 2 and 3
+    for E, M in ((E37, ModelMap(F(1, 2), 1, 2, 3)),
+                 (CurveQ(0, -1, 1, -10, -20), ModelMap(F(1, 6), 0, 0, 0)),
+                 (CurveQ(1, 1, 1, -10, -10), ModelMap(F(1, 6), 0, 0, 0))):
+        E_big = apply_map(E, M)
+        res = minimal_model(E_big)
+        assert res.complete
+        assert res.curve == E
+        assert apply_map(E_big, res.map) == E
+        # already-minimal input comes back unchanged
+        res2 = minimal_model(E)
+        assert res2.curve == E and res2.complete
+        assert res2.map == IDENTITY_MAP
 
 
 def test_minimal_model_with_rational_mess():
@@ -269,8 +274,9 @@ def test_minimal_model_with_rational_mess():
 
 
 def test_minimal_model_backoff_at_2():
-    # c4 = -48, c6 = 0: the gcd step wants u = 2 but (-3, 0) is not
-    # realizable over Z, so the reduction must stop where it started
+    # c4 = -48, c6 = 0, disc = -64: v(c4) // 4 = 1 but v(disc) // 12 = 0,
+    # so e = 0 at 2 and the model stays; dividing by 2 would give the
+    # pair (-3, 0), which no integral model has
     E = CurveQ(0, 0, 0, 1, 0)
     res = minimal_model(E)
     assert res.curve == E and res.complete
@@ -278,7 +284,9 @@ def test_minimal_model_backoff_at_2():
 
 
 def test_minimal_model_backoff_at_3():
-    # c6 = -2^5 3^8: dividing by 3^6 would leave 3-valuation exactly 2
+    # c4 = 0, c6 = -2^5 3^8, disc = -2^4 3^13: e = 1 at 3, but dividing
+    # by 3 would leave v_3(c6) = 2, which fails Kraus's condition at 3,
+    # so e backs off to 0 and the model stays
     E = CurveQ(0, 0, 0, 0, 243)
     res = minimal_model(E)
     assert res.curve == E and res.complete
