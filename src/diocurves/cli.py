@@ -52,9 +52,10 @@ JSONL_VERSION = 1
 
 # naive point search tries about e^(1.5 * height_bound) x-coordinates
 MAX_HEIGHT_BOUND = 8.0
-# the sieve sum lists every prime up to N in memory, and counts each prime
-# from 1000 on with numpy arrays of p entries (below it, in one p-bit int);
-# the package itself never goes beyond 10**4
+# the sieve sum lists every prime up to N in memory; below 1000 it counts in
+# one p-bit int per prime, and from 1000 on a lone curve (induce, a kept
+# candidate) by baby-step giant-step, O(p^(1/4)) steps, and a grid batch
+# with numpy arrays of p entries; the package itself never goes beyond 10**4
 MAX_N = 10**6
 # the sieve lists every reduced fraction of its numerators x denominators
 # box in the parent and keeps a score for each valid one, whatever --jobs,
@@ -107,6 +108,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):       # argparse default exits with 2
         _say(f"{self.format_usage()}{self.prog}: error: {message}")
         raise SystemExit(EXIT_USAGE)
+
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write; help and usage on stdout fail as
+        # the command's own output does, and stderr stays best effort
+        if not message or file is not sys.stdout:
+            return super()._print_message(message, file)
+        try:
+            _emit([message.removesuffix("\n")], file)
+        except _OutputLost as exc:
+            if exc.args:
+                _say(exc)
+            raise SystemExit(EXIT_IOERR) from exc
 
 
 def _read_config_file(path: str) -> dict:

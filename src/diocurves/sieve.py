@@ -5,10 +5,10 @@ denominators; primes dividing that model's discriminant are treated as bad
 and skipped.  That convention is sound for every use in this package (the
 skipped set can only be slightly too large, never too small).
 
-Every count at an odd prime goes through one of three kernels, and the
-curve's own arithmetic and the size of p pick which.  After completing the
-square, #E(F_p) = p + 1 + sum_x chi(4x^3 + b2 x^2 + 2b4 x + b6) with chi
-the quadratic character mod p.
+Every count at an odd prime goes through one of four kernels, and the
+curve's own arithmetic, the size of p and the size of the batch pick which.
+After completing the square, #E(F_p) = p + 1 + sum_x chi(4x^3 + b2 x^2 +
+2b4 x + b6) with chi the quadratic character mod p.
 
 * Every curve with three rational two-torsion x-coordinates, which is every
   curve a Diophantine triple induces, is counted from its roots.  With
@@ -21,16 +21,23 @@ the quadratic character mod p.
     prebuilt rows, one per odd prime, each holding a p-bit Python int of
     non-residues: it and two shifts of it, XORed together, hold the sign of
     every term, ``int.bit_count`` counts the -1s, and two lookups in the
-    row's byte string of non-residues discount the terms that are 0.  The same loop adds
-    the curve's Mestre-Nagao terms as it goes.  These primes are every
-    prime the default sieve depth, the torsion bound and ``induce`` count,
-    so those commands never import numpy, whose import costs more than
-    their own work.
-  - From p = _INT_BELOW on, ``_count_roots`` counts a batch of curves per
-    prime: it takes three plain slices chi[o:o + p], o = -r_i mod p, of one
-    int8 numpy table of chi laid out twice, multiplies them and sums, one
-    curve at a time: there the O(p) int table would cost a one-curve count
-    more than the numpy import saves.
+    row's byte string of non-residues discount the terms that are 0.  The
+    same loop adds the curve's Mestre-Nagao terms as it goes.  These
+    primes are every prime the default sieve depth, the torsion bound and
+    ``induce`` count.
+  - From p = _INT_BELOW on, a split curve counted on its own (one curve's
+    sum or count, or the only split curve of a prime's batch) goes to
+    ``_count_alone``: Shanks-Mestre baby-step giant-step, O(p^(1/4)) group
+    operations in affine int arithmetic, exact with no square root and no
+    guess.  So ``verify``, ``induce --N`` above 1000 and every one-curve
+    library call count without numpy, whose import costs more than their
+    own work.
+  - From p = _INT_BELOW on, ``_count_roots`` counts a batch of several
+    split curves per prime (a ``sieve --N`` grid above 1000): it takes
+    three plain slices chi[o:o + p], o = -r_i mod p, of one int8 numpy
+    table of chi laid out twice, multiplies them and sums, one curve at a
+    time: 4-13 us per curve at p = 10^3-10^4 against 27-61 us for
+    baby-step giant-step, and about even at 10^5.
 * ``_count_odd`` serves the other curves (those whose 2-division
   polynomial does not split over Q), a batch per prime at every odd p: it
   forms the block's polynomial values in one int64 numpy array from the
@@ -43,7 +50,7 @@ in blocks of a bounded number of elements, so memory stays flat however
 many curves are scored.  ``count_points_fp`` and the one-curve
 ``_count_points_at`` (the reduction torsion bound and ``verify``'s
 order-mod-4 check) use the same loop and kernels.
-numpy is imported inside its two kernels only.
+numpy is imported inside its two batch kernels only.
 
 The sieve needs no curve object: ``_triple_data`` computes a triple's
 integral data straight from its integers, through the same integer core
@@ -217,14 +224,15 @@ def _count_roots(roots: Sequence[tuple[int, int, int]], p: int) -> list[int]:
     return counts
 
 
-# split curves are counted by ``_count_split`` at the odd primes below this
-# and by ``_count_roots`` from it on.  The int loop's table costs O(p) once
-# per prime, about 0.1 ms at p = 997: a one-curve sum to the cut costs about
-# 10 ms with its tables, against 0.07-0.13 s for the numpy import it
-# spares.  Past the cut the tables grow quadratically (a one-curve sum to
-# N = 10^4 takes 0.66 s, against 0.06 s of numpy counts), and only
-# ``verify``'s two s2 checks and a sieve depth --N above 1000 count there
-# (BENCH_int_kernel.json)
+# split curves are counted by ``_count_split`` at the odd primes below this,
+# and from it on by ``_count_alone`` when counted on their own and by
+# ``_count_roots`` in a batch of several.  The int loop's table costs O(p)
+# once per prime, about 0.1 ms at p = 997: a one-curve sum to the cut costs
+# about 10 ms with its tables.  Past the cut the tables grow quadratically
+# (a one-curve sum to N = 10^4 would take 0.66 s, BENCH_int_kernel.json),
+# while baby-step giant-step takes tens of microseconds per prime, and
+# Mestre's theorem, which makes it end, holds for every p > 229
+# (BENCH_one_curve_bsgs.json)
 _INT_BELOW = 1000
 
 
@@ -296,17 +304,131 @@ def _count_split(roots: tuple[int, int, int], disc: int,
     return counts, total
 
 
+def _add(P, Q, a2: int, a4: int, p: int):
+    """P + Q on Y^2 = X^3 + a2 X^2 + a4 X over F_p, in affine (X, Y) with
+    None for O."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 != x2:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    elif (y1 + y2) % p:
+        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4) * pow(2 * y1, -1, p) % p
+    else:
+        return None
+    x3 = (lam * lam - a2 - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _multiples(Q, a2: int, a4: int, p: int, lo: int, hi: int,
+               m: int) -> list[int] | None:
+    """The k in [lo, hi] with k Q = O, or None when Q has order <= 2m.
+
+    The baby steps store X -> (j, Y) of jQ, j = 1..m; meeting O, a Y of 0
+    or an X twice among them is what an order <= 2m does.  Otherwise each
+    window of 2m + 1 consecutive k holds at most one k, and the giant
+    step cQ at its centre c finds it: cQ = O gives k = c, cQ = +-jQ gives
+    k = c -+ j.
+    """
+    table = {}
+    R = B = Q
+    for j in range(1, m + 1):
+        if R is None or R[1] == 0 or R[0] in table:
+            return None
+        table[R[0]] = j, R[1]
+        B, R = R, _add(R, Q, a2, a4, p)
+    step = _add(R, B, a2, a4, p)            # (m + 1)Q + mQ = (2m + 1)Q
+    # G = eQ one giant step before the first centre, by double-and-add
+    G, D, e = None, Q, lo - m - 1
+    while True:
+        if e & 1:
+            G = _add(G, D, a2, a4, p)
+        e >>= 1
+        if not e:
+            break
+        D = _add(D, D, a2, a4, p)
+    ks = []
+    for c in range(lo + m, hi + m + 1, 2 * m + 1):
+        G = _add(G, step, a2, a4, p)
+        if G is None:
+            k = c
+        elif G[0] in table:
+            j, y = table[G[0]]
+            k = c - j if y == G[1] else c + j
+        else:
+            continue
+        if lo <= k <= hi:
+            ks.append(k)
+    return ks
+
+
+def _count_alone(roots: tuple[int, int, int], p: int) -> int:
+    """#E(F_p) of one curve with integral X-roots (r1, r2, r3) at an odd
+    prime p >= _INT_BELOW of good reduction, by Shanks-Mestre baby-step
+    giant-step (Cohen, A Course in Computational Algebraic Number Theory,
+    7.4): O(p^(1/4)) group operations per point tried, against the O(p)
+    terms of the character sum.
+
+    The curve is Y^2 = f(X) = X(X - s)(X - t) = X^3 + a2 X^2 + a4 X, with
+    s = r2 - r1 and t = r3 - r1, and its order N is one of the
+    candidates: the multiples of 4 (its
+    two-torsion is rational) in the Hasse interval.  For x0 = 1, 2, ...
+    with d = f(x0) != 0, P = (d x0, d^2) lies on Y^2 = X^3 + d a2 X^2 +
+    d^2 a4 X, which is E when d is a square (Euler's criterion) and else
+    its quadratic twist, of order 2p + 2 - N, also a multiple of 4.  The k
+    with 4k in the interval and 4k P = O (``_multiples``) leave the
+    candidates they allow, and the count is the last one left: exact,
+    never a guess.  Every point of E and of its twist but those of order
+    two is, up to sign, the P of some x0.  By Mestre's theorem, for
+    p > 229 one of them has an order with one multiple in the interval,
+    so above 2 sqrt(p); at p >= 1000 its 4P then has order above 2m, and
+    the loop ends there.  If it ran out, ArithmeticError.
+    """
+    r1, r2, r3 = roots
+    s, t = (r2 - r1) % p, (r3 - r1) % p
+    w = math.isqrt(4 * p)
+    lo, hi = (p + 4 - w) // 4, (p + 1 + w) // 4
+    m = math.isqrt((hi - lo) // 2) + 1
+    left = set(range(4 * lo, 4 * hi + 1, 4))
+    for x0 in range(1, p):
+        d = x0 * (x0 - s) * (x0 - t) % p
+        if not d:
+            continue
+        a2, a4 = -d * (s + t) % p, d * d * s * t % p
+        P = (d * x0 % p, d * d % p)
+        Q = _add(P, P, a2, a4, p)
+        ks = _multiples(_add(Q, Q, a2, a4, p), a2, a4, p, lo, hi, m)
+        if ks is None:
+            continue
+        if pow(d, (p - 1) // 2, p) == 1:
+            left.intersection_update([4 * k for k in ks])
+        else:
+            left.intersection_update([2 * p + 2 - 4 * k for k in ks])
+        if len(left) < 2:
+            break
+    if len(left) != 1:
+        raise ArithmeticError(f"baby-step giant-step left the orders "
+                              f"{sorted(left)} at {p} for the roots {roots}")
+    return left.pop()
+
+
 def _count_good(data: Sequence[tuple], p: int) -> list[int]:
     """#E(F_p) for each curve's integral data at one prime of good reduction,
-    each curve through the batch kernel its two-torsion picks.  Callers
-    count split curves at the odd primes below _INT_BELOW with
-    ``_count_split`` instead."""
+    each curve through the batch kernel its two-torsion picks, and from
+    _INT_BELOW on a split curve that is the batch's only one through
+    ``_count_alone``.  Callers count split curves at the odd primes below
+    _INT_BELOW with ``_count_split`` instead."""
     if p == 2:
         return [_count_mod_two(d[0]) for d in data]
     split = [i for i, d in enumerate(data) if d[3] is not None]
     other = [i for i, d in enumerate(data) if d[3] is None]
     counts = [0] * len(data)
-    if split:
+    if len(split) == 1 and p >= _INT_BELOW:
+        counts[split[0]] = _count_alone(data[split[0]][3], p)
+    elif split:
         for i, n in zip(split, _count_roots([data[i][3] for i in split], p)):
             counts[i] = n
     if other:
@@ -337,8 +459,9 @@ def _count_points_at(E: CurveQ, primes: Sequence[int]) -> list[int]:
     """#E(F_p) at each of the given primes, in their order.
 
     A split curve is counted in one ``_count_split`` loop at its odd primes
-    below _INT_BELOW, and every other prime in a batch of one.  Raises
-    BadReduction when one of the primes is bad.
+    below _INT_BELOW, and every other prime in a batch of one, which is
+    baby-step giant-step for a split curve.  Raises BadReduction when one
+    of the primes is bad.
     """
     data = _integral_data(E)
     for p in primes:
@@ -398,7 +521,8 @@ def _sums_from_data(data: Sequence[tuple], limit: int) -> list[SieveResult]:
     p = 2 comes first, as a batch.  A split curve then runs its odd primes
     below _INT_BELOW in one ``_count_split`` loop; every other curve counts
     those primes a batch per prime, and all curves count the primes from
-    the cut on a batch per prime.
+    the cut on a batch per prime (``_count_good``, which counts a batch's
+    only split curve by baby-step giant-step).
     """
     totals = [0.0] * len(data)
     used = [0] * len(data)

@@ -18,9 +18,10 @@ The checks are grouped into jobs, and ``run_scope`` runs the jobs on a
 pool of one forked process per available CPU and hands the results on in
 the fixed check order.  The workers inherit the jobs, and each runs a
 fixed share of them.  A job is one check, except that the three s2 checks
-are one job (see ``section_checks``), so a run loads numpy in one process
-only.  A check's seconds are its own wall time in the process that ran
-it, timed with the monotonic ``time.perf_counter``.
+are one job (see ``section_checks``).  No check loads numpy: each counts
+one curve at a time, by baby-step giant-step from p = 1000 on.  A check's
+seconds are its own wall time in the process that ran it, timed with the
+monotonic ``time.perf_counter``.
 """
 
 from __future__ import annotations
@@ -360,10 +361,11 @@ def section_checks(section: str, long: bool = False) -> list[Job]:
     The section's fixed checks come first, then one job per record: those
     that store a curve, in dataset order, then with `long` the full check
     of each record of _DEFAULT_SLICE, then the other records in dataset
-    order.  The three s2 checks are one job: they share the numpy import,
-    the int loop's residue tables and the rank-9 record's integral
-    model, so one process pays for them once.  Every other check is a job
-    of its own.
+    order.  The three s2 checks are one job: they share the int loop's
+    residue tables and the rank-9 record's integral model, so one process
+    pays for them once (split into three jobs, `verify all --long` measured
+    no faster, BENCH_one_curve_bsgs.json).  Every other check is a job of
+    its own.
     """
     fixed: dict[str, list[Job]] = {
         "s1": [(check_doubling_identity,), (check_euler_doubling,)],

@@ -609,22 +609,32 @@ def _valuation(n: int, p: int) -> int:
 def curve_from_c4c6(c4: int, c6: int) -> CurveQ:
     """The standard reduced model with the given integral invariants.
 
-    Requires (c4, c6) to satisfy the integrality conditions at 2 and 3.
+    Raises ValueError, naming the divisibility that fails, when no integral
+    model has the invariants (c4, c6), and SingularCurve when one has but
+    its discriminant (c4^3 - c6^2) / 1728 is zero.
     """
+    def unrealizable(condition: str) -> ValueError:
+        return ValueError(f"({c4},{c6}) is not realizable over Z: "
+                          f"{condition}")
+
     b2 = (-c6) % 12
     if b2 > 6:
         b2 -= 12
     b4, rem4 = divmod(b2 * b2 - c4, 24)
+    if rem4:
+        raise unrealizable(f"24 does not divide b2^2 - c4 for b2 = {b2}")
     b6, rem6 = divmod(-b2 ** 3 + 36 * b2 * b4 - c6, 216)
-    if rem4 or rem6:
-        raise SingularCurve(f"({c4},{c6}) is not realizable over Z")
+    if rem6:
+        raise unrealizable(f"216 does not divide -b2^3 + 36 b2 b4 - c6 for "
+                           f"(b2, b4) = ({b2}, {b4})")
     a1 = b2 % 2
     a2 = (b2 - a1) // 4
     a3 = b6 % 2
     a6 = (b6 - a3) // 4
     a4, rem = divmod(b4 - a1 * a3, 2)
     if rem:
-        raise SingularCurve(f"({c4},{c6}) is not realizable over Z")
+        raise unrealizable(f"b4 - a1 a3 is odd for (b4, a1, a3) = "
+                           f"({b4}, {a1}, {a3})")
     return CurveQ(a1, a2, a3, a4, a6)
 
 

@@ -417,16 +417,18 @@ def test_verify_all_under_optimize_flag():
                                     "concurrent.futures",
                                     "dataclasses", "inspect", "selectors"])
 def test_cli_import_leaves_module_unloaded(module):
-    # numpy is loaded by the point-counting kernels at p >= 1000 alone, so
-    # the import, `dataset`, `induce`, a sieve at the default N and `verify
-    # s1` never pay for it; sympy and mpmath are test-only oracles, and the
-    # heights serve only a script and the tests.  The process pool forks
-    # with os alone, and its workers do the pooled work, so a pooled `sieve
-    # --jobs 2` or `verify` loads nothing more in the parent.  The records
-    # and value types write their methods in the source, so no class is
-    # generated by dataclasses (which loads inspect) on a cold start.  The
-    # exit code is the number of the first command after which the module
-    # is loaded
+    # numpy is loaded only to count a batch of several split curves at
+    # p >= 1000 (`sieve --N` above 1000) and curves without three rational
+    # two-torsion points, so the import, `dataset`, `induce`, a sieve at
+    # the default N and `verify s1` never pay for it (nor do `verify s2`
+    # and `induce --N`, see the next test); sympy and mpmath are test-only
+    # oracles, and the heights serve only a script and the tests.  The
+    # process pool forks with os alone, and its workers do the pooled work,
+    # so a pooled `sieve --jobs 2` or `verify` loads nothing more in the
+    # parent.  The records and value types write their methods in the
+    # source, so no class is generated by dataclasses (which loads inspect)
+    # on a cold start.  The exit code is the number of the first command
+    # after which the module is loaded
     src = pathlib.Path(diocurves.__file__).resolve().parents[1]
     sieve = ["sieve", "K_PLUSMINUS", "--numerators", "1:6",
              "--denominators", "1:2"]
@@ -438,6 +440,28 @@ def test_cli_import_leaves_module_unloaded(module):
             f"for i, argv in enumerate({commands!r}, 1):\n"
             "    assert c.main(argv) == 0\n"
             f"    if {module!r} in sys.modules:\n"
+            "        sys.exit(i)\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_one_curve_counts_above_the_cut_leave_numpy_unloaded():
+    # `verify s2` and `induce --N` count one curve at a time at primes past
+    # 1000, by baby-step giant-step; run in this one process, neither loads
+    # numpy.  The exit code is the number of the first command after which
+    # it is loaded
+    src = pathlib.Path(diocurves.__file__).resolve().parents[1]
+    commands = [["verify", "s2"],
+                ["induce", "{1,3,8}", "--N", "20000", "--out", os.devnull]]
+    code = ("import contextlib, os, sys\n"
+            "import diocurves.cli as c, diocurves.verify as v\n"
+            "v.available_cpus = lambda: 1\n"
+            f"for i, argv in enumerate({commands!r}, 1):\n"
+            "    with contextlib.redirect_stdout(open(os.devnull, 'w')):\n"
+            "        assert c.main(argv) == 0\n"
+            "    if 'numpy' in sys.modules:\n"
             "        sys.exit(i)\n")
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -467,8 +491,8 @@ def _cli_process(argv, stdout):
                           timeout=120)
 
 
-@pytest.mark.parametrize("argv", [["dataset"], ["verify", "s1"]],
-                         ids=["dataset", "verify"])
+@pytest.mark.parametrize("argv", [["dataset"], ["verify", "s1"], ["--help"]],
+                         ids=["dataset", "verify", "help"])
 def test_closed_stdout_is_exit_74_without_a_word(argv):
     # the reader of stdout is gone before the first write, as after
     # `| head -1`: the write fails with EPIPE, which is nobody's error to
@@ -488,13 +512,25 @@ def test_closed_stdout_is_exit_74_without_a_word(argv):
     (["dataset", "--out", "/dev/full"], "--out /dev/full"),
     (["dataset"], "stdout"),
     (["verify", "s1"], "stdout"),
-], ids=["dataset-out", "dataset-stdout", "verify-stdout"])
+    (["--help"], "stdout"),
+    (["induce", "--help"], "stdout"),
+], ids=["dataset-out", "dataset-stdout", "verify-stdout", "help-stdout",
+        "induce-help-stdout"])
 def test_full_device_is_exit_74_on_one_line(argv, name):
     with open("/dev/full", "wb") as full:
         proc = _cli_process(argv, full)
     assert proc.returncode == EXIT_IOERR
     assert proc.stderr.decode() == \
         f"cannot write {name}: No space left on device\n"
+
+
+def test_help_writes_argparse_text_and_exits_0(capsys):
+    # help goes through the output's failure handling, and writes the
+    # same bytes argparse would
+    with pytest.raises(SystemExit) as exit_info:
+        run(["--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr() == (cli.build_parser().format_help(), "")
 
 
 def test_failed_fork_is_still_an_internal_error(monkeypatch, capsys):

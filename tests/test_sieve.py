@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import diocurves
 import diocurves.sieve as sieve_mod
@@ -143,24 +143,32 @@ def test_mestre_nagao_sums_bit_identical(monkeypatch):
         curves.append(clear_denominators(induced_curves(triple).curve)[0])
         if len(curves) == 24:
             break
-    # the primes the split-curve loop and the numpy kernel count at
-    reached = {"_count_split": set(), "_count_roots": set()}
-    real_split, real_roots = sieve_mod._count_split, sieve_mod._count_roots
+    # the primes the split-curve loop, baby-step giant-step and the numpy
+    # kernel count at
+    reached = {"_count_split": set(), "_count_alone": set(),
+               "_count_roots": set()}
+    real_split = sieve_mod._count_split
+    real_alone, real_roots = sieve_mod._count_alone, sieve_mod._count_roots
 
     def split(roots, disc, rows, total=0.0):
         rows = list(rows)
         reached["_count_split"].update(r[0] for r in rows if disc % r[0])
         return real_split(roots, disc, rows, total)
 
+    def alone(roots, p):
+        reached["_count_alone"].add(p)
+        return real_alone(roots, p)
+
     def numpy_roots(roots, p):
         reached["_count_roots"].add(p)
         return real_roots(roots, p)
 
     monkeypatch.setattr(sieve_mod, "_count_split", split)
+    monkeypatch.setattr(sieve_mod, "_count_alone", alone)
     monkeypatch.setattr(sieve_mod, "_count_roots", numpy_roots)
     # the largest prime of the sum is counted by the int loop, and the
-    # next prime, past its cut, by the numpy kernel; both match the
-    # reference
+    # next prime, past its cut, by baby-step giant-step, one curve at a
+    # time; both match the reference
     p = primes_upto(limit)[-1]
     assert p == 997
     for q in (p, 1009):
@@ -168,10 +176,12 @@ def test_mestre_nagao_sums_bit_identical(monkeypatch):
         assert len(good) > 1
         counts = [sieve_mod._count_points_at(E, [q])[0] for E in good]
         assert counts == [reference_count(E, q) for E in good]
-    assert reached == {"_count_split": {997}, "_count_roots": {1009}}
+    assert reached == {"_count_split": {997}, "_count_alone": {1009},
+                       "_count_roots": set()}
     batch = mestre_nagao_sums(curves, limit)
     assert 997 in reached["_count_split"]
-    assert reached["_count_roots"] == {1009}
+    assert reached["_count_alone"] == {1009}
+    assert reached["_count_roots"] == set()
     assert len(batch) == len(curves)
     for E, res in zip(curves, batch):
         total, used, skipped = reference_sum(E, limit)
@@ -392,9 +402,12 @@ def test_int_kernel_matches_reference_and_numpy(monkeypatch):
     odd = primes_upto(2047)[1:]
     cut = sieve_mod._INT_BELOW
     assert odd[0] == 3 and odd[0] < cut < odd[-1]
-    int_calls, numpy_rows = [], []
+    int_calls, numpy_rows, alone = [], [], []
     _split_rows(monkeypatch, int_calls)
     count_numpy = _recording(monkeypatch, "_count_roots", numpy_rows)
+    count_alone = sieve_mod._count_alone
+    monkeypatch.setattr(sieve_mod, "_count_alone", lambda roots, p: (
+        alone.append(p) or count_alone(roots, p)))
     at_three, zero_root = [], set()
     for E in curves:
         roots = sieve_mod._integral_data(E)[3]
@@ -407,12 +420,14 @@ def test_int_kernel_matches_reference_and_numpy(monkeypatch):
         assert [count_numpy([roots], p)[0] for p in good] == want, E
         zero_root.update(p for p in good if any(r % p == 0 for r in roots))
         # the one-curve path: one int loop over the primes below the cut,
-        # one numpy call per prime above it
+        # one baby-step giant-step count per prime above it, and no numpy
         int_calls.clear()
         numpy_rows.clear()
+        alone.clear()
         assert sieve_mod._count_points_at(E, good) == want, E
         assert int_calls == [[p for p in good if p < cut]]
-        assert numpy_rows == [(p, 1) for p in good if p > cut]
+        assert alone == [p for p in good if p > cut]
+        assert numpy_rows == []
     # p = 3, the shortest table, and a root that reduces to 0 on both
     # sides of the cut (numpy reads its table from offset 0 there)
     assert any(at_three)
@@ -441,10 +456,11 @@ def test_int_kernel_matches_reference_and_numpy(monkeypatch):
         assert len(good) > 16
         data = [sieve_mod._integral_data(E) for E in good]
         numpy_rows.clear()
+        alone.clear()
         assert sieve_mod._count_good(data, p) == \
             [reference_count(E, p) for E in good], p
         assert numpy_rows == [(p, len(good))]
-        assert int_calls == []
+        assert int_calls == alone == []
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -461,6 +477,75 @@ def test_int_kernel_matches_reference_on_family_members(z2z8, n, d, p):
     assume(want is not None)
     assert _int_counts(E, [p]) == [want]
     assert count_points_fp(E, p) == want
+
+
+# --------------------------------------------------------------------------
+# baby-step giant-step, the one-curve count from p = _INT_BELOW on
+
+_BSGS_PRIMES = [p for p in primes_upto(3 * 10**4)
+                if p >= sieve_mod._INT_BELOW]
+
+
+def _split_curve(e1, e2, e3):
+    """y^2 = (x - e1)(x - e2)(x - e3)."""
+    return CurveQ(0, -(e1 + e2 + e3), 0, e1 * e2 + e1 * e3 + e2 * e3,
+                  -e1 * e2 * e3)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(z2z8=st.booleans(), n=st.integers(-60, 60), d=st.integers(1, 12),
+       roots=st.lists(st.integers(-10**6, 10**6), min_size=3, max_size=3,
+                      unique=True),
+       p=st.sampled_from(_BSGS_PRIMES))
+# the first primes past the cut, p = 1 and p = 3 mod 4
+@example(z2z8=False, n=0, d=1, roots=[0, 1, -1], p=1009)
+@example(z2z8=False, n=0, d=1, roots=[3, 7, -5], p=1019)
+@example(z2z8=True, n=7, d=5, roots=[], p=1013)
+@example(z2z8=True, n=-11, d=3, roots=[], p=1031)
+def test_bsgs_matches_reference_on_split_curves(z2z8, n, d, roots, p):
+    # random roots, or a member of the (2, 8)-torsion family, whose groups
+    # mod p have a small exponent relative to their order
+    if z2z8:
+        try:
+            E = induced_curves(z2z8_family(F(n, d))).curve
+        except DiocurvesError:
+            assume(False)
+    else:
+        E = _split_curve(*roots)
+    want = reference_count(E, p)
+    assume(want is not None)
+    assert sieve_mod._count_alone(sieve_mod._integral_data(E)[3], p) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 34, 157])
+def test_bsgs_on_congruent_number_curves(n):
+    # y^2 = x^3 - n^2 x has CM by Z[i]: supersingular, #E = p + 1, at
+    # p = 3 mod 4, and numpy's count at p = 1 mod 4
+    E = _split_curve(0, n, -n)
+    roots = sieve_mod._integral_data(E)[3]
+    good = sieve_mod._good_primes(E, [p for p in _BSGS_PRIMES if p < 4000])
+    assert {p % 4 for p in good} == {1, 3}
+    for p in good:
+        want = p + 1 if p % 4 == 3 else sieve_mod._count_roots([roots], p)[0]
+        assert sieve_mod._count_alone(roots, p) == want, p
+
+
+def test_bsgs_matches_numpy_near_large_primes():
+    curves = [induced_curves(make_triple(1, 3, 8)).curve,
+              dataset_record("s3-rank9").curve, _split_curve(0, 34, -34)]
+    for p in (100003, 100019, 999983, 1000003):
+        for E in curves:
+            roots = sieve_mod._integral_data(E)[3]
+            assert sieve_mod._count_alone(roots, p) == \
+                sieve_mod._count_roots([roots], p)[0], (E, p)
+
+
+def test_bsgs_never_returns_an_unproven_count(monkeypatch):
+    # a kernel that finds no point leaves every candidate standing, and
+    # says so rather than pick one
+    monkeypatch.setattr(sieve_mod, "_multiples", lambda *args: None)
+    with pytest.raises(ArithmeticError, match="left the orders"):
+        sieve_mod._count_alone((0, 4, -4), 1009)
 
 
 # the one-parameter families, the ones `sieve` takes
@@ -575,7 +660,8 @@ def test_count_points_at_bad_primes_raise():
 @pytest.mark.parametrize("limit", [200, 1000, 10**4])
 def test_one_curve_score_is_its_score_in_a_batch(limit):
     # the one-curve sum and the batch, on both sides of the int loop's
-    # cut; the floats agree bit for bit
+    # cut, where a split curve alone counts by baby-step giant-step and the
+    # batch by numpy; the floats agree bit for bit
     curves = _packed_kernel_curves()[::2] + [
         E11, dataset_record("s3-rank9").curve]
     batch = mestre_nagao_sums(curves, limit)

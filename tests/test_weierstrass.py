@@ -1,5 +1,6 @@
 import pickle
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -246,6 +247,30 @@ def test_find_isomorphism_scaled_1728():
 def test_curve_from_c4c6_oracle():
     assert curve_from_c4c6(48, -216) == E37
     assert curve_from_c4c6(0, -216) == CurveQ(0, 0, 1, 0, 0)
+
+
+@pytest.mark.parametrize("c4, c6, condition", [
+    (0, -1000, "24 does not divide b2^2 - c4"),
+    (0, -996, "216 does not divide -b2^3 + 36 b2 b4 - c6"),
+    (1, -919, "b4 - a1 a3 is odd"),
+    # nonsingular: c4^3 != c6^2
+    (220056481, -3214389427129, "b4 - a1 a3 is odd"),
+], ids=["mod-24", "mod-216", "odd-a4", "nonsingular"])
+def test_curve_from_c4c6_unrealizable_is_value_error(c4, c6, condition):
+    # no integral model has these invariants; the curve need not be
+    # singular, so the error names the failed condition instead
+    assert c4 ** 3 != c6 ** 2
+    with pytest.raises(ValueError, match=f"^\\({c4},{c6}\\) is not "
+                       f"realizable over Z: {re.escape(condition)}"):
+        curve_from_c4c6(c4, c6)
+
+
+@pytest.mark.parametrize("c4, c6", [(0, 0), (144, -1728)])
+def test_curve_from_c4c6_zero_discriminant_is_singular(c4, c6):
+    # realizable, by y^2 = x^3 and y^2 = (x - 1)^2 (x + 2)
+    assert c4 ** 3 == c6 ** 2
+    with pytest.raises(SingularCurve):
+        curve_from_c4c6(c4, c6)
 
 
 def test_minimal_model_recovers_reduced_curve():
