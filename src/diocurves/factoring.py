@@ -121,9 +121,9 @@ class Factorization(NamedTuple):
         return 0
 
 
-def factor_best_effort(n: int, budget: int = DEFAULT_BUDGET,
-                       trial_bound: int = TRIAL_DIVISION_BOUND) -> Factorization:
-    """Factor n as far as trial division plus `budget` rho steps allow.
+def factor_best_effort(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
+    """Factor n as far as trial division to TRIAL_DIVISION_BOUND plus
+    `budget` rho steps allow.
 
     The steps are shared by every rho attempt of the call; budget=0 means
     no rho at all.  Never raises on hard inputs; the leftover lands in
@@ -144,13 +144,13 @@ def factor_best_effort(n: int, budget: int = DEFAULT_BUDGET,
             record(p)
             n //= p
     p = 5
-    while p <= trial_bound and p * p <= n:
+    while p <= TRIAL_DIVISION_BOUND and p * p <= n:
         for q in (p, p + 2):
             while n % q == 0:
                 record(q)
                 n //= q
         p += 6
-    if n > 1 and (n < trial_bound * trial_bound or is_probable_prime(n)):
+    if n > 1 and (n < TRIAL_DIVISION_BOUND ** 2 or is_probable_prime(n)):
         record(n)
         n = 1
 

@@ -79,17 +79,18 @@ def two_torsion_points(E: CurveQ) -> list[PointQ]:
     return [PointQ(x0, -(E.a1 * x0 + E.a3) / 2) for x0 in two_torsion_x(E)]
 
 
-def point_order(E: CurveQ, P: PointQ, cap: int = _MAX_ELEMENT_ORDER) -> int | None:
+def point_order(E: CurveQ, P: PointQ) -> int | None:
     """The exact order of P, or None when P is of infinite order.
 
-    Rational torsion orders never exceed 12, so a short multiple scan
-    settles the question; integrality usually settles it sooner.
+    Rational torsion orders never exceed 12 (`_MAX_ELEMENT_ORDER`), so a
+    scan of the first 12 multiples settles the question; integrality
+    usually settles it sooner.
     """
     _require_on_curve(E, P)
-    return _point_order(E, P, cap)
+    return _point_order(E, P)
 
 
-def _point_order(E: CurveQ, P: PointQ, cap: int = _MAX_ELEMENT_ORDER) -> int | None:
+def _point_order(E: CurveQ, P: PointQ) -> int | None:
     """point_order for a P already known to lie on E.
 
     On the integral model x -> m^2 x of clear_denominators, a torsion point
@@ -100,7 +101,7 @@ def _point_order(E: CurveQ, P: PointQ, cap: int = _MAX_ELEMENT_ORDER) -> int | N
     """
     scale = _coefficient_scale(E) ** 2
     acc = P
-    for n in range(1, cap + 1):
+    for n in range(1, _MAX_ELEMENT_ORDER + 1):
         if acc.x is None:
             return n
         d = acc.x.denominator       # x m^2 has denominator d / gcd(d, m^2)

@@ -243,9 +243,7 @@ def check_summand_forms(count: int = 100, seed: int = 505) -> CheckResult:
     """The two closed forms of the sieve summand agree to 1e-9."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
-    curves = []
-    for rid in ("s3-rank9", "s4-rank7", "s5-rank4", "s6-connell"):
-        curves.append(dataset_record(rid).curve)
+    curves = [r.curve for r in paper_dataset() if r.curve is not None]
     for _ in range(6):
         k = QQ(rng.randint(2, 40), rng.randint(1, 7))
         curves.append(induced_curves(family_k(K_PLUSMINUS, k)).curve)

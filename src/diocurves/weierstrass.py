@@ -29,9 +29,8 @@ weight k is the one of the integral model divided by m^k, once, at the
 end.
 
 Data derived from a curve (its integral model and invariants, its
-square-completed model, the x-coordinates of its points of order two, its
-torsion subgroup, and the duplication data and canonical heights of the
-`heights` module) is built once, on first use, and kept on the curve
+square-completed model, the x-coordinates of its points of order two and
+its torsion subgroup) is built once, on first use, and kept on the curve
 object by `_memo`; it is dropped with the curve.  The integral model is
 read as ints off the curve itself, and `clear_denominators` builds it as a
 curve only on request, keeping nothing.  The two-torsion x are handed on:

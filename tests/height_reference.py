@@ -1,4 +1,5 @@
-"""Canonical heights and height-pairing Gram certificates.
+"""Canonical heights and height-pairing Gram certificates: the rank tests'
+reference.
 
 The canonical height is the limit of h(x(2^n P)) / 4^n.  Chasing the
 doubled point exactly is hopeless (its coordinates gain digits like 4^n),
@@ -15,8 +16,9 @@ with no factoring.  Every constant in the tail bound is explicit, so a
 requested absolute accuracy is honest, not heuristic.
 
 No rank bound of the package reads these numbers: `descent` decides the
-rank of a point set exactly.  The heights serve `scripts/height_survey.py`
-and the tests.
+rank of a point set exactly, and the rank tests compare it against the
+greedy Gram loop built on this module.  It stays here until the 2-Selmer
+upper bound (ROADMAP direction 1) gives those tests another oracle.
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from ._poly import gcdex
-from .errors import PointNotOnCurve
-from .rationals import log_int
-from .torsion import _point_order
-from .weierstrass import (CurveQ, PointQ, _coefficient_scale, _int_invariants,
-                          _memo, add, is_on_curve, sub)
+from diocurves._poly import gcdex
+from diocurves.errors import PointNotOnCurve
+from diocurves.rationals import log_int
+from diocurves.torsion import _point_order
+from diocurves.weierstrass import (CurveQ, PointQ, _coefficient_scale,
+                                   _int_invariants, _memo, add, is_on_curve,
+                                   sub)
 
 
 # ---------------------------------------------------------------------------

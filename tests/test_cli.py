@@ -77,23 +77,6 @@ def test_induce_output_bytes_pinned(capsys, argv, digest):
     assert hashlib.sha256(out).hexdigest() == digest
 
 
-def test_heights_run_without_mpmath():
-    # the rank path computes no height: on the triples that used to need
-    # heights, induce runs with mpmath, a test-only oracle, unimportable,
-    # and never loads the height module
-    src = pathlib.Path(diocurves.__file__).resolve().parents[1]
-    triple, digest = next(iter(HEIGHTS_PINS.items()))
-    code = ("import sys; sys.modules['mpmath'] = None; "
-            "import diocurves.cli as c; "
-            f"code = c.main(['induce', {triple!r}]); "
-            "sys.exit(code or 3 * ('diocurves.heights' in sys.modules))")
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256(proc.stdout).hexdigest() == digest
-
-
 README_SIEVE = ["sieve", "K_PLUSMINUS", "--numerators", "1:50",
                 "--denominators", "1:10", "--keep", "0.05"]
 README_SIEVE_SHA256 = (
@@ -411,8 +394,34 @@ def test_verify_all_under_optimize_flag():
     assert "70/70 checks passed" in proc.stdout
 
 
+def test_commands_reach_every_package_module():
+    # the package ships no module that only the tests use: run in this one
+    # process, `dataset`, `induce`, a small sieve and `verify s1` load every
+    # module under src/diocurves.  The commands, not the bare import, are
+    # what must reach them, so a module imported lazily still counts
+    src = pathlib.Path(diocurves.__file__).resolve().parents[1]
+    sieve = ["sieve", "K_PLUSMINUS", "--numerators", "1:6",
+             "--denominators", "1:2"]
+    commands = [[*argv, "--out", os.devnull]
+                for argv in (["dataset"], ["induce", "{1,3,8}"], sieve)]
+    commands.append(["verify", "s1"])
+    code = ("import pathlib, sys, diocurves.cli as c, diocurves.verify as v\n"
+            "v.available_cpus = lambda: 1\n"
+            f"for argv in {commands!r}:\n"
+            "    assert c.main(argv) == 0\n"
+            "pkg = pathlib.Path(c.__file__).parent\n"
+            "names = {'diocurves.' + p.stem for p in pkg.glob('*.py')}\n"
+            "names.discard('diocurves.__init__')\n"
+            "missing = sorted(names - set(sys.modules))\n"
+            "sys.exit(' '.join(missing) or None)\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("module", ["sympy", "numpy", "mpmath",
-                                    "diocurves.heights", "multiprocessing",
+                                    "multiprocessing",
                                     "concurrent.futures.process",
                                     "concurrent.futures",
                                     "dataclasses", "inspect", "selectors"])
@@ -422,13 +431,12 @@ def test_cli_import_leaves_module_unloaded(module):
     # two-torsion points, so the import, `dataset`, `induce`, a sieve at
     # the default N and `verify s1` never pay for it (nor do `verify s2`
     # and `induce --N`, see the next test); sympy and mpmath are test-only
-    # oracles, and the heights serve only a script and the tests.  The
-    # process pool forks with os alone, and its workers do the pooled work,
-    # so a pooled `sieve --jobs 2` or `verify` loads nothing more in the
-    # parent.  The records and value types write their methods in the
-    # source, so no class is generated by dataclasses (which loads inspect)
-    # on a cold start.  The exit code is the number of the first command
-    # after which the module is loaded
+    # oracles.  The process pool forks with os alone, and its workers do
+    # the pooled work, so a pooled `sieve --jobs 2` or `verify` loads
+    # nothing more in the parent.  The records and value types write their
+    # methods in the source, so no class is generated by dataclasses (which
+    # loads inspect) on a cold start.  The exit code is the number of the
+    # first command after which the module is loaded
     src = pathlib.Path(diocurves.__file__).resolve().parents[1]
     sieve = ["sieve", "K_PLUSMINUS", "--numerators", "1:6",
              "--denominators", "1:2"]
@@ -851,9 +859,10 @@ def test_unwritable_stderr_keeps_the_exit_code(argv, code, digest):
 
 
 # sha256 of `verify all --long` stdout with the ` (0.12s)` timing fields
-# stripped, measured before the group law moved to integers
+# stripped, measured once `sieve-summand-forms` drew from every record
+# that stores a curve
 VERIFY_LONG_SHA256 = (
-    "043e9f88130fdccc6b37ff6a9f0db350bbae23ffe0cb8f327396767d078ab96b")
+    "4e0422cd75e60ed7461b91757f06a82e3ed9ad94c0ae4f85897f07ceaa3ec253")
 
 
 def test_verify_long_output_bytes_pinned():

