@@ -53,9 +53,10 @@ JSONL_VERSION = 1
 # naive point search tries about e^(1.5 * height_bound) x-coordinates
 MAX_HEIGHT_BOUND = 8.0
 # the sieve sum lists every prime up to N in memory; below 1000 it counts in
-# one p-bit int per prime, and from 1000 on a lone curve (induce, a kept
-# candidate) by baby-step giant-step, O(p^(1/4)) steps, and a grid batch
-# with numpy arrays of p entries; the package itself never goes beyond 10**4
+# one cached p-bit int per prime, and from 1000 on a lone curve (induce, a
+# kept candidate) by baby-step giant-step, O(p^(1/4)) steps, and a grid batch
+# in one p-bit int built per prime; the package itself never goes beyond
+# 10**4
 MAX_N = 10**6
 # the sieve lists every reduced fraction of its numerators x denominators
 # box in the parent and keeps a score for each valid one, whatever --jobs,
@@ -63,8 +64,8 @@ MAX_N = 10**6
 MAX_GRID_CELLS = 10**6
 # the sieve scores its grid in pieces of at most this many parameters, so a
 # process holds the integral data (ints, no curve) of one piece only.  With
-# --jobs 1 the README grid is one piece; with --jobs n the grid is cut into
-# 2n pieces or more, so the n workers share it out
+# --jobs n the grid is cut into n equal pieces, or more where a piece would
+# pass this size, so each worker builds each row past N = 1000 once
 SIEVE_CHUNK = 4096
 # --jobs forks up to this many worker processes
 MAX_JOBS = 256
@@ -353,8 +354,7 @@ def cmd_sieve(family_id: str, numerators: tuple[int, int],
               denominators: tuple[int, int], cfg: Config) -> int:
     with _open_out(cfg.out) as out:
         grid = _grid(numerators, denominators)
-        size = SIEVE_CHUNK if cfg.jobs == 1 else max(1, min(
-            SIEVE_CHUNK, math.ceil(len(grid) / (2 * cfg.jobs))))
+        size = max(1, min(SIEVE_CHUNK, math.ceil(len(grid) / cfg.jobs)))
         pieces = [grid[lo:lo + size] for lo in range(0, len(grid), size)]
         # the scoring loop's per-prime tables, built before any fork, so
         # every worker inherits them warm

@@ -5,52 +5,41 @@ denominators; primes dividing that model's discriminant are treated as bad
 and skipped.  That convention is sound for every use in this package (the
 skipped set can only be slightly too large, never too small).
 
-Every count at an odd prime goes through one of four kernels, and the
-curve's own arithmetic, the size of p and the size of the batch pick which.
-After completing the square, #E(F_p) = p + 1 + sum_x chi(4x^3 + b2 x^2 +
-2b4 x + b6) with chi the quadratic character mod p.
+Every count is exact and in Python ints; the curve's own arithmetic, the
+size of p and the size of the batch pick the route.  After completing the
+square, #E(F_p) = p + 1 + sum_x chi(4x^3 + b2 x^2 + 2b4 x + b6) with chi
+the quadratic character mod p.
 
-* Every curve with three rational two-torsion x-coordinates, which is every
-  curve a Diophantine triple induces, is counted from its roots.  With
-  X = 4x the cubic is (X - r1)(X - r2)(X - r3) / 16, where the r_i are
-  four times those x-coordinates and, as roots of a monic integer cubic,
-  integers.  chi is multiplicative and chi(16) = 1, so the sum is
-  sum_X chi(X - r1) chi(X - r2) chi(X - r3), and each curve costs three
-  reductions mod p per prime, with no polynomial to evaluate.
-  - Below p = _INT_BELOW, ``_count_split`` runs one loop per curve over
-    prebuilt rows, one per odd prime, each holding a p-bit Python int of
-    non-residues: it and two shifts of it, XORed together, hold the sign of
-    every term, ``int.bit_count`` counts the -1s, and two lookups in the
-    row's byte string of non-residues discount the terms that are 0.  The
-    same loop adds the curve's Mestre-Nagao terms as it goes.  These
-    primes are every prime the default sieve depth, the torsion bound and
-    ``induce`` count.
-  - From p = _INT_BELOW on, a split curve counted on its own (one curve's
-    sum or count, or the only split curve of a prime's batch) goes to
-    ``_count_alone``: Shanks-Mestre baby-step giant-step, O(p^(1/4)) group
-    operations in affine int arithmetic, exact with no square root and no
-    guess.  So ``verify``, ``induce --N`` above 1000 and every one-curve
-    library call count without numpy, whose import costs more than their
-    own work.
-  - From p = _INT_BELOW on, ``_count_roots`` counts a batch of several
-    split curves per prime (a ``sieve --N`` grid above 1000): it takes
-    three plain slices chi[o:o + p], o = -r_i mod p, of one int8 numpy
-    table of chi laid out twice, multiplies them and sums, one curve at a
-    time: 4-13 us per curve at p = 10^3-10^4 against 27-61 us for
-    baby-step giant-step, and about even at 10^5.
-* ``_count_odd`` serves the other curves (those whose 2-division
-  polynomial does not split over Q), a batch per prime at every odd p: it
-  forms the block's polynomial values in one int64 numpy array from the
-  shared rows x^2 and 4x^3 mod p, reduces them and gathers chi at them.
-  No curve the package builds from a triple reaches it.
+* p = 2: ``_count_mod_two`` tries the four affine points of the integral
+  model.
+* A split curve (three rational two-torsion x-coordinates, which is every
+  curve a Diophantine triple induces) at an odd p below _INT_BELOW:
+  ``_count_split`` counts it from its roots.  With X = 4x the cubic is
+  (X - r1)(X - r2)(X - r3) / 16, where the r_i are four times those
+  x-coordinates and, as roots of a monic integer cubic, integers.  chi is
+  multiplicative and chi(16) = 1, so the sum is
+  sum_X chi(X - r1) chi(X - r2) chi(X - r3).  One loop per curve runs over
+  prebuilt rows, one per odd prime, each holding a p-bit Python int of
+  non-residues: it and two shifts of it, XORed together, hold the sign of
+  every term, ``int.bit_count`` counts the -1s, and two lookups in the
+  row's byte string of non-residues discount the terms that are 0.  The
+  same loop adds the curve's Mestre-Nagao terms as it goes.  These primes
+  are every prime the default sieve depth, the torsion bound and
+  ``induce`` count, and their rows are cached (``_nonresidues``).
+* Two or more split curves at one p >= _INT_BELOW (a ``sieve --N`` grid
+  above 1000): each goes through ``_count_split`` on one row built for p
+  and shared by the batch, then dropped.
+* Every other curve at p >= _INT_BELOW (one curve's sum or count, the only
+  split curve of a prime's batch, or a curve without three rational
+  two-torsion points): ``_count_alone``, Shanks-Mestre baby-step
+  giant-step, O(p^(1/4)) group operations in affine int arithmetic, exact
+  with no square root and no guess.
 
-p = 2 is counted a batch per prime too, on the integral model.
-``_count_roots`` works one row of p elements at a time and ``_count_odd``
-in blocks of a bounded number of elements, so memory stays flat however
-many curves are scored.  ``count_points_fp`` and the one-curve
-``_count_points_at`` (the reduction torsion bound and ``verify``'s
-order-mod-4 check) use the same loop and kernels.
-numpy is imported inside its two batch kernels only.
+Below the cut, a curve without three rational two-torsion points, which no
+triple induces, is counted by ``_count_odd``: its polynomial's values mod p
+looked up in the cached row's non-residues.  ``count_points_fp`` and the
+one-curve ``_count_points_at`` (the reduction torsion bound and
+``verify``'s order-mod-4 check) use the same kernels.
 
 The sieve needs no curve object: ``_triple_data`` computes a triple's
 integral data straight from its integers, through the same integer core
@@ -61,7 +50,6 @@ The counts are exact integers; only the Mestre-Nagao summand is a float.
 ``mestre_nagao_sums`` adds it per curve in Python floats, in ascending
 prime order, so a curve's score is bit-identical whether it is scored
 alone (``mestre_nagao_sum`` is a batch of one) or in a batch.
-numpy float sums (pairwise summation) or np.log would move the last bits.
 """
 
 from __future__ import annotations
@@ -148,11 +136,6 @@ def _model_data(coefficients: tuple[int, ...],
     return coefficients, (b2, b4, b6), disc, roots
 
 
-# elements per ``_count_odd`` block; bounds its temporaries to a few
-# hundred kB whatever the batch size (a row longer than this is one block)
-_BLOCK_ELEMENTS = 1 << 14
-
-
 def _count_mod_two(coeffs: tuple[int, ...]) -> int:
     """#E(F_2) of the integral model, by trying the four affine points."""
     a1, a2, a3, a4, a6 = [c % 2 for c in coeffs]
@@ -166,79 +149,19 @@ def _count_mod_two(coeffs: tuple[int, ...]) -> int:
     return count
 
 
-def _count_odd(bs: Sequence[tuple[int, int, int]], p: int) -> list[int]:
-    """#E(F_p) for each integral (b2, b4, b6) at one odd p of good reduction.
-
-    Completing the square, the fibre over x has 1 + chi(f(x)) points with
-    f = 4x^3 + b2 x^2 + 2b4 x + b6 and chi the quadratic character mod p.
-    Before the final reduction f is below 2p^2 + 2p, exact in int64.
-    numpy is imported here, so commands that count no points never load it.
-    """
-    import numpy as np
-
-    x = np.arange(p, dtype=np.int64)
-    x2 = x * x % p
-    x3 = 4 * x2 % p * x % p
-    chi = np.full(p, -1, dtype=np.int8)
-    chi[x2] = 1
-    chi[0] = 0
-    coeffs = np.array([(b2 % p, 2 * b4 % p, b6 % p) for b2, b4, b6 in bs],
-                      dtype=np.int64).reshape(-1, 3)
-    rows = max(1, _BLOCK_ELEMENTS // p)
-    counts: list[int] = []
-    for lo in range(0, len(coeffs), rows):
-        c = coeffs[lo:lo + rows]
-        f = c[:, 0:1] * x2
-        f += c[:, 1:2] * x
-        f += c[:, 2:3]
-        f += x3
-        f %= p
-        sums = chi[f].sum(axis=1, dtype=np.int64)
-        counts.extend((sums + (p + 1)).tolist())
-    return counts
-
-
-def _count_roots(roots: Sequence[tuple[int, int, int]], p: int) -> list[int]:
-    """#E(F_p) for each curve with integral X-roots (r1, r2, r3) at one odd p.
-
-    The count is p + 1 + sum_X chi(X - r1) chi(X - r2) chi(X - r3).  chi is
-    stored twice over, so X -> chi(X + o) for 0 <= o < p is the slice
-    chi[o:o + p], a view that costs no copy.  Each curve multiplies its
-    three slices, and a product of three values in {-1, 0, 1} stays exact
-    in int8; one row of p elements at a time keeps memory flat however
-    many curves there are.
-    """
-    import numpy as np
-
-    half = np.arange(1, (p + 1) // 2, dtype=np.int64)
-    chi = np.full(2 * p, -1, dtype=np.int8)
-    chi[half * half % p] = 1
-    chi[0] = 0
-    chi[p:] = chi[:p]
-    counts: list[int] = []
-    for r1, r2, r3 in roots:
-        o1, o2, o3 = -r1 % p, -r2 % p, -r3 % p
-        f = chi[o1:o1 + p] * chi[o2:o2 + p]
-        f *= chi[o3:o3 + p]
-        counts.append(int(f.sum(dtype=np.int64)) + p + 1)
-    return counts
-
-
-# split curves are counted by ``_count_split`` at the odd primes below this,
-# and from it on by ``_count_alone`` when counted on their own and by
-# ``_count_roots`` in a batch of several.  The int loop's table costs O(p)
-# once per prime, about 0.1 ms at p = 997: a one-curve sum to the cut costs
-# about 10 ms with its tables.  Past the cut the tables grow quadratically
-# (a one-curve sum to N = 10^4 would take 0.66 s, BENCH_int_kernel.json),
-# while baby-step giant-step takes tens of microseconds per prime, and
-# Mestre's theorem, which makes it end, holds for every p > 229
-# (BENCH_one_curve_bsgs.json)
+# at the odd primes below this every curve is counted from the cached row of
+# its prime; from it on a batch of two or more split curves shares one row
+# built for the prime, and every other curve is counted by baby-step
+# giant-step.  A row costs O(p), about 0.1 ms at p = 997: a one-curve sum to
+# the cut costs about 10 ms with its rows.  Past the cut the rows grow
+# quadratically (a one-curve sum to N = 10^4 would take 0.66 s,
+# BENCH_int_kernel.json), while baby-step giant-step takes tens of
+# microseconds per prime, and Mestre's theorem, which makes it end, holds
+# for every p > 229 (BENCH_one_curve_bsgs.json)
 _INT_BELOW = 1000
 
 
-@functools.cache
-def _nonresidues(p: int) -> tuple[int, int, int, int, bytes, bool, float,
-                                  int]:
+def _row(p: int) -> tuple[int, int, int, int, bytes, bool, float, int]:
     """The row (p, N, N | N << p, 2^p - 2, text, p % 4 == 3, log p, p - 1)
     of ``_count_split`` at the odd prime p, for the p-bit int N whose bit X
     is set when X is a quadratic non-residue mod p; character X of text is
@@ -247,8 +170,7 @@ def _nonresidues(p: int) -> tuple[int, int, int, int, bytes, bool, float,
     Built at C speed: in a bytearray of ASCII 1s, character X is zeroed at
     0 and, by map, at each square.  int(..., 2) reads the most significant
     bit first, so it parses the reversed text, where bit X is the character
-    at p - 1 - X.  Rows are asked for primes below _INT_BELOW only, so the
-    cache holds at most 167 entries.
+    at p - 1 - X.
     """
     text = bytearray(b"1") * p
     text[0] = ord("0")
@@ -258,6 +180,10 @@ def _nonresidues(p: int) -> tuple[int, int, int, int, bytes, bool, float,
     n = int(text[::-1], 2)
     return (p, n, n | n << p, (1 << p) - 2, bytes(text), p % 4 == 3,
             math.log(p), p - 1)
+
+
+# the rows of the primes below _INT_BELOW only, so at most 167 entries
+_nonresidues = functools.cache(_row)
 
 
 def _int_rows(limit: int) -> list[tuple]:
@@ -302,6 +228,23 @@ def _count_split(roots: tuple[int, int, int], disc: int,
             append(c)
             total += (1.0 - pm1 / c) * logp
     return counts, total
+
+
+def _count_odd(bs: tuple[int, int, int], p: int) -> int:
+    """#E(F_p) of the curve with integral (b2, b4, b6) at an odd prime p
+    below _INT_BELOW of good reduction, by its character sum.
+
+    Completing the square, the fibre over x has 1 + chi(f(x)) points with
+    f = 4x^3 + b2 x^2 + 2b4 x + b6 and chi the quadratic character mod p,
+    so with z zeros and n non-residues among the f(x),
+    #E(F_p) = p + 1 + (p - z - n) - n.  The ``_nonresidues`` text of p
+    holds an ASCII 1 at each non-residue and an ASCII 0 elsewhere.
+    """
+    b2, b4, b6 = bs
+    c2, c1, c0 = b2 % p, 2 * b4 % p, b6 % p
+    values = [(((4 * x + c2) * x + c1) * x + c0) % p for x in range(p)]
+    n = sum(map(_nonresidues(p)[4].__getitem__, values)) - ord("0") * p
+    return 2 * p + 1 - values.count(0) - 2 * n
 
 
 def _add(P, Q, a2: int, a4: int, p: int):
@@ -365,75 +308,82 @@ def _multiples(Q, a2: int, a4: int, p: int, lo: int, hi: int,
     return ks
 
 
-def _count_alone(roots: tuple[int, int, int], p: int) -> int:
-    """#E(F_p) of one curve with integral X-roots (r1, r2, r3) at an odd
-    prime p >= _INT_BELOW of good reduction, by Shanks-Mestre baby-step
-    giant-step (Cohen, A Course in Computational Algebraic Number Theory,
-    7.4): O(p^(1/4)) group operations per point tried, against the O(p)
-    terms of the character sum.
+def _count_alone(bs: tuple[int, int, int], step: int, p: int) -> int:
+    """#E(F_p) of one curve with integral (b2, b4, b6) at an odd prime
+    p >= _INT_BELOW of good reduction, by Shanks-Mestre baby-step giant-step
+    (Cohen, A Course in Computational Algebraic Number Theory, 7.4):
+    O(p^(1/4)) group operations per point tried, against the O(p) terms of
+    the character sum.  step is 4 when the curve's two-torsion is rational,
+    so that its order is a multiple of 4, and else 1.
 
-    The curve is Y^2 = f(X) = X(X - s)(X - t) = X^3 + a2 X^2 + a4 X, with
-    s = r2 - r1 and t = r3 - r1, and its order N is one of the
-    candidates: the multiples of 4 (its
-    two-torsion is rational) in the Hasse interval.  For x0 = 1, 2, ...
-    with d = f(x0) != 0, P = (d x0, d^2) lies on Y^2 = X^3 + d a2 X^2 +
-    d^2 a4 X, which is E when d is a square (Euler's criterion) and else
-    its quadratic twist, of order 2p + 2 - N, also a multiple of 4.  The k
-    with 4k in the interval and 4k P = O (``_multiples``) leave the
+    With X = 4x the curve is Y^2 = g(X) = X^3 + A X^2 + B X + C, with
+    A = b2, B = 8b4 and C = 16b6, and its order N is one of the
+    candidates: the multiples of step in the Hasse interval.  For
+    x0 = 0, 1, ... with d = g(x0) != 0, P = (d x0, d^2) lies on
+    Y^2 = X^3 + dA X^2 + d^2 B X + d^3 C (``_add`` never reads the constant
+    term), which is E when d is a square (Euler's criterion) and else its
+    quadratic twist, of order 2p + 2 - N, also a multiple of step.  The k
+    with step k in the interval and step k P = O (``_multiples``) leave the
     candidates they allow, and the count is the last one left: exact,
     never a guess.  Every point of E and of its twist but those of order
     two is, up to sign, the P of some x0.  By Mestre's theorem, for
     p > 229 one of them has an order with one multiple in the interval,
-    so above 2 sqrt(p); at p >= 1000 its 4P then has order above 2m, and
-    the loop ends there.  If it ran out, ArithmeticError.
+    so above 2 sqrt(p); at p >= 1000 its step P then has order above 2m,
+    and the loop ends there.  If it ran out, ArithmeticError.
     """
-    r1, r2, r3 = roots
-    s, t = (r2 - r1) % p, (r3 - r1) % p
+    b2, b4, b6 = bs
+    A, B, C = b2 % p, 8 * b4 % p, 16 * b6 % p
     w = math.isqrt(4 * p)
-    lo, hi = (p + 4 - w) // 4, (p + 1 + w) // 4
+    lo, hi = (p + step - w) // step, (p + 1 + w) // step
     m = math.isqrt((hi - lo) // 2) + 1
-    left = set(range(4 * lo, 4 * hi + 1, 4))
-    for x0 in range(1, p):
-        d = x0 * (x0 - s) * (x0 - t) % p
+    left = set(range(step * lo, step * hi + 1, step))
+    for x0 in range(p):
+        d = (((x0 + A) * x0 + B) * x0 + C) % p
         if not d:
             continue
-        a2, a4 = -d * (s + t) % p, d * d * s * t % p
-        P = (d * x0 % p, d * d % p)
-        Q = _add(P, P, a2, a4, p)
-        ks = _multiples(_add(Q, Q, a2, a4, p), a2, a4, p, lo, hi, m)
+        a2, a4 = d * A % p, d * d * B % p
+        Q = (d * x0 % p, d * d % p)
+        for _ in range(step.bit_length() - 1):     # step = 2^j: j doublings
+            Q = _add(Q, Q, a2, a4, p)
+        ks = _multiples(Q, a2, a4, p, lo, hi, m)
         if ks is None:
             continue
         if pow(d, (p - 1) // 2, p) == 1:
-            left.intersection_update([4 * k for k in ks])
+            left.intersection_update([step * k for k in ks])
         else:
-            left.intersection_update([2 * p + 2 - 4 * k for k in ks])
+            left.intersection_update([2 * p + 2 - step * k for k in ks])
         if len(left) < 2:
             break
     if len(left) != 1:
         raise ArithmeticError(f"baby-step giant-step left the orders "
-                              f"{sorted(left)} at {p} for the roots {roots}")
+                              f"{sorted(left)} at {p} for (b2, b4, b6) = "
+                              f"{bs}")
     return left.pop()
 
 
 def _count_good(data: Sequence[tuple], p: int) -> list[int]:
-    """#E(F_p) for each curve's integral data at one prime of good reduction,
-    each curve through the batch kernel its two-torsion picks, and from
-    _INT_BELOW on a split curve that is the batch's only one through
-    ``_count_alone``.  Callers count split curves at the odd primes below
-    _INT_BELOW with ``_count_split`` instead."""
+    """#E(F_p) for each curve's integral data at one prime of good reduction.
+
+    p = 2 is counted on the integral model.  At an odd prime below
+    _INT_BELOW every curve is counted from the cached row of p, a split
+    curve by ``_count_split`` and any other by ``_count_odd``; callers
+    count split curves there in one ``_count_split`` loop over all their
+    primes instead.  From the cut on, two or more split curves share one
+    row built for p, and every other curve is counted by ``_count_alone``.
+    """
     if p == 2:
         return [_count_mod_two(d[0]) for d in data]
-    split = [i for i, d in enumerate(data) if d[3] is not None]
-    other = [i for i, d in enumerate(data) if d[3] is None]
-    counts = [0] * len(data)
-    if len(split) == 1 and p >= _INT_BELOW:
-        counts[split[0]] = _count_alone(data[split[0]][3], p)
-    elif split:
-        for i, n in zip(split, _count_roots([data[i][3] for i in split], p)):
-            counts[i] = n
-    if other:
-        for i, n in zip(other, _count_odd([data[i][1] for i in other], p)):
-            counts[i] = n
+    small = p < _INT_BELOW
+    batch = small or sum(d[3] is not None for d in data) > 1
+    row = _nonresidues(p) if small else _row(p) if batch else None
+    counts = []
+    for _, bs, disc, roots in data:
+        if roots is not None and batch:
+            counts.append(_count_split(roots, disc, (row,))[0][0])
+        elif small:
+            counts.append(_count_odd(bs, p))
+        else:
+            counts.append(_count_alone(bs, 1 if roots is None else 4, p))
     return counts
 
 
@@ -459,9 +409,8 @@ def _count_points_at(E: CurveQ, primes: Sequence[int]) -> list[int]:
     """#E(F_p) at each of the given primes, in their order.
 
     A split curve is counted in one ``_count_split`` loop at its odd primes
-    below _INT_BELOW, and every other prime in a batch of one, which is
-    baby-step giant-step for a split curve.  Raises BadReduction when one
-    of the primes is bad.
+    below _INT_BELOW, and every other prime in a batch of one
+    (``_count_good``).  Raises BadReduction when one of the primes is bad.
     """
     data = _integral_data(E)
     for p in primes:
@@ -521,8 +470,9 @@ def _sums_from_data(data: Sequence[tuple], limit: int) -> list[SieveResult]:
     p = 2 comes first, as a batch.  A split curve then runs its odd primes
     below _INT_BELOW in one ``_count_split`` loop; every other curve counts
     those primes a batch per prime, and all curves count the primes from
-    the cut on a batch per prime (``_count_good``, which counts a batch's
-    only split curve by baby-step giant-step).
+    the cut on a batch per prime (``_count_good``, where two or more split
+    curves share one row per prime and every other curve is counted by
+    baby-step giant-step).
     """
     totals = [0.0] * len(data)
     used = [0] * len(data)

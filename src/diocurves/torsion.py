@@ -18,8 +18,8 @@ raises ArithmeticError.
 
 The reduction bound counts all of its primes in one
 `sieve._count_points_at` call.  Its first 20 odd good primes lie far below
-p = 1000, so a curve with full two-torsion is counted in Python ints there
-and the bound never loads numpy.
+p = 1000, so a curve with full two-torsion is counted there in one loop over
+the cached rows of non-residues.
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ The checks are grouped into jobs, and ``run_scope`` runs the jobs on a
 pool of one forked process per available CPU and hands the results on in
 the fixed check order.  The workers inherit the jobs, and each runs a
 fixed share of them.  A job is one check, except that the three s2 checks
-are one job (see ``section_checks``).  No check loads numpy: each counts
-one curve at a time, by baby-step giant-step from p = 1000 on.  A check's
+are one job (see ``section_checks``).  Each check counts one curve at a
+time, by baby-step giant-step from p = 1000 on.  A check's
 seconds are its own wall time in the process that ran it, timed with the
 monotonic ``time.perf_counter``.
 """

@@ -426,17 +426,14 @@ def test_commands_reach_every_package_module():
                                     "concurrent.futures",
                                     "dataclasses", "inspect", "selectors"])
 def test_cli_import_leaves_module_unloaded(module):
-    # numpy is loaded only to count a batch of several split curves at
-    # p >= 1000 (`sieve --N` above 1000) and curves without three rational
-    # two-torsion points, so the import, `dataset`, `induce`, a sieve at
-    # the default N and `verify s1` never pay for it (nor do `verify s2`
-    # and `induce --N`, see the next test); sympy and mpmath are test-only
-    # oracles.  The process pool forks with os alone, and its workers do
-    # the pooled work, so a pooled `sieve --jobs 2` or `verify` loads
-    # nothing more in the parent.  The records and value types write their
-    # methods in the source, so no class is generated by dataclasses (which
-    # loads inspect) on a cold start.  The exit code is the number of the
-    # first command after which the module is loaded
+    # numpy, sympy and mpmath are test-only oracles (the next test runs
+    # the commands that count past p = 1000 with numpy blocked).  The
+    # process pool forks with os alone, and its workers do the pooled work,
+    # so a pooled `sieve --jobs 2` or `verify` loads nothing more in the
+    # parent.  The records and value types write their methods in the
+    # source, so no class is generated by dataclasses (which loads inspect)
+    # on a cold start.  The exit code is the number of the first command
+    # after which the module is loaded
     src = pathlib.Path(diocurves.__file__).resolve().parents[1]
     sieve = ["sieve", "K_PLUSMINUS", "--numerators", "1:6",
              "--denominators", "1:2"]
@@ -457,20 +454,27 @@ def test_cli_import_leaves_module_unloaded(module):
 
 def test_one_curve_counts_above_the_cut_leave_numpy_unloaded():
     # `verify s2` and `induce --N` count one curve at a time at primes past
-    # 1000, by baby-step giant-step; run in this one process, neither loads
-    # numpy.  The exit code is the number of the first command after which
-    # it is loaded
+    # 1000, by baby-step giant-step, a grid sieved past 1000 counts its
+    # batch on one row per prime, and a curve without rational two-torsion
+    # is counted by a character sum and by baby-step giant-step.  numpy is
+    # blocked before any of them runs, so any import of it raises.  The
+    # exit code is the number of the first command that fails, or 1 with a
+    # traceback from E11's sum
     src = pathlib.Path(diocurves.__file__).resolve().parents[1]
     commands = [["verify", "s2"],
-                ["induce", "{1,3,8}", "--N", "20000", "--out", os.devnull]]
+                ["induce", "{1,3,8}", "--N", "20000", "--out", os.devnull],
+                [*CUT_SIEVE, "--jobs", "2", "--out", os.devnull]]
     code = ("import contextlib, os, sys\n"
+            "sys.modules['numpy'] = None\n"
             "import diocurves.cli as c, diocurves.verify as v\n"
+            "from diocurves.sieve import mestre_nagao_sum\n"
+            "from diocurves.weierstrass import CurveQ\n"
             "v.available_cpus = lambda: 1\n"
             f"for i, argv in enumerate({commands!r}, 1):\n"
             "    with contextlib.redirect_stdout(open(os.devnull, 'w')):\n"
-            "        assert c.main(argv) == 0\n"
-            "    if 'numpy' in sys.modules:\n"
-            "        sys.exit(i)\n")
+            "        if c.main(argv) != 0:\n"
+            "            sys.exit(i)\n"
+            "mestre_nagao_sum(CurveQ(0, -1, 1, -10, -20), 2000)  # E11\n")
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, timeout=120)

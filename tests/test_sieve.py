@@ -31,6 +31,10 @@ from test_torsion import KUBERT
 
 E37 = CurveQ(0, 0, 1, -1, 0)
 E11 = CurveQ(0, -1, 1, -10, -20)
+# y^2 = (x - 1)(x^2 + x + 3): exactly one rational two-torsion point
+ONE_ROOT = CurveQ(0, 0, 0, 2, -3)
+# curves with one rational two-torsion point or none
+NOT_SPLIT = [E11, E37, ONE_ROOT] + [E for _, E in KUBERT]
 
 
 def test_primes_upto():
@@ -107,6 +111,26 @@ def reference_count(E, p):
     return p + 1 + total
 
 
+def numpy_counts(roots, p):
+    """#E(F_p) for each curve with integral X-roots (r1, r2, r3) at one odd
+    p, as p + 1 + sum_X chi(X - r1) chi(X - r2) chi(X - r3), by numpy: chi
+    is stored twice over, so X -> chi(X + o) is the slice chi[o:o + p]."""
+    import numpy as np
+
+    half = np.arange(1, (p + 1) // 2, dtype=np.int64)
+    chi = np.full(2 * p, -1, dtype=np.int8)
+    chi[half * half % p] = 1
+    chi[0] = 0
+    chi[p:] = chi[:p]
+    counts = []
+    for r1, r2, r3 in roots:
+        o1, o2, o3 = -r1 % p, -r2 % p, -r3 % p
+        f = chi[o1:o1 + p] * chi[o2:o2 + p]
+        f *= chi[o3:o3 + p]
+        counts.append(int(f.sum(dtype=np.int64)) + p + 1)
+    return counts
+
+
 def test_count_points_matches_reference_loop():
     for E in (E37, E11, CurveQ(0, F(35, 4), 0, 18, 9)):
         for p in primes_upto(1100):
@@ -143,29 +167,29 @@ def test_mestre_nagao_sums_bit_identical(monkeypatch):
         curves.append(clear_denominators(induced_curves(triple).curve)[0])
         if len(curves) == 24:
             break
-    # the primes the split-curve loop, baby-step giant-step and the numpy
-    # kernel count at
-    reached = {"_count_split": set(), "_count_alone": set(),
-               "_count_roots": set()}
+    # the primes the split-curve loop and baby-step giant-step count at,
+    # and those a row is built for past the cut
+    reached = {"_count_split": set(), "_count_alone": set(), "_row": set()}
     real_split = sieve_mod._count_split
-    real_alone, real_roots = sieve_mod._count_alone, sieve_mod._count_roots
+    real_alone, real_row = sieve_mod._count_alone, sieve_mod._row
 
     def split(roots, disc, rows, total=0.0):
         rows = list(rows)
         reached["_count_split"].update(r[0] for r in rows if disc % r[0])
         return real_split(roots, disc, rows, total)
 
-    def alone(roots, p):
+    def alone(bs, step, p):
+        assert step == 4
         reached["_count_alone"].add(p)
-        return real_alone(roots, p)
+        return real_alone(bs, step, p)
 
-    def numpy_roots(roots, p):
-        reached["_count_roots"].add(p)
-        return real_roots(roots, p)
+    def row(p):
+        reached["_row"].add(p)
+        return real_row(p)
 
     monkeypatch.setattr(sieve_mod, "_count_split", split)
     monkeypatch.setattr(sieve_mod, "_count_alone", alone)
-    monkeypatch.setattr(sieve_mod, "_count_roots", numpy_roots)
+    monkeypatch.setattr(sieve_mod, "_row", row)
     # the largest prime of the sum is counted by the int loop, and the
     # next prime, past its cut, by baby-step giant-step, one curve at a
     # time; both match the reference
@@ -177,11 +201,11 @@ def test_mestre_nagao_sums_bit_identical(monkeypatch):
         counts = [sieve_mod._count_points_at(E, [q])[0] for E in good]
         assert counts == [reference_count(E, q) for E in good]
     assert reached == {"_count_split": {997}, "_count_alone": {1009},
-                       "_count_roots": set()}
+                       "_row": set()}
     batch = mestre_nagao_sums(curves, limit)
     assert 997 in reached["_count_split"]
     assert reached["_count_alone"] == {1009}
-    assert reached["_count_roots"] == set()
+    assert reached["_row"] == set()
     assert len(batch) == len(curves)
     for E, res in zip(curves, batch):
         total, used, skipped = reference_sum(E, limit)
@@ -311,29 +335,40 @@ def test_root_kernel_matches_reference_loop(monkeypatch):
     curves += stored
     assert None not in roots
     assert two_torsion_x(E15A) == (-F(13, 4), -1, 3)
+    data = [sieve_mod._integral_data(E) for E in curves]
     for p in primes_upto(1100)[1:]:
         want = [reference_count(E, p) for E in curves]
         good = [i for i, n in enumerate(want) if n is not None]
-        # one batch per prime, also below the cut, where the sieve itself
-        # counts with the int loop
-        got = sieve_mod._count_roots([roots[i] for i in good], p)
-        assert got == [want[i] for i in good], p
+        # the roots count as the reference does, by numpy and by one batch
+        # per prime on both sides of the cut
+        assert numpy_counts([roots[i] for i in good], p) == \
+            [want[i] for i in good], p
+        assert sieve_mod._count_good([data[i] for i in good], p) == \
+            [want[i] for i in good], p
 
 
 def test_curves_without_rational_two_torsion_count_by_polynomial(monkeypatch):
-    # E11, E37 and the Kubert curves have one or no rational two-torsion
-    # x-coordinate, so their own arithmetic sends them to _count_odd
-    curves = [E11, E37] + [E for _, E in KUBERT]
+    # E11, E37, ONE_ROOT and the Kubert curves have one or no rational
+    # two-torsion x-coordinate, so their own arithmetic sends them to
+    # _count_odd below the cut and to baby-step giant-step with step 1 from
+    # it on
+    curves = NOT_SPLIT
+    assert len(two_torsion_x(ONE_ROOT)) == 1
     assert all(sieve_mod._integral_data(E)[3] is None for E in curves)
-    odd_rows = []
-    real_odd = sieve_mod._count_odd
+    odd_rows, alone = [], []
+    real_odd, real_alone = sieve_mod._count_odd, sieve_mod._count_alone
 
     def counting_odd(bs, p):
-        odd_rows.extend(bs)
+        odd_rows.append(p)
         return real_odd(bs, p)
 
+    def counting_alone(bs, step, p):
+        alone.append((p, step))
+        return real_alone(bs, step, p)
+
     monkeypatch.setattr(sieve_mod, "_count_odd", counting_odd)
-    monkeypatch.setattr(sieve_mod, "_count_roots", _forbidden)
+    monkeypatch.setattr(sieve_mod, "_count_alone", counting_alone)
+    monkeypatch.setattr(sieve_mod, "_row", _forbidden)
     monkeypatch.setattr(sieve_mod, "_count_split", _forbidden)
     for E in curves:
         for p in (101, 499):
@@ -343,9 +378,12 @@ def test_curves_without_rational_two_torsion_count_by_polynomial(monkeypatch):
         # the one-curve paths too: many primes, then the one-curve score
         good = sieve_mod._good_primes(E, primes_upto(1100)[1:])
         odd_rows.clear()
+        alone.clear()
         assert sieve_mod._count_points_at(E, good) == \
             [reference_count(E, p) for p in good]
-        assert len(odd_rows) == len(good)
+        cut = sieve_mod._INT_BELOW
+        assert odd_rows == [p for p in good if p < cut]
+        assert alone == [(p, 1) for p in good if p > cut]
         assert mestre_nagao_sum(E, 200).primes_used > 0
     odd_rows.clear()
     mestre_nagao_sums(curves, 200)
@@ -360,19 +398,6 @@ def _packed_kernel_curves():
     curves += [induced_curves(z2z8_family(T)).curve
                for T in (F(-11, 3), F(5, 9), F(23, 17), F(-2, 49))]
     return curves + [E15A, E32]
-
-
-def _recording(monkeypatch, name, rows):
-    """Replace the kernel sieve.<name> by one that also appends (p, number
-    of curves) to rows for each call."""
-    real = getattr(sieve_mod, name)
-
-    def recording(batch, p):
-        rows.append((p, len(batch)))
-        return real(batch, p)
-
-    monkeypatch.setattr(sieve_mod, name, recording)
-    return real
 
 
 def _split_rows(monkeypatch, calls):
@@ -402,40 +427,42 @@ def test_int_kernel_matches_reference_and_numpy(monkeypatch):
     odd = primes_upto(2047)[1:]
     cut = sieve_mod._INT_BELOW
     assert odd[0] == 3 and odd[0] < cut < odd[-1]
-    int_calls, numpy_rows, alone = [], [], []
+    int_calls, built, alone = [], [], []
     _split_rows(monkeypatch, int_calls)
-    count_numpy = _recording(monkeypatch, "_count_roots", numpy_rows)
-    count_alone = sieve_mod._count_alone
-    monkeypatch.setattr(sieve_mod, "_count_alone", lambda roots, p: (
-        alone.append(p) or count_alone(roots, p)))
+    row, count_alone = sieve_mod._row, sieve_mod._count_alone
+    monkeypatch.setattr(sieve_mod, "_row",
+                        lambda p: built.append(p) or row(p))
+    monkeypatch.setattr(sieve_mod, "_count_alone", lambda bs, step, p: (
+        alone.append((p, step)) or count_alone(bs, step, p)))
     at_three, zero_root = [], set()
     for E in curves:
         roots = sieve_mod._integral_data(E)[3]
         good = sieve_mod._good_primes(E, odd)
         at_three.append(good[0] == 3)
         want = [reference_count(E, p) for p in good]
-        # the int loop is exact on both sides of the cut, where numpy's
-        # kernel counts the same
+        # the int loop is exact on both sides of the cut, where numpy
+        # counts the same
         assert _int_counts(E, good) == want, E
-        assert [count_numpy([roots], p)[0] for p in good] == want, E
+        assert [numpy_counts([roots], p)[0] for p in good] == want, E
         zero_root.update(p for p in good if any(r % p == 0 for r in roots))
         # the one-curve path: one int loop over the primes below the cut,
-        # one baby-step giant-step count per prime above it, and no numpy
+        # one baby-step giant-step count per prime above it, and no row
+        # built past the cut
         int_calls.clear()
-        numpy_rows.clear()
+        built.clear()
         alone.clear()
         assert sieve_mod._count_points_at(E, good) == want, E
         assert int_calls == [[p for p in good if p < cut]]
-        assert alone == [p for p in good if p > cut]
-        assert numpy_rows == []
+        assert alone == [(p, 4) for p in good if p > cut]
+        assert built == []
     # p = 3, the shortest table, and a root that reduces to 0 on both
     # sides of the cut (numpy reads its table from offset 0 there)
     assert any(at_three)
     assert any(p < cut for p in zero_root)
     assert any(p > cut for p in zero_root)
-    # the grid batch, with family members enough for more than 16 rows
-    # above the cut: one int loop per curve over its good primes below the
-    # cut, then all the curves at one prime in one numpy call
+    # the grid batch: one int loop per curve over its good primes below the
+    # cut, then at each prime past it one row built and shared by all the
+    # curves
     members = []
     for k in range(2, 40):
         try:
@@ -445,22 +472,23 @@ def test_int_kernel_matches_reference_and_numpy(monkeypatch):
         members.append(induced_curves(triple).curve)
     batch = curves + members
     int_calls.clear()
-    numpy_rows.clear()
+    built.clear()
     mestre_nagao_sums(batch, cut)
     assert int_calls == [sieve_mod._good_primes(E, odd[:odd.index(997) + 1])
                          for E in batch]
-    assert numpy_rows == []
+    assert built == []
     for p in (1009, 2039):
-        int_calls.clear()
         good = [E for E in batch if reference_count(E, p) is not None]
         assert len(good) > 16
         data = [sieve_mod._integral_data(E) for E in good]
-        numpy_rows.clear()
+        int_calls.clear()
+        built.clear()
         alone.clear()
         assert sieve_mod._count_good(data, p) == \
             [reference_count(E, p) for E in good], p
-        assert numpy_rows == [(p, len(good))]
-        assert int_calls == alone == []
+        assert built == [p]
+        assert int_calls == [[p]] * len(good)
+        assert alone == []
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -514,7 +542,32 @@ def test_bsgs_matches_reference_on_split_curves(z2z8, n, d, roots, p):
         E = _split_curve(*roots)
     want = reference_count(E, p)
     assume(want is not None)
-    assert sieve_mod._count_alone(sieve_mod._integral_data(E)[3], p) == want
+    assert sieve_mod._count_alone(sieve_mod._integral_data(E)[1], 4, p) == \
+        want
+
+
+def _random_curve(a1, a2, a3, a4, a6):
+    try:
+        return CurveQ(a1, a2, a3, a4, a6)
+    except SingularCurve:
+        return None
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(E=st.one_of(st.sampled_from(NOT_SPLIT),
+                   st.builds(_random_curve,
+                             *[st.integers(-50, 50)] * 5)),
+       p=st.sampled_from(_BSGS_PRIMES))
+@example(E=E11, p=100003)
+@example(E=ONE_ROOT, p=999983)
+def test_bsgs_matches_reference_on_curves_not_split(E, p):
+    # curves without three rational two-torsion points count with step 1
+    assume(E is not None)
+    _, bs, _, roots = sieve_mod._integral_data(E)
+    assume(roots is None)
+    want = reference_count(E, p)
+    assume(want is not None)
+    assert sieve_mod._count_alone(bs, 1, p) == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 34, 157])
@@ -522,12 +575,12 @@ def test_bsgs_on_congruent_number_curves(n):
     # y^2 = x^3 - n^2 x has CM by Z[i]: supersingular, #E = p + 1, at
     # p = 3 mod 4, and numpy's count at p = 1 mod 4
     E = _split_curve(0, n, -n)
-    roots = sieve_mod._integral_data(E)[3]
+    _, bs, _, roots = sieve_mod._integral_data(E)
     good = sieve_mod._good_primes(E, [p for p in _BSGS_PRIMES if p < 4000])
     assert {p % 4 for p in good} == {1, 3}
     for p in good:
-        want = p + 1 if p % 4 == 3 else sieve_mod._count_roots([roots], p)[0]
-        assert sieve_mod._count_alone(roots, p) == want, p
+        want = p + 1 if p % 4 == 3 else numpy_counts([roots], p)[0]
+        assert sieve_mod._count_alone(bs, 4, p) == want, p
 
 
 def test_bsgs_matches_numpy_near_large_primes():
@@ -535,17 +588,19 @@ def test_bsgs_matches_numpy_near_large_primes():
               dataset_record("s3-rank9").curve, _split_curve(0, 34, -34)]
     for p in (100003, 100019, 999983, 1000003):
         for E in curves:
-            roots = sieve_mod._integral_data(E)[3]
-            assert sieve_mod._count_alone(roots, p) == \
-                sieve_mod._count_roots([roots], p)[0], (E, p)
+            _, bs, _, roots = sieve_mod._integral_data(E)
+            assert sieve_mod._count_alone(bs, 4, p) == \
+                numpy_counts([roots], p)[0], (E, p)
 
 
 def test_bsgs_never_returns_an_unproven_count(monkeypatch):
     # a kernel that finds no point leaves every candidate standing, and
-    # says so rather than pick one
+    # says so rather than pick one, with either step; (0, -32, 0) is
+    # y^2 = x^3 - 16x
     monkeypatch.setattr(sieve_mod, "_multiples", lambda *args: None)
-    with pytest.raises(ArithmeticError, match="left the orders"):
-        sieve_mod._count_alone((0, 4, -4), 1009)
+    for step in (1, 4):
+        with pytest.raises(ArithmeticError, match="left the orders"):
+            sieve_mod._count_alone((0, -32, 0), step, 1009)
 
 
 # the one-parameter families, the ones `sieve` takes
@@ -661,7 +716,7 @@ def test_count_points_at_bad_primes_raise():
 def test_one_curve_score_is_its_score_in_a_batch(limit):
     # the one-curve sum and the batch, on both sides of the int loop's
     # cut, where a split curve alone counts by baby-step giant-step and the
-    # batch by numpy; the floats agree bit for bit
+    # batch on one shared row per prime; the floats agree bit for bit
     curves = _packed_kernel_curves()[::2] + [
         E11, dataset_record("s3-rank9").curve]
     batch = mestre_nagao_sums(curves, limit)

@@ -211,7 +211,7 @@ def test_reduction_bound_walks_the_same_primes(monkeypatch, prime_count):
         assert reduction_torsion_bound(E, prime_count) == bound
         assert calls == [primes]
         # with split two-torsion, every prime is below the int loop's
-        # cut and counted by it, so the bound loads no numpy
+        # cut and counted by it in one loop over cached rows
         split = len(two_torsion_points(E)) == 3
         assert int_rows == (primes if split else [])
         assert primes[-1] < sieve._INT_BELOW
