@@ -5,41 +5,14 @@ denominators; primes dividing that model's discriminant are treated as bad
 and skipped.  That convention is sound for every use in this package (the
 skipped set can only be slightly too large, never too small).
 
-Every count is exact and in Python ints; the curve's own arithmetic, the
-size of p and the size of the batch pick the route.  After completing the
-square, #E(F_p) = p + 1 + sum_x chi(4x^3 + b2 x^2 + 2b4 x + b6) with chi
-the quadratic character mod p.
-
-* p = 2: ``_count_mod_two`` tries the four affine points of the integral
-  model.
-* A split curve (three rational two-torsion x-coordinates, which is every
-  curve a Diophantine triple induces) at an odd p below _INT_BELOW:
-  ``_count_split`` counts it from its roots.  With X = 4x the cubic is
-  (X - r1)(X - r2)(X - r3) / 16, where the r_i are four times those
-  x-coordinates and, as roots of a monic integer cubic, integers.  chi is
-  multiplicative and chi(16) = 1, so the sum is
-  sum_X chi(X - r1) chi(X - r2) chi(X - r3).  One loop per curve runs over
-  prebuilt rows, one per odd prime, each holding a p-bit Python int of
-  non-residues: it and two shifts of it, XORed together, hold the sign of
-  every term, ``int.bit_count`` counts the -1s, and two lookups in the
-  row's byte string of non-residues discount the terms that are 0.  The
-  same loop adds the curve's Mestre-Nagao terms as it goes.  These primes
-  are every prime the default sieve depth, the torsion bound and
-  ``induce`` count, and their rows are cached (``_nonresidues``).
-* Two or more split curves at one p >= _INT_BELOW (a ``sieve --N`` grid
-  above 1000): each goes through ``_count_split`` on one row built for p
-  and shared by the batch, then dropped.
-* Every other curve at p >= _INT_BELOW (one curve's sum or count, the only
-  split curve of a prime's batch, or a curve without three rational
-  two-torsion points): ``_count_alone``, Shanks-Mestre baby-step
-  giant-step, O(p^(1/4)) group operations in affine int arithmetic, exact
-  with no square root and no guess.
-
-Below the cut, a curve without three rational two-torsion points, which no
-triple induces, is counted by ``_count_odd``: its polynomial's values mod p
-looked up in the cached row's non-residues.  ``count_points_fp`` and the
-one-curve ``_count_points_at`` (the reduction torsion bound and
-``verify``'s order-mod-4 check) use the same kernels.
+Every count is exact and in Python ints.  After completing the square,
+#E(F_p) = p + 1 + sum_x chi(4x^3 + b2 x^2 + 2b4 x + b6) with chi the
+quadratic character mod p.  One scan, ``_scan``, picks the kernel for each
+curve and prime: by the prime (2, odd below _INT_BELOW, or from it on), by
+whether the curve's three two-torsion x-coordinates are rational (as for
+every curve a Diophantine triple induces), and by the batch.  The
+Mestre-Nagao sums and the one-curve counts (``count_points_fp``, the
+reduction torsion bound, ``verify``'s order-mod-4 check) all run through it.
 
 The sieve needs no curve object: ``_triple_data`` computes a triple's
 integral data straight from its integers, through the same integer core
@@ -54,6 +27,7 @@ alone (``mestre_nagao_sum`` is a batch of one) or in a batch.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from itertools import compress, repeat
@@ -149,23 +123,24 @@ def _count_mod_two(coeffs: tuple[int, ...]) -> int:
     return count
 
 
-# at the odd primes below this every curve is counted from the cached row of
-# its prime; from it on a batch of two or more split curves shares one row
-# built for the prime, and every other curve is counted by baby-step
-# giant-step.  A row costs O(p), about 0.1 ms at p = 997: a one-curve sum to
-# the cut costs about 10 ms with its rows.  Past the cut the rows grow
-# quadratically (a one-curve sum to N = 10^4 would take 0.66 s,
-# BENCH_int_kernel.json), while baby-step giant-step takes tens of
-# microseconds per prime, and Mestre's theorem, which makes it end, holds
-# for every p > 229 (BENCH_one_curve_bsgs.json)
+# the cut between ``_scan``'s routes: below it each odd prime's row is built
+# once and cached; from it on rows are built only for a batch of split
+# curves, and a curve counted alone goes to baby-step giant-step.  A row
+# costs O(p), about 0.1 ms at p = 997: a one-curve sum to the cut costs
+# about 10 ms with its rows.  Past the cut the rows grow quadratically (a
+# one-curve sum to N = 10^4 would take 0.66 s, BENCH_int_kernel.json),
+# while baby-step giant-step takes tens of microseconds per prime, and
+# Mestre's theorem, which makes it end, holds for every p > 229
+# (BENCH_one_curve_bsgs.json)
 _INT_BELOW = 1000
 
 
 def _row(p: int) -> tuple[int, int, int, int, bytes, bool, float, int]:
     """The row (p, N, N | N << p, 2^p - 2, text, p % 4 == 3, log p, p - 1)
-    of ``_count_split`` at the odd prime p, for the p-bit int N whose bit X
-    is set when X is a quadratic non-residue mod p; character X of text is
-    an ASCII 1 when bit X of N is set, else an ASCII 0.
+    of ``_count_split`` and ``_count_odd`` at the odd prime p, for the
+    p-bit int N whose bit X is set when X is a quadratic non-residue mod p;
+    character X of text is an ASCII 1 when bit X of N is set, else an
+    ASCII 0.
 
     Built at C speed: in a bytearray of ASCII 1s, character X is zeroed at
     0 and, by map, at each square.  int(..., 2) reads the most significant
@@ -188,7 +163,8 @@ _nonresidues = functools.cache(_row)
 
 def _int_rows(limit: int) -> list[tuple]:
     """The ``_nonresidues`` rows of the odd primes p <= limit below
-    _INT_BELOW, ascending."""
+    _INT_BELOW, ascending: built before a fork, every worker's ``_scan``
+    finds them cached."""
     return [_nonresidues(p)
             for p in primes_upto(min(limit, _INT_BELOW - 1))[1:]]
 
@@ -199,6 +175,11 @@ def _count_split(roots: tuple[int, int, int], disc: int,
     """#E(F_p) of one curve with integral X-roots (r1, r2, r3) at each row's
     prime that does not divide disc, in row order, and total plus those
     primes' Mestre-Nagao terms, added in row order.
+
+    With X = 4x the cubic is (X - r1)(X - r2)(X - r3) / 16, where the r_i
+    are four times the two-torsion x-coordinates and, as roots of a monic
+    integer cubic, integers.  chi is multiplicative and chi(16) = 1, so the
+    sum is sum_X chi(X - r1) chi(X - r2) chi(X - r3).
 
     With Y = X - r1, s = r1 - r2 and t = r1 - r3 mod p, the sum is
     sum_Y chi(Y) chi(Y + s) chi(Y + t); at a good prime 0, s and t are
@@ -230,20 +211,21 @@ def _count_split(roots: tuple[int, int, int], disc: int,
     return counts, total
 
 
-def _count_odd(bs: tuple[int, int, int], p: int) -> int:
-    """#E(F_p) of the curve with integral (b2, b4, b6) at an odd prime p
-    below _INT_BELOW of good reduction, by its character sum.
+def _count_odd(bs: tuple[int, int, int], row: tuple) -> int:
+    """#E(F_p) of the curve with integral (b2, b4, b6) at the odd prime p
+    of this ``_row``, of good reduction, by its character sum.
 
     Completing the square, the fibre over x has 1 + chi(f(x)) points with
     f = 4x^3 + b2 x^2 + 2b4 x + b6 and chi the quadratic character mod p,
     so with z zeros and n non-residues among the f(x),
-    #E(F_p) = p + 1 + (p - z - n) - n.  The ``_nonresidues`` text of p
-    holds an ASCII 1 at each non-residue and an ASCII 0 elsewhere.
+    #E(F_p) = p + 1 + (p - z - n) - n.  The row's text holds an ASCII 1 at
+    each non-residue and an ASCII 0 elsewhere.
     """
+    p, text = row[0], row[4]
     b2, b4, b6 = bs
     c2, c1, c0 = b2 % p, 2 * b4 % p, b6 % p
     values = [(((4 * x + c2) * x + c1) * x + c0) % p for x in range(p)]
-    n = sum(map(_nonresidues(p)[4].__getitem__, values)) - ord("0") * p
+    n = sum(map(text.__getitem__, values)) - ord("0") * p
     return 2 * p + 1 - values.count(0) - 2 * n
 
 
@@ -361,30 +343,60 @@ def _count_alone(bs: tuple[int, int, int], step: int, p: int) -> int:
     return left.pop()
 
 
-def _count_good(data: Sequence[tuple], p: int) -> list[int]:
-    """#E(F_p) for each curve's integral data at one prime of good reduction.
+def _scan(data: Sequence[tuple], primes: Sequence[int]) -> list[list]:
+    """For each curve's ``_integral_data``, the pair [counts, total]: #E(F_p)
+    at each of the ascending primes that does not divide its discriminant,
+    in order, and the sum of those primes' Mestre-Nagao terms
+    (1 - (p - 1)/#E(F_p)) log p, added in prime order.
 
-    p = 2 is counted on the integral model.  At an odd prime below
-    _INT_BELOW every curve is counted from the cached row of p, a split
-    curve by ``_count_split`` and any other by ``_count_odd``; callers
-    count split curves there in one ``_count_split`` loop over all their
-    primes instead.  From the cut on, two or more split curves share one
-    row built for p, and every other curve is counted by ``_count_alone``.
+    This is the one place a kernel is chosen.  A split curve is one whose
+    three two-torsion x-coordinates are rational, as for every curve a
+    Diophantine triple induces.
+
+    * p = 2: ``_count_mod_two`` on the integral model.
+    * Odd p below _INT_BELOW, on the cached ``_nonresidues`` rows: a split
+      curve runs all these primes in one ``_count_split`` loop, which adds
+      its terms as it goes; any other curve is counted by ``_count_odd``
+      from each row.
+    * p >= _INT_BELOW: two or more split curves good at p share one row
+      built for p (``_row``) and then dropped; every other curve, a split
+      curve alone among them included, is counted by ``_count_alone``, with
+      step 4 when it is split and 1 otherwise.
     """
-    if p == 2:
-        return [_count_mod_two(d[0]) for d in data]
-    small = p < _INT_BELOW
-    batch = small or sum(d[3] is not None for d in data) > 1
-    row = _nonresidues(p) if small else _row(p) if batch else None
-    counts = []
-    for _, bs, disc, roots in data:
-        if roots is not None and batch:
-            counts.append(_count_split(roots, disc, (row,))[0][0])
-        elif small:
-            counts.append(_count_odd(bs, p))
-        else:
-            counts.append(_count_alone(bs, 1 if roots is None else 4, p))
-    return counts
+    cut = bisect.bisect_left(primes, _INT_BELOW)
+    two = cut > 0 and primes[0] == 2
+    rows = list(map(_nonresidues, primes[1 if two else 0:cut]))
+    log2 = math.log(2)
+    scans = []
+    for coefficients, bs, disc, roots in data:
+        counts, total = [], 0.0
+        if two and disc % 2:
+            c = _count_mod_two(coefficients)
+            counts.append(c)
+            total += (1.0 - 1 / c) * log2
+        if roots is None:
+            for row in rows:
+                p = row[0]
+                if disc % p:
+                    c = _count_odd(bs, row)
+                    counts.append(c)
+                    total += (1.0 - (p - 1) / c) * row[6]
+        elif rows:
+            split, total = _count_split(roots, disc, rows, total)
+            counts += split
+        scans.append([counts, total])
+    for p in primes[cut:]:
+        good = [(d, scan) for d, scan in zip(data, scans) if d[2] % p]
+        row = _row(p) if sum(d[3] is not None for d, _ in good) > 1 else None
+        logp = math.log(p)
+        for (_, bs, disc, roots), scan in good:
+            if roots is None or row is None:
+                c = _count_alone(bs, 1 if roots is None else 4, p)
+            else:
+                c = _count_split(roots, disc, (row,))[0][0]
+            scan[0].append(c)
+            scan[1] += (1.0 - (p - 1) / c) * logp
+    return scans
 
 
 def count_points_fp(E: CurveQ, p: int) -> int:
@@ -406,23 +418,16 @@ def _good_primes(E: CurveQ, primes: Sequence[int]) -> list[int]:
 
 
 def _count_points_at(E: CurveQ, primes: Sequence[int]) -> list[int]:
-    """#E(F_p) at each of the given primes, in their order.
-
-    A split curve is counted in one ``_count_split`` loop at its odd primes
-    below _INT_BELOW, and every other prime in a batch of one
-    (``_count_good``).  Raises BadReduction when one of the primes is bad.
-    """
+    """#E(F_p) at each of the given primes, in their order, from one
+    ``_scan`` of the distinct primes ascending.  Raises BadReduction when
+    one of the primes is bad."""
     data = _integral_data(E)
     for p in primes:
         if data[2] % p == 0:
             raise BadReduction(f"bad reduction at {p}")
-    counts = {}
-    if data[3] is not None:
-        small = [p for p in primes if 2 < p < _INT_BELOW]
-        counts = dict(zip(small, _count_split(
-            data[3], data[2], map(_nonresidues, small))[0]))
-    return [counts[p] if p in counts else _count_good([data], p)[0]
-            for p in primes]
+    ascending = sorted(set(primes))
+    counts = dict(zip(ascending, _scan([data], ascending)[0][0]))
+    return [counts[p] for p in primes]
 
 
 def trace_of_frobenius(E: CurveQ, p: int) -> int:
@@ -465,50 +470,11 @@ def mestre_nagao_sums(curves: Sequence[CurveQ],
 
 
 def _sums_from_data(data: Sequence[tuple], limit: int) -> list[SieveResult]:
-    """``mestre_nagao_sums`` of the curves with this ``_integral_data``.
-
-    p = 2 comes first, as a batch.  A split curve then runs its odd primes
-    below _INT_BELOW in one ``_count_split`` loop; every other curve counts
-    those primes a batch per prime, and all curves count the primes from
-    the cut on a batch per prime (``_count_good``, where two or more split
-    curves share one row per prime and every other curve is counted by
-    baby-step giant-step).
-    """
-    totals = [0.0] * len(data)
-    used = [0] * len(data)
-    skipped = [0] * len(data)
-
-    def per_prime(primes: Sequence[int], members: Sequence[int]) -> None:
-        for p in primes:
-            good = []
-            for i in members:
-                if data[i][2] % p:
-                    good.append(i)
-                else:
-                    skipped[i] += 1
-            if not good:
-                continue
-            counts = _count_good([data[i] for i in good], p)
-            logp = math.log(p)
-            for i, n in zip(good, counts):
-                used[i] += 1
-                totals[i] += (1.0 - (p - 1) / n) * logp
-
+    """``mestre_nagao_sums`` of the curves with this ``_integral_data``:
+    one ``_scan`` of the primes up to limit."""
     primes = primes_upto(limit)
-    rows = _int_rows(limit)
-    every = range(len(data))
-    per_prime(primes[:1], every)
-    other = []
-    for i, (_, _, disc, roots) in enumerate(data):
-        if roots is None:
-            other.append(i)
-            continue
-        counts, totals[i] = _count_split(roots, disc, rows, totals[i])
-        used[i] += len(counts)
-        skipped[i] += len(rows) - len(counts)
-    per_prime(primes[1:1 + len(rows)], other)
-    per_prime(primes[1 + len(rows):], every)
-    return [SieveResult(t, u, s) for t, u, s in zip(totals, used, skipped)]
+    return [SieveResult(total, len(counts), len(primes) - len(counts))
+            for counts, total in _scan(data, primes)]
 
 
 def mestre_nagao_sum(E: CurveQ, limit: int) -> SieveResult:

@@ -17,9 +17,7 @@ division-free tangent equations of `weierstrass._doubles_to`, and a failure
 raises ArithmeticError.
 
 The reduction bound counts all of its primes in one
-`sieve._count_points_at` call.  Its first 20 odd good primes lie far below
-p = 1000, so a curve with full two-torsion is counted there in one loop over
-the cached rows of non-residues.
+`sieve._count_points_at` call, which is one `sieve._scan` of the curve.
 """
 
 from __future__ import annotations
@@ -116,7 +114,7 @@ def reduction_torsion_bound(E: CurveQ, prime_count: int = 20) -> int:
 
     The torsion group injects into every such reduction, so its order
     divides the returned value.  The primes are counted in one
-    ``_count_points_at`` call.
+    ``_count_points_at`` call, so one ``sieve._scan``.
     """
     hi = 256
     while len(primes := _good_primes(E, primes_upto(hi)[1:])) < prime_count:

@@ -19,9 +19,9 @@ pool of one forked process per available CPU and hands the results on in
 the fixed check order.  The workers inherit the jobs, and each runs a
 fixed share of them.  A job is one check, except that the three s2 checks
 are one job (see ``section_checks``).  Each check counts one curve at a
-time, by baby-step giant-step from p = 1000 on.  A check's
-seconds are its own wall time in the process that ran it, timed with the
-monotonic ``time.perf_counter``.
+time, through ``sieve._scan``.  A check's seconds are its own wall time
+in the process that ran it, timed with the monotonic
+``time.perf_counter``.
 """
 
 from __future__ import annotations

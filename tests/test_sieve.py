@@ -339,12 +339,12 @@ def test_root_kernel_matches_reference_loop(monkeypatch):
     for p in primes_upto(1100)[1:]:
         want = [reference_count(E, p) for E in curves]
         good = [i for i, n in enumerate(want) if n is not None]
-        # the roots count as the reference does, by numpy and by one batch
+        # the roots count as the reference does, by numpy and by one scan
         # per prime on both sides of the cut
         assert numpy_counts([roots[i] for i in good], p) == \
             [want[i] for i in good], p
-        assert sieve_mod._count_good([data[i] for i in good], p) == \
-            [want[i] for i in good], p
+        assert [counts for counts, _ in sieve_mod._scan(
+            [data[i] for i in good], [p])] == [[want[i]] for i in good], p
 
 
 def test_curves_without_rational_two_torsion_count_by_polynomial(monkeypatch):
@@ -358,9 +358,9 @@ def test_curves_without_rational_two_torsion_count_by_polynomial(monkeypatch):
     odd_rows, alone = [], []
     real_odd, real_alone = sieve_mod._count_odd, sieve_mod._count_alone
 
-    def counting_odd(bs, p):
-        odd_rows.append(p)
-        return real_odd(bs, p)
+    def counting_odd(bs, row):
+        odd_rows.append(row[0])
+        return real_odd(bs, row)
 
     def counting_alone(bs, step, p):
         alone.append((p, step))
@@ -484,8 +484,8 @@ def test_int_kernel_matches_reference_and_numpy(monkeypatch):
         int_calls.clear()
         built.clear()
         alone.clear()
-        assert sieve_mod._count_good(data, p) == \
-            [reference_count(E, p) for E in good], p
+        assert [counts for counts, _ in sieve_mod._scan(data, [p])] == \
+            [[reference_count(E, p)] for E in good], p
         assert built == [p]
         assert int_calls == [[p]] * len(good)
         assert alone == []
@@ -661,8 +661,8 @@ def test_triple_data_scores_as_the_cleared_curves(family, data):
 
 
 def test_triple_data_batch_with_a_non_split_curve():
-    # E11 has no rational two-torsion, so it counts a batch per prime by
-    # _count_odd below the cut while the triples around it run their loops
+    # E11 has no rational two-torsion, so it is counted by _count_odd on
+    # each row below the cut while the triples around it run their loops
     ctor = FAMILY_CONSTRUCTORS[K_PLUSMINUS]
     triples = [ctor(q) for q in _valid_parameters(K_PLUSMINUS)[:3]]
     cleared = [clear_denominators(induced_curves(t).curve)[0]
@@ -701,6 +701,18 @@ def test_triple_data_keeps_every_check(monkeypatch):
     assert checked == [coefficients]
     with pytest.raises(SingularCurve):
         sieve_mod._model_data((0, 0, 0, 0, 0), None)
+
+
+def test_count_points_at_keeps_the_callers_order():
+    # the primes are scanned once, sorted and without repeats, and each
+    # count comes back at the caller's place: p = 2 after odd primes, a
+    # repeat, and primes on both sides of the cut out of order
+    primes = [1009, 2, 997, 7, 1013, 7, 3]
+    for E in (E15A, E11):
+        good = [p for p in primes if reference_count(E, p) is not None]
+        assert good[:4] == [1009, 2, 997, 7] and good.count(7) == 2
+        assert sieve_mod._count_points_at(E, good) == \
+            [reference_count(E, p) for p in good], E
 
 
 def test_count_points_at_bad_primes_raise():
