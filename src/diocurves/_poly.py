@@ -1,9 +1,9 @@
 """Dense polynomials over Q, as coefficient lists with the leading one first.
 
-The package needs only a few exact polynomial operations: products and
-differences to build division polynomials, an extended Euclid for the
-Bezout cofactors of the duplication map, and rational roots.  Coefficients
-are ints or Fractions; the empty list is the zero polynomial.
+The package needs only a few exact polynomial operations: rational roots,
+and the products, differences and extended Euclid with which they reduce a
+polynomial with a repeated root to its squarefree part.  Coefficients are
+ints or Fractions; the empty list is the zero polynomial.
 """
 
 from __future__ import annotations

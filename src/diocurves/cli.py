@@ -52,11 +52,9 @@ JSONL_VERSION = 1
 
 # naive point search tries about e^(1.5 * height_bound) x-coordinates
 MAX_HEIGHT_BOUND = 8.0
-# the sieve sum lists every prime up to N in memory; below 1000 it counts in
-# one cached p-bit int per prime, and from 1000 on a lone curve (induce, a
-# kept candidate) by baby-step giant-step, O(p^(1/4)) steps, and a grid batch
-# in one p-bit int built per prime; the package itself never goes beyond
-# 10**4
+# the sieve sum lists every prime up to N in memory, and counts at each of
+# them by the kernels `sieve._scan` picks; the package itself never goes
+# beyond 10**4
 MAX_N = 10**6
 # the sieve lists every reduced fraction of its numerators x denominators
 # box in the parent and keeps a score for each valid one, whatever --jobs,

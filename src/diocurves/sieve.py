@@ -1,16 +1,16 @@
 """Point counts over prime fields and the Mestre-Nagao rank-selection sum.
 
+Every curve here has three rational points of order two, as every curve a
+Diophantine triple induces: ``_integral_data`` raises FormMismatch on any
+other curve, so every count and sum below does too.
+
 Everything here works on an integer-coefficient model obtained by clearing
 denominators; primes dividing that model's discriminant are treated as bad
 and skipped.  That convention is sound for every use in this package (the
 skipped set can only be slightly too large, never too small).
 
-Every count is exact and in Python ints.  After completing the square,
-#E(F_p) = p + 1 + sum_x chi(4x^3 + b2 x^2 + 2b4 x + b6) with chi the
-quadratic character mod p.  One scan, ``_scan``, picks the kernel for each
-curve and prime: by the prime (2, odd below _INT_BELOW, or from it on), by
-whether the curve's three two-torsion x-coordinates are rational (as for
-every curve a Diophantine triple induces), and by the batch.  The
+Every count is exact and in Python ints.  One scan, ``_scan``, picks the
+kernel for each curve and prime, by the prime and by the batch.  The
 Mestre-Nagao sums and the one-curve counts (``count_points_fp``, the
 reduction torsion bound, ``verify``'s order-mod-4 check) all run through it.
 
@@ -33,7 +33,7 @@ import math
 from itertools import compress, repeat
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import BadReduction, SingularCurve
+from .errors import BadReduction, FormMismatch, SingularCurve
 from .factoring import is_probable_prime
 from .triples import Triple, _companion_ints
 from .weierstrass import (CurveQ, _int_model, _int_model_of,
@@ -52,19 +52,29 @@ def primes_upto(n: int) -> list[int]:
     return list(compress(range(n + 1), flags))
 
 
+def _split_x(E: CurveQ) -> tuple:
+    """E's three two-torsion x-coordinates; FormMismatch unless all three
+    are rational, as they are on every curve a triple induces."""
+    xs = two_torsion_x(E)
+    if len(xs) != 3:
+        raise FormMismatch(
+            "operation needs all three two-torsion x-coordinates rational "
+            f"(found {len(xs)})")
+    return xs
+
+
 def _integral_data(E: CurveQ) -> tuple[tuple[int, ...], tuple[int, int, int],
-                                        int, tuple[int, int, int] | None]:
+                                        int, tuple[int, int, int]]:
     """E's `_int_model` coefficients, their (b2, b4, b6), discriminant, and
-    the roots of X^3 + b2 X^2 + 8b4 X + 16b6, ascending, when all three are
-    rational (else None): E's two-torsion x, scaled by 4 m^2."""
+    the roots of X^3 + b2 X^2 + 8b4 X + 16b6, ascending: E's two-torsion x,
+    scaled by 4 m^2.  FormMismatch unless all three are rational."""
     return _memo(E, "_integral_data", _build_integral_data)
 
 
 def _build_integral_data(E: CurveQ) -> tuple:
+    xs = [x.as_integer_ratio() for x in _split_x(E)]
     m, *coefficients = _int_model(E)
-    xs = [x.as_integer_ratio() for x in two_torsion_x(E)]
-    return _model_data(tuple(coefficients), [(n * m * m, d) for n, d in xs]
-                       if len(xs) == 3 else None)
+    return _model_data(tuple(coefficients), [(n * m * m, d) for n, d in xs])
 
 
 def _triple_data(t: Triple) -> tuple:
@@ -85,10 +95,10 @@ def _lowest(n: int, d: int) -> tuple[int, int]:
 
 
 def _model_data(coefficients: tuple[int, ...],
-                xs: Sequence[tuple[int, int]] | None) -> tuple:
+                xs: Sequence[tuple[int, int]]) -> tuple:
     """``_integral_data`` of the integral model with these coefficients,
     given the x-coordinates of its three points of order two as
-    (numerator, denominator) pairs, or None when they are not all rational.
+    (numerator, denominator) pairs.
 
     The invariant identities, a nonzero discriminant, and the x (seeded,
     carried or solved) by Vieta's formulas for X^3 + b2 X^2 + 8b4 X + 16b6
@@ -97,16 +107,14 @@ def _model_data(coefficients: tuple[int, ...],
     b2, b4, b6, _, _, _, disc = _invariants_of_ints(*coefficients)
     if disc == 0:
         raise SingularCurve(f"discriminant is zero for {coefficients}")
-    roots = None
-    if xs is not None:
-        if any(4 * n % d for n, d in xs):
-            raise ArithmeticError(f"4x is not integral for the x {xs} of "
-                                  f"the model {coefficients}")
-        r1, r2, r3 = roots = tuple(sorted(4 * n // d for n, d in xs))
-        if (r1 + r2 + r3, r1 * r2 + r1 * r3 + r2 * r3, r1 * r2 * r3) \
-                != (-b2, 8 * b4, -16 * b6):
-            raise ArithmeticError(f"{xs} are not the two-torsion "
-                                  f"x-coordinates of the model {coefficients}")
+    if any(4 * n % d for n, d in xs):
+        raise ArithmeticError(f"4x is not integral for the x {xs} of "
+                              f"the model {coefficients}")
+    r1, r2, r3 = roots = tuple(sorted(4 * n // d for n, d in xs))
+    if (r1 + r2 + r3, r1 * r2 + r1 * r3 + r2 * r3, r1 * r2 * r3) \
+            != (-b2, 8 * b4, -16 * b6):
+        raise ArithmeticError(f"{xs} are not the two-torsion "
+                              f"x-coordinates of the model {coefficients}")
     return coefficients, (b2, b4, b6), disc, roots
 
 
@@ -124,10 +132,10 @@ def _count_mod_two(coeffs: tuple[int, ...]) -> int:
 
 
 # the cut between ``_scan``'s routes: below it each odd prime's row is built
-# once and cached; from it on rows are built only for a batch of split
-# curves, and a curve counted alone goes to baby-step giant-step.  A row
-# costs O(p), about 0.1 ms at p = 997: a one-curve sum to the cut costs
-# about 10 ms with its rows.  Past the cut the rows grow quadratically (a
+# once and cached; from it on a row is built only for a batch of curves, and
+# a curve counted alone goes to baby-step giant-step.  A row costs O(p),
+# about 0.1 ms at p = 997: a one-curve sum to the cut costs about 10 ms
+# with its rows.  Past the cut the rows grow quadratically (a
 # one-curve sum to N = 10^4 would take 0.66 s, BENCH_int_kernel.json),
 # while baby-step giant-step takes tens of microseconds per prime, and
 # Mestre's theorem, which makes it end, holds for every p > 229
@@ -137,10 +145,9 @@ _INT_BELOW = 1000
 
 def _row(p: int) -> tuple[int, int, int, int, bytes, bool, float, int]:
     """The row (p, N, N | N << p, 2^p - 2, text, p % 4 == 3, log p, p - 1)
-    of ``_count_split`` and ``_count_odd`` at the odd prime p, for the
-    p-bit int N whose bit X is set when X is a quadratic non-residue mod p;
-    character X of text is an ASCII 1 when bit X of N is set, else an
-    ASCII 0.
+    of ``_count_split`` at the odd prime p, for the p-bit int N whose bit X
+    is set when X is a quadratic non-residue mod p; character X of text is
+    an ASCII 1 when bit X of N is set, else an ASCII 0.
 
     Built at C speed: in a bytearray of ASCII 1s, character X is zeroed at
     0 and, by map, at each square.  int(..., 2) reads the most significant
@@ -211,24 +218,6 @@ def _count_split(roots: tuple[int, int, int], disc: int,
     return counts, total
 
 
-def _count_odd(bs: tuple[int, int, int], row: tuple) -> int:
-    """#E(F_p) of the curve with integral (b2, b4, b6) at the odd prime p
-    of this ``_row``, of good reduction, by its character sum.
-
-    Completing the square, the fibre over x has 1 + chi(f(x)) points with
-    f = 4x^3 + b2 x^2 + 2b4 x + b6 and chi the quadratic character mod p,
-    so with z zeros and n non-residues among the f(x),
-    #E(F_p) = p + 1 + (p - z - n) - n.  The row's text holds an ASCII 1 at
-    each non-residue and an ASCII 0 elsewhere.
-    """
-    p, text = row[0], row[4]
-    b2, b4, b6 = bs
-    c2, c1, c0 = b2 % p, 2 * b4 % p, b6 % p
-    values = [(((4 * x + c2) * x + c1) * x + c0) % p for x in range(p)]
-    n = sum(map(text.__getitem__, values)) - ord("0") * p
-    return 2 * p + 1 - values.count(0) - 2 * n
-
-
 def _add(P, Q, a2: int, a4: int, p: int):
     """P + Q on Y^2 = X^3 + a2 X^2 + a4 X over F_p, in affine (X, Y) with
     None for O."""
@@ -290,50 +279,50 @@ def _multiples(Q, a2: int, a4: int, p: int, lo: int, hi: int,
     return ks
 
 
-def _count_alone(bs: tuple[int, int, int], step: int, p: int) -> int:
-    """#E(F_p) of one curve with integral (b2, b4, b6) at an odd prime
-    p >= _INT_BELOW of good reduction, by Shanks-Mestre baby-step giant-step
-    (Cohen, A Course in Computational Algebraic Number Theory, 7.4):
-    O(p^(1/4)) group operations per point tried, against the O(p) terms of
-    the character sum.  step is 4 when the curve's two-torsion is rational,
-    so that its order is a multiple of 4, and else 1.
+def _count_alone(bs: tuple[int, int, int], p: int) -> int:
+    """#E(F_p) of one curve with integral (b2, b4, b6) and three rational
+    points of order two at an odd prime p >= _INT_BELOW of good reduction,
+    by Shanks-Mestre baby-step giant-step (Cohen, A Course in Computational
+    Algebraic Number Theory, 7.4): O(p^(1/4)) group operations per point
+    tried, against the O(p) terms of the character sum.  The caller's
+    ``_integral_data`` has raised FormMismatch on any other curve.
 
     With X = 4x the curve is Y^2 = g(X) = X^3 + A X^2 + B X + C, with
     A = b2, B = 8b4 and C = 16b6, and its order N is one of the
-    candidates: the multiples of step in the Hasse interval.  For
-    x0 = 0, 1, ... with d = g(x0) != 0, P = (d x0, d^2) lies on
+    candidates: the multiples of 4 in the Hasse interval, as its rational
+    two-torsion is reduced into E(F_p).  For x0 = 0, 1, ... with
+    d = g(x0) != 0, P = (d x0, d^2) lies on
     Y^2 = X^3 + dA X^2 + d^2 B X + d^3 C (``_add`` never reads the constant
     term), which is E when d is a square (Euler's criterion) and else its
-    quadratic twist, of order 2p + 2 - N, also a multiple of step.  The k
-    with step k in the interval and step k P = O (``_multiples``) leave the
-    candidates they allow, and the count is the last one left: exact,
-    never a guess.  Every point of E and of its twist but those of order
-    two is, up to sign, the P of some x0.  By Mestre's theorem, for
-    p > 229 one of them has an order with one multiple in the interval,
-    so above 2 sqrt(p); at p >= 1000 its step P then has order above 2m,
-    and the loop ends there.  If it ran out, ArithmeticError.
+    quadratic twist, of order 2p + 2 - N, also a multiple of 4.  The k with
+    4k in the interval and 4k P = O (``_multiples``) leave the candidates
+    they allow, and the count is the last one left: exact, never a guess.
+    Every point of E and of its twist but those of order two is, up to
+    sign, the P of some x0.  By Mestre's theorem, for p > 229 one of them
+    has an order with one multiple in the interval, so above 2 sqrt(p); at
+    p >= 1000 its 4P then has order above 2m, and the loop ends there.  If
+    it ran out, ArithmeticError.
     """
     b2, b4, b6 = bs
     A, B, C = b2 % p, 8 * b4 % p, 16 * b6 % p
     w = math.isqrt(4 * p)
-    lo, hi = (p + step - w) // step, (p + 1 + w) // step
+    lo, hi = (p + 4 - w) // 4, (p + 1 + w) // 4
     m = math.isqrt((hi - lo) // 2) + 1
-    left = set(range(step * lo, step * hi + 1, step))
+    left = set(range(4 * lo, 4 * hi + 1, 4))
     for x0 in range(p):
         d = (((x0 + A) * x0 + B) * x0 + C) % p
         if not d:
             continue
         a2, a4 = d * A % p, d * d * B % p
-        Q = (d * x0 % p, d * d % p)
-        for _ in range(step.bit_length() - 1):     # step = 2^j: j doublings
-            Q = _add(Q, Q, a2, a4, p)
-        ks = _multiples(Q, a2, a4, p, lo, hi, m)
+        P = d * x0 % p, d * d % p
+        P2 = _add(P, P, a2, a4, p)
+        ks = _multiples(_add(P2, P2, a2, a4, p), a2, a4, p, lo, hi, m)
         if ks is None:
             continue
         if pow(d, (p - 1) // 2, p) == 1:
-            left.intersection_update([step * k for k in ks])
+            left.intersection_update([4 * k for k in ks])
         else:
-            left.intersection_update([2 * p + 2 - step * k for k in ks])
+            left.intersection_update([2 * p + 2 - 4 * k for k in ks])
         if len(left) < 2:
             break
     if len(left) != 1:
@@ -349,49 +338,38 @@ def _scan(data: Sequence[tuple], primes: Sequence[int]) -> list[list]:
     in order, and the sum of those primes' Mestre-Nagao terms
     (1 - (p - 1)/#E(F_p)) log p, added in prime order.
 
-    This is the one place a kernel is chosen.  A split curve is one whose
-    three two-torsion x-coordinates are rational, as for every curve a
-    Diophantine triple induces.
+    This is the one place a kernel is chosen.
 
     * p = 2: ``_count_mod_two`` on the integral model.
-    * Odd p below _INT_BELOW, on the cached ``_nonresidues`` rows: a split
+    * Odd p below _INT_BELOW, on the cached ``_nonresidues`` rows: each
       curve runs all these primes in one ``_count_split`` loop, which adds
-      its terms as it goes; any other curve is counted by ``_count_odd``
-      from each row.
-    * p >= _INT_BELOW: two or more split curves good at p share one row
-      built for p (``_row``) and then dropped; every other curve, a split
-      curve alone among them included, is counted by ``_count_alone``, with
-      step 4 when it is split and 1 otherwise.
+      its terms as it goes.
+    * p >= _INT_BELOW: two or more curves good at p share one row built for
+      p (``_row``) and then dropped; a curve alone there is counted by
+      ``_count_alone``.
     """
     cut = bisect.bisect_left(primes, _INT_BELOW)
     two = cut > 0 and primes[0] == 2
     rows = list(map(_nonresidues, primes[1 if two else 0:cut]))
     log2 = math.log(2)
     scans = []
-    for coefficients, bs, disc, roots in data:
+    for coefficients, _, disc, roots in data:
         counts, total = [], 0.0
         if two and disc % 2:
             c = _count_mod_two(coefficients)
             counts.append(c)
             total += (1.0 - 1 / c) * log2
-        if roots is None:
-            for row in rows:
-                p = row[0]
-                if disc % p:
-                    c = _count_odd(bs, row)
-                    counts.append(c)
-                    total += (1.0 - (p - 1) / c) * row[6]
-        elif rows:
+        if rows:
             split, total = _count_split(roots, disc, rows, total)
             counts += split
         scans.append([counts, total])
     for p in primes[cut:]:
         good = [(d, scan) for d, scan in zip(data, scans) if d[2] % p]
-        row = _row(p) if sum(d[3] is not None for d, _ in good) > 1 else None
+        row = _row(p) if len(good) > 1 else None
         logp = math.log(p)
         for (_, bs, disc, roots), scan in good:
-            if roots is None or row is None:
-                c = _count_alone(bs, 1 if roots is None else 4, p)
+            if row is None:
+                c = _count_alone(bs, p)
             else:
                 c = _count_split(roots, disc, (row,))[0][0]
             scan[0].append(c)
@@ -403,7 +381,8 @@ def count_points_fp(E: CurveQ, p: int) -> int:
     """#E(F_p) including the point at infinity.
 
     Raises BadReduction when p is not a prime or divides the integral
-    model's discriminant.
+    model's discriminant, and FormMismatch unless E has three rational
+    points of order two.
     """
     if not is_probable_prime(p):
         raise BadReduction(f"{p} is not a prime")
@@ -431,7 +410,9 @@ def _count_points_at(E: CurveQ, primes: Sequence[int]) -> list[int]:
 
 
 def trace_of_frobenius(E: CurveQ, p: int) -> int:
-    """a_p = p + 1 - #E(F_p); |a_p| <= 2 sqrt(p) by Hasse."""
+    """a_p = p + 1 - #E(F_p); |a_p| <= 2 sqrt(p) by Hasse.
+
+    Raises as ``count_points_fp`` does, FormMismatch included."""
     a = p + 1 - count_points_fp(E, p)
     if a * a > 4 * p:
         raise ArithmeticError(f"trace {a} at {p} breaks Hasse's bound")
@@ -443,7 +424,8 @@ def summand_forms(E: CurveQ, p: int) -> tuple[float, float]:
 
     (1 - (p-1)/#E(F_p)) log p and ((2 - a_p)/(p + 1 - a_p)) log p are
     equal as rational multiples of log p; returning both lets callers
-    confirm the floating-point evaluations agree too.
+    confirm the floating-point evaluations agree too.  Raises as
+    ``count_points_fp`` does, FormMismatch included.
     """
     n = count_points_fp(E, p)
     a = p + 1 - n
@@ -464,7 +446,8 @@ def mestre_nagao_sums(curves: Sequence[CurveQ],
     Each good prime contributes (1 - (p-1)/#E(F_p)) log p; large values
     correlate with high rank.  Each curve's terms are added in ascending
     prime order, so every result is reproducible bit for bit and does not
-    depend on the rest of the batch.
+    depend on the rest of the batch.  FormMismatch unless every curve has
+    three rational points of order two.
     """
     return _sums_from_data([_integral_data(E) for E in curves], limit)
 
@@ -478,5 +461,6 @@ def _sums_from_data(data: Sequence[tuple], limit: int) -> list[SieveResult]:
 
 
 def mestre_nagao_sum(E: CurveQ, limit: int) -> SieveResult:
-    """The rank-selection sum of one curve: its ``mestre_nagao_sums``."""
+    """The rank-selection sum of one curve: its ``mestre_nagao_sums``,
+    FormMismatch included."""
     return mestre_nagao_sums([E], limit)[0]

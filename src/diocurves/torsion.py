@@ -1,9 +1,12 @@
 """Rational torsion subgroups, point halving, and reduction bounds.
 
-The torsion group is assembled from exact rational roots of division
-polynomials (and, when the curve has full rational two-torsion, from the
-much cheaper halving formulas).  A gcd of good-reduction point counts
-serves as an independent upper bound; together with the classification of
+The torsion group, the halves and the reduction bound are built only on a
+curve with three rational points of order two, as every curve a
+Diophantine triple induces; any other curve raises FormMismatch.  By Mazur
+its torsion is Z/2 x Z/2n with n <= 4: the 2-primary part is built by the
+halving formulas, and the odd part, trivial or Z/3, from the rational roots
+of the 3-division polynomial.  A gcd of good-reduction point counts serves
+as an independent upper bound; together with the classification of
 possible rational torsion shapes this makes the returned group provably
 complete, not just a lower bound.
 
@@ -26,10 +29,9 @@ import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from ._poly import mul, rational_roots, sub
-from .errors import FormMismatch
+from ._poly import rational_roots
 from .rationals import QQ, is_perfect_square, sqrt_int
-from .sieve import _count_points_at, _good_primes, primes_upto
+from .sieve import _count_points_at, _good_primes, _split_x, primes_upto
 from .weierstrass import (
     IDENTITY_MAP,
     INFINITY,
@@ -47,12 +49,10 @@ from .weierstrass import (
     two_torsion_x,
 )
 
-# every possible shape of the rational torsion group, as invariant factors
-ALLOWED_SHAPES = frozenset(
-    [()] + [(n,) for n in (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)]
-    + [(2, 2), (2, 4), (2, 6), (2, 8)]
-)
-# element orders are therefore among {1,...,10,12}
+# every possible shape, as invariant factors, of the rational torsion group
+# of a curve with three rational points of order two (Mazur)
+ALLOWED_SHAPES = frozenset([(2, 2), (2, 4), (2, 6), (2, 8)])
+# the orders of rational torsion points on any curve are among {1,...,10,12}
 _MAX_ELEMENT_ORDER = 12
 
 
@@ -114,7 +114,8 @@ def reduction_torsion_bound(E: CurveQ, prime_count: int = 20) -> int:
 
     The torsion group injects into every such reduction, so its order
     divides the returned value.  The primes are counted in one
-    ``_count_points_at`` call, so one ``sieve._scan``.
+    ``_count_points_at`` call, so one ``sieve._scan``; FormMismatch unless
+    E has three rational points of order two.
     """
     hi = 256
     while len(primes := _good_primes(E, primes_upto(hi)[1:])) < prime_count:
@@ -132,20 +133,17 @@ def _square_completed(E: CurveQ) -> tuple[CurveQ, ModelMap, ModelMap, tuple]:
 
     A curve with a1 = a3 = 0, as every induced curve is, is its own
     square-completed model: it comes back with IDENTITY_MAP both ways, and
-    `_map_point` hands points through IDENTITY_MAP unchanged."""
-    Es, M, Minv, roots = _memo(E, "_square_completed", _build_square_completed)
-    if len(roots) != 3:
-        raise FormMismatch(
-            "operation needs all three two-torsion x-coordinates rational "
-            f"(found {len(roots)})")
-    return Es, M, Minv, roots
+    `_map_point` hands points through IDENTITY_MAP unchanged.  FormMismatch
+    unless all three roots are rational."""
+    return _memo(E, "_square_completed", _build_square_completed)
 
 
 def _build_square_completed(E: CurveQ) -> tuple:
+    roots = _split_x(E)
     if E.a1 == 0 and E.a3 == 0:
-        return E, IDENTITY_MAP, IDENTITY_MAP, two_torsion_x(E)
+        return E, IDENTITY_MAP, IDENTITY_MAP, roots
     Es, M = complete_the_square(E)
-    return Es, M, M.inverse(), two_torsion_x(E)
+    return Es, M, M.inverse(), roots
 
 
 def halve_point(E: CurveQ, P: PointQ) -> list[PointQ]:
@@ -270,40 +268,12 @@ def _sorted_points(pts) -> list[PointQ]:
     return [INFINITY] * (len(pts) - len(affine)) + sorted(affine, key=scaled)
 
 
-# ---------------------------------------------------------------------------
-# division polynomials (x-only parts)
-
-
-def _division_poly(E: CurveQ, q: int) -> list[Fraction]:
-    """x-only part of the q-division polynomial (odd part for even q),
-    leading coefficient first."""
+def _order_three_points(E: CurveQ) -> list[PointQ]:
+    """The rational points of order three: those whose x is a rational root
+    of the 3-division polynomial 3x^4 + b2 x^3 + 3b4 x^2 + 3b6 x + b8."""
     inv = invariants(E)
-    b2, b4, b6, b8 = inv.b2, inv.b4, inv.b6, inv.b8
-    F2 = [4, b2, 2 * b4, b6]
-    f3 = [3, b2, 3 * b4, 3 * b6, b8]
-    f4 = [2, b2, 5 * b4, 10 * b6, 10 * b8,
-          b2 * b8 - b4 * b6, b4 * b8 - b6 * b6]
-    polys = {3: f3, 4: f4}
-    if q in (5, 7, 8, 9):
-        polys[5] = sub(mul(F2, F2, f4), mul(f3, f3, f3))
-    if q in (7, 8, 9):
-        polys[6] = mul(f3, sub(polys[5], mul(f4, f4)))
-    if q == 7:
-        polys[7] = sub(mul(polys[5], f3, f3, f3), mul(F2, F2, f4, f4, f4))
-    if q == 8:
-        polys[8] = mul(f4, sub(mul(polys[6], f3, f3),
-                               mul(polys[5], polys[5])))
-    if q == 9:
-        polys[9] = sub(mul(F2, F2, polys[6], f4, f4, f4),
-                       mul(f3, polys[5], polys[5], polys[5]))
-    return polys[q]
-
-
-def _torsion_candidates_from_poly(E: CurveQ, q: int) -> list[PointQ]:
-    pts = []
-    for x0 in rational_roots(_division_poly(E, q)):
-        pts.extend(points_with_x(E, x0))
-    return pts
+    psi3 = [3, inv.b2, 3 * inv.b4, 3 * inv.b6, inv.b8]
+    return [P for x0 in rational_roots(psi3) for P in points_with_x(E, x0)]
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +288,6 @@ class TorsionSubgroup(NamedTuple):
     exact: bool
 
     def __repr__(self):
-        if not self.invariants:
-            return "TorsionSubgroup(trivial)"
         return "TorsionSubgroup(%s)" % " x ".join(
             "Z/%d" % d for d in self.invariants)
 
@@ -333,54 +301,31 @@ def torsion_subgroup(E: CurveQ) -> TorsionSubgroup:
     bound (over the default 20 reduction primes) only prunes the search,
     never the result, so the group is an invariant of the curve and is kept
     on it by `_memo`.  The bound stays available for cross-checks.
+    FormMismatch unless E has three rational points of order two.
     """
     return _memo(E, "_torsion_subgroup", _build_torsion_subgroup)
 
 
 def _build_torsion_subgroup(E: CurveQ) -> TorsionSubgroup:
-    bound = reduction_torsion_bound(E)
-    two = two_torsion_points(E)
+    bound = reduction_torsion_bound(E)      # FormMismatch unless split
 
     # the 2-primary part: halving is exact, so a half of an order-2 point
     # has order 4 and a half of an order-4 point has order 8
-    two_part = [INFINITY, *two]
-    if len(two) == 3:
-        if bound % 4 == 0:
-            order4 = [S for T in two for S in _all_halves(E, T)]
-            two_part += order4
-            if bound % 8 == 0:
-                two_part += [R for S in order4 for R in _all_halves(E, S)]
-    else:
-        for q in (4, 8):
-            if bound % q == 0:
-                two_part += [P for P in _torsion_candidates_from_poly(E, q)
-                             if _point_order(E, P) is not None]
+    two = two_torsion_points(E)
+    order4 = [S for T in two for S in _all_halves(E, T)]
+    two_part = [INFINITY, *two, *order4]
+    if bound % 8 == 0:
+        two_part += [R for S in order4 for R in _all_halves(E, S)]
 
-    # the odd part is cyclic of order at most 9; close it under addition
-    odd = {INFINITY}
-    for q in (3, 5, 7, 9):
-        if bound % q == 0:
-            odd.update(P for P in _torsion_candidates_from_poly(E, q)
-                       if _point_order(E, P) is not None)
-    grown = True
-    while grown:
-        members = list(odd)
-        odd.update(_add(E, P, Q) for i, P in enumerate(members)
-                   for Q in members[i:])
-        grown = len(odd) > len(members)
+    # with Z/2 x Z/2 inside, the odd part is trivial or Z/3 (Mazur)
+    odd = [INFINITY] + (_order_three_points(E) if bound % 3 == 0 else [])
 
     # the group is the direct sum of its 2-primary and odd parts
     pts = {_add(E, A, B) for A in two_part for B in odd}
     if len(pts) > 16:
         raise ArithmeticError("torsion closure exceeded the rational maximum")
     order = len(pts)
-    n_two = len(two)
-    if order == 1:
-        shape: tuple[int, ...] = ()
-    elif n_two == 3:
-        shape = (2, order // 2)
-    else:
-        shape = (order,)
+    shape = (2, order // 2)
     if shape not in ALLOWED_SHAPES:  # pragma: no cover - would be a defect
         raise ArithmeticError(f"impossible torsion shape {shape}")
     if bound % order:

@@ -455,11 +455,11 @@ def test_cli_import_leaves_module_unloaded(module):
 def test_one_curve_counts_above_the_cut_leave_numpy_unloaded():
     # `verify s2` and `induce --N` count one curve at a time at primes past
     # 1000, by baby-step giant-step, a grid sieved past 1000 counts its
-    # batch on one row per prime, and a curve without rational two-torsion
-    # is counted by a character sum and by baby-step giant-step.  numpy is
-    # blocked before any of them runs, so any import of it raises.  The
-    # exit code is the number of the first command that fails, or 1 with a
-    # traceback from E11's sum
+    # batch on one row per prime, and a library caller's curve of odd a1
+    # and a3 is counted on both sides of the cut.  numpy is blocked before
+    # any of them runs, so any import of it raises.  The exit code is the
+    # number of the first command that fails, or 1 with a traceback from
+    # E15A's sum
     src = pathlib.Path(diocurves.__file__).resolve().parents[1]
     commands = [["verify", "s2"],
                 ["induce", "{1,3,8}", "--N", "20000", "--out", os.devnull],
@@ -474,7 +474,7 @@ def test_one_curve_counts_above_the_cut_leave_numpy_unloaded():
             "    with contextlib.redirect_stdout(open(os.devnull, 'w')):\n"
             "        if c.main(argv) != 0:\n"
             "            sys.exit(i)\n"
-            "mestre_nagao_sum(CurveQ(0, -1, 1, -10, -20), 2000)  # E11\n")
+            "mestre_nagao_sum(CurveQ(1, 1, 1, -10, -10), 2000)  # E15A\n")
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, timeout=120)

@@ -13,7 +13,8 @@ import diocurves.sieve as sieve_mod
 from diocurves import weierstrass
 from diocurves._poly import rational_roots
 from diocurves.cli import _grid
-from diocurves.errors import BadReduction, DiocurvesError, SingularCurve
+from diocurves.errors import (BadReduction, DiocurvesError, FormMismatch,
+                              SingularCurve)
 from diocurves.families import (FAMILY_CONSTRUCTORS, K_PLUSMINUS,
                                 dataset_record, family_k, z2z8_family)
 from diocurves.sieve import (
@@ -24,17 +25,16 @@ from diocurves.sieve import (
     summand_forms,
     trace_of_frobenius,
 )
+from diocurves.torsion import reduction_torsion_bound, torsion_subgroup
 from diocurves.triples import induced_curves, make_triple
 from diocurves.weierstrass import (IDENTITY_MAP, CurveQ, clear_denominators,
                                    invariants, minimal_model, two_torsion_x)
-from test_torsion import KUBERT
+from test_torsion import E15A, E32, EK, EQ4
 
+# no rational two-torsion point
 E37 = CurveQ(0, 0, 1, -1, 0)
-E11 = CurveQ(0, -1, 1, -10, -20)
 # y^2 = (x - 1)(x^2 + x + 3): exactly one rational two-torsion point
 ONE_ROOT = CurveQ(0, 0, 0, 2, -3)
-# curves with one rational two-torsion point or none
-NOT_SPLIT = [E11, E37, ONE_ROOT] + [E for _, E in KUBERT]
 
 
 def test_primes_upto():
@@ -56,7 +56,7 @@ def brute_count(coeffs, p):
 
 
 def test_count_points_matches_brute_force():
-    for E in (E37, E11, CurveQ(1, 1, 1, 0, 0)):
+    for E in (E15A, EK, E32):
         coeffs = [int(a) for a in E.coefficients()]
         for p in (3, 5, 7, 11, 13, 17, 101):
             try:
@@ -67,11 +67,11 @@ def test_count_points_matches_brute_force():
 
 
 def test_count_points_p2_and_bad_primes():
-    assert count_points_fp(E37, 2) == brute_count([0, 0, 1, -1, 0], 2)
+    assert count_points_fp(E15A, 2) == brute_count([1, 1, 1, -10, -10], 2)
     with pytest.raises(BadReduction):
-        count_points_fp(E37, 37)
+        count_points_fp(E15A, 5)
     with pytest.raises(BadReduction):
-        count_points_fp(E11, 11)
+        count_points_fp(EK, 3)
 
 
 @pytest.mark.parametrize("n", [-7, 0, 1, 4, 9, 77, 121, 561, 1001])
@@ -132,7 +132,7 @@ def numpy_counts(roots, p):
 
 
 def test_count_points_matches_reference_loop():
-    for E in (E37, E11, CurveQ(0, F(35, 4), 0, 18, 9)):
+    for E in (E15A, EK, CurveQ(0, F(35, 4), 0, 18, 9)):
         for p in primes_upto(1100):
             want = reference_count(E, p)
             if want is None:
@@ -178,10 +178,9 @@ def test_mestre_nagao_sums_bit_identical(monkeypatch):
         reached["_count_split"].update(r[0] for r in rows if disc % r[0])
         return real_split(roots, disc, rows, total)
 
-    def alone(bs, step, p):
-        assert step == 4
+    def alone(bs, p):
         reached["_count_alone"].add(p)
-        return real_alone(bs, step, p)
+        return real_alone(bs, p)
 
     def row(p):
         reached["_row"].add(p)
@@ -221,7 +220,7 @@ def test_trace_of_frobenius_hasse_violation_raises(monkeypatch):
     # an impossible count must fail loudly, also under python -O
     monkeypatch.setattr(sieve_mod, "count_points_fp", lambda E, p: 2 * p + 7)
     with pytest.raises(ArithmeticError):
-        trace_of_frobenius(E37, 101)
+        trace_of_frobenius(E15A, 101)
 
 
 def test_count_points_rational_model():
@@ -235,39 +234,39 @@ def test_count_points_rational_model():
 def test_hasse_bound_and_trace():
     for p in primes_upto(200):
         try:
-            a = trace_of_frobenius(E37, p)
+            a = trace_of_frobenius(E15A, p)
         except BadReduction:
-            assert p in (2, 37)
+            assert p in (3, 5)
             continue
         assert a * a <= 4 * p
 
 
-def test_trace_oracle_37a():
-    # frozen small traces of the conductor-37 curve
-    want = {3: -3, 5: -2, 7: -1, 11: -5, 13: -2, 17: 0, 19: 0, 23: 2}
+def test_trace_oracle_15a():
+    # frozen small traces of the conductor-15 curve 15a1, p = 2 included
+    want = {2: -1, 7: 0, 11: -4, 13: -2, 17: 2, 19: 4, 23: 0, 29: -2, 31: 0}
     for p, a in want.items():
-        assert trace_of_frobenius(E37, p) == a
+        assert trace_of_frobenius(E15A, p) == a
 
 
 def test_mestre_nagao_sum_identity():
     # the two standard forms of each term agree
-    res = mestre_nagao_sum(E11, 500)
+    res = mestre_nagao_sum(E32, 500)
     total = 0.0
     for p in primes_upto(500):
         try:
-            n = count_points_fp(E11, p)
+            n = count_points_fp(E32, p)
         except BadReduction:
             continue
         a = p + 1 - n
         total += (2 - a) / (p + 1 - a) * math.log(p)
     assert math.isclose(res.value, total, abs_tol=1e-9)
     assert res.primes_used + res.primes_skipped == len(primes_upto(500))
-    assert res.primes_skipped == 1  # p = 11
+    assert res.primes_skipped == 1  # p = 2
 
 
 def test_mestre_nagao_reproducible():
-    a = mestre_nagao_sum(E37, 1000).value
-    b = mestre_nagao_sum(E37, 1000).value
+    a = mestre_nagao_sum(EK, 1000).value
+    b = mestre_nagao_sum(EK, 1000).value
     assert a == b
 
 
@@ -286,13 +285,6 @@ def test_clear_denominators_builds_each_model_once():
 # --------------------------------------------------------------------------
 # the root kernel and the two-torsion memo it reads
 
-# integral, odd a1 and a3: the two-torsion x are -1, 3 and -13/4
-E15A = CurveQ(1, 1, 1, -10, -10)
-# y^2 = x^3 - x: its two-torsion x are 0 and +-1, distinct mod 3, where
-# every induced curve tried has bad reduction
-E32 = CurveQ(0, 0, 0, -1, 0)
-
-
 def _with_models(E):
     """An induced curve with its cleared and minimal models."""
     return [E, clear_denominators(E)[0], minimal_model(E).curve]
@@ -309,10 +301,6 @@ def _root_kernel_curves():
 def _fresh(E):
     """An equal curve that holds no memo entry yet."""
     return CurveQ(*E.coefficients())
-
-
-def _forbidden(*args):
-    raise AssertionError("this kernel must not run here")
 
 
 def test_root_kernel_matches_reference_loop(monkeypatch):
@@ -345,49 +333,6 @@ def test_root_kernel_matches_reference_loop(monkeypatch):
             [want[i] for i in good], p
         assert [counts for counts, _ in sieve_mod._scan(
             [data[i] for i in good], [p])] == [[want[i]] for i in good], p
-
-
-def test_curves_without_rational_two_torsion_count_by_polynomial(monkeypatch):
-    # E11, E37, ONE_ROOT and the Kubert curves have one or no rational
-    # two-torsion x-coordinate, so their own arithmetic sends them to
-    # _count_odd below the cut and to baby-step giant-step with step 1 from
-    # it on
-    curves = NOT_SPLIT
-    assert len(two_torsion_x(ONE_ROOT)) == 1
-    assert all(sieve_mod._integral_data(E)[3] is None for E in curves)
-    odd_rows, alone = [], []
-    real_odd, real_alone = sieve_mod._count_odd, sieve_mod._count_alone
-
-    def counting_odd(bs, row):
-        odd_rows.append(row[0])
-        return real_odd(bs, row)
-
-    def counting_alone(bs, step, p):
-        alone.append((p, step))
-        return real_alone(bs, step, p)
-
-    monkeypatch.setattr(sieve_mod, "_count_odd", counting_odd)
-    monkeypatch.setattr(sieve_mod, "_count_alone", counting_alone)
-    monkeypatch.setattr(sieve_mod, "_row", _forbidden)
-    monkeypatch.setattr(sieve_mod, "_count_split", _forbidden)
-    for E in curves:
-        for p in (101, 499):
-            want = reference_count(E, p)
-            if want is not None:
-                assert count_points_fp(E, p) == want
-        # the one-curve paths too: many primes, then the one-curve score
-        good = sieve_mod._good_primes(E, primes_upto(1100)[1:])
-        odd_rows.clear()
-        alone.clear()
-        assert sieve_mod._count_points_at(E, good) == \
-            [reference_count(E, p) for p in good]
-        cut = sieve_mod._INT_BELOW
-        assert odd_rows == [p for p in good if p < cut]
-        assert alone == [(p, 1) for p in good if p > cut]
-        assert mestre_nagao_sum(E, 200).primes_used > 0
-    odd_rows.clear()
-    mestre_nagao_sums(curves, 200)
-    assert odd_rows
 
 
 def _packed_kernel_curves():
@@ -432,8 +377,8 @@ def test_int_kernel_matches_reference_and_numpy(monkeypatch):
     row, count_alone = sieve_mod._row, sieve_mod._count_alone
     monkeypatch.setattr(sieve_mod, "_row",
                         lambda p: built.append(p) or row(p))
-    monkeypatch.setattr(sieve_mod, "_count_alone", lambda bs, step, p: (
-        alone.append((p, step)) or count_alone(bs, step, p)))
+    monkeypatch.setattr(sieve_mod, "_count_alone", lambda bs, p: (
+        alone.append(p) or count_alone(bs, p)))
     at_three, zero_root = [], set()
     for E in curves:
         roots = sieve_mod._integral_data(E)[3]
@@ -453,7 +398,7 @@ def test_int_kernel_matches_reference_and_numpy(monkeypatch):
         alone.clear()
         assert sieve_mod._count_points_at(E, good) == want, E
         assert int_calls == [[p for p in good if p < cut]]
-        assert alone == [(p, 4) for p in good if p > cut]
+        assert alone == [p for p in good if p > cut]
         assert built == []
     # p = 3, the shortest table, and a root that reduces to 0 on both
     # sides of the cut (numpy reads its table from offset 0 there)
@@ -542,32 +487,7 @@ def test_bsgs_matches_reference_on_split_curves(z2z8, n, d, roots, p):
         E = _split_curve(*roots)
     want = reference_count(E, p)
     assume(want is not None)
-    assert sieve_mod._count_alone(sieve_mod._integral_data(E)[1], 4, p) == \
-        want
-
-
-def _random_curve(a1, a2, a3, a4, a6):
-    try:
-        return CurveQ(a1, a2, a3, a4, a6)
-    except SingularCurve:
-        return None
-
-
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(E=st.one_of(st.sampled_from(NOT_SPLIT),
-                   st.builds(_random_curve,
-                             *[st.integers(-50, 50)] * 5)),
-       p=st.sampled_from(_BSGS_PRIMES))
-@example(E=E11, p=100003)
-@example(E=ONE_ROOT, p=999983)
-def test_bsgs_matches_reference_on_curves_not_split(E, p):
-    # curves without three rational two-torsion points count with step 1
-    assume(E is not None)
-    _, bs, _, roots = sieve_mod._integral_data(E)
-    assume(roots is None)
-    want = reference_count(E, p)
-    assume(want is not None)
-    assert sieve_mod._count_alone(bs, 1, p) == want
+    assert sieve_mod._count_alone(sieve_mod._integral_data(E)[1], p) == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 34, 157])
@@ -580,7 +500,7 @@ def test_bsgs_on_congruent_number_curves(n):
     assert {p % 4 for p in good} == {1, 3}
     for p in good:
         want = p + 1 if p % 4 == 3 else numpy_counts([roots], p)[0]
-        assert sieve_mod._count_alone(bs, 4, p) == want, p
+        assert sieve_mod._count_alone(bs, p) == want, p
 
 
 def test_bsgs_matches_numpy_near_large_primes():
@@ -589,18 +509,16 @@ def test_bsgs_matches_numpy_near_large_primes():
     for p in (100003, 100019, 999983, 1000003):
         for E in curves:
             _, bs, _, roots = sieve_mod._integral_data(E)
-            assert sieve_mod._count_alone(bs, 4, p) == \
+            assert sieve_mod._count_alone(bs, p) == \
                 numpy_counts([roots], p)[0], (E, p)
 
 
 def test_bsgs_never_returns_an_unproven_count(monkeypatch):
     # a kernel that finds no point leaves every candidate standing, and
-    # says so rather than pick one, with either step; (0, -32, 0) is
-    # y^2 = x^3 - 16x
+    # says so rather than pick one; (0, -32, 0) is y^2 = x^3 - 16x
     monkeypatch.setattr(sieve_mod, "_multiples", lambda *args: None)
-    for step in (1, 4):
-        with pytest.raises(ArithmeticError, match="left the orders"):
-            sieve_mod._count_alone((0, -32, 0), step, 1009)
+    with pytest.raises(ArithmeticError, match="left the orders"):
+        sieve_mod._count_alone((0, -32, 0), 1009)
 
 
 # the one-parameter families, the ones `sieve` takes
@@ -660,23 +578,6 @@ def test_triple_data_scores_as_the_cleared_curves(family, data):
                 (a.primes_used, a.primes_skipped)
 
 
-def test_triple_data_batch_with_a_non_split_curve():
-    # E11 has no rational two-torsion, so it is counted by _count_odd on
-    # each row below the cut while the triples around it run their loops
-    ctor = FAMILY_CONSTRUCTORS[K_PLUSMINUS]
-    triples = [ctor(q) for q in _valid_parameters(K_PLUSMINUS)[:3]]
-    cleared = [clear_denominators(induced_curves(t).curve)[0]
-               for t in triples]
-    curves = cleared[:2] + [E11] + cleared[2:]
-    data = [sieve_mod._triple_data(t) for t in triples]
-    data = data[:2] + [sieve_mod._integral_data(E11)] + data[2:]
-    for limit in (997, 1200):
-        for E, res in zip(curves, sieve_mod._sums_from_data(data, limit)):
-            total, used, skipped = reference_sum(E, limit)
-            assert repr(res.value) == repr(total)
-            assert (res.primes_used, res.primes_skipped) == (used, skipped)
-
-
 def test_triple_data_keeps_every_check(monkeypatch):
     # the triple path checks what building the cleared curve checks: the
     # invariant identities, a nonzero discriminant and Vieta's formulas
@@ -700,7 +601,7 @@ def test_triple_data_keeps_every_check(monkeypatch):
     coefficients = sieve_mod._triple_data(t)[0]
     assert checked == [coefficients]
     with pytest.raises(SingularCurve):
-        sieve_mod._model_data((0, 0, 0, 0, 0), None)
+        sieve_mod._model_data((0, 0, 0, 0, 0), [(0, 1)] * 3)
 
 
 def test_count_points_at_keeps_the_callers_order():
@@ -708,7 +609,7 @@ def test_count_points_at_keeps_the_callers_order():
     # count comes back at the caller's place: p = 2 after odd primes, a
     # repeat, and primes on both sides of the cut out of order
     primes = [1009, 2, 997, 7, 1013, 7, 3]
-    for E in (E15A, E11):
+    for E in (E15A, EQ4):
         good = [p for p in primes if reference_count(E, p) is not None]
         assert good[:4] == [1009, 2, 997, 7] and good.count(7) == 2
         assert sieve_mod._count_points_at(E, good) == \
@@ -730,7 +631,7 @@ def test_one_curve_score_is_its_score_in_a_batch(limit):
     # cut, where a split curve alone counts by baby-step giant-step and the
     # batch on one shared row per prime; the floats agree bit for bit
     curves = _packed_kernel_curves()[::2] + [
-        E11, dataset_record("s3-rank9").curve]
+        EQ4, dataset_record("s3-rank9").curve]
     batch = mestre_nagao_sums(curves, limit)
     for E, res in zip(curves, batch):
         alone = mestre_nagao_sum(_fresh(E), limit)
@@ -739,9 +640,9 @@ def test_one_curve_score_is_its_score_in_a_batch(limit):
 
 
 def test_mixed_batch_scores_each_curve_as_alone():
-    # a batch holding both kinds of curve scores each one bit for bit as
-    # it scores alone, whichever kernel counted it
-    curves = [E11, E15A, _root_kernel_curves()[1], E37]
+    # a batch of curves bad at 2 and good there, with a1 and a3 odd or 0,
+    # scores each one bit for bit as it scores alone
+    curves = [EK, E15A, _root_kernel_curves()[1], EQ4]
     batch = mestre_nagao_sums(curves, 1000)
     for E, res in zip(curves, batch):
         total, used, skipped = reference_sum(E, 1000)
@@ -755,7 +656,6 @@ def test_readme_grid_scoring_solves_no_cubic(monkeypatch):
     solved = []
     monkeypatch.setattr(weierstrass, "rational_roots",
                         lambda f: solved.append(f) or rational_roots(f))
-    monkeypatch.setattr(sieve_mod, "_count_odd", _forbidden)
     ctor = FAMILY_CONSTRUCTORS[K_PLUSMINUS]
     curves = []
     for q in _grid((1, 50), (1, 10)):
@@ -800,3 +700,20 @@ def test_corrupted_memo_raises_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("E", [E37, ONE_ROOT], ids=["none", "one"])
+def test_counts_and_torsion_refuse_a_curve_not_split(E):
+    # every count, sum and torsion group works on curves with three rational
+    # points of order two only, and refuses any other curve, also inside a
+    # batch, rather than return a number
+    assert len(two_torsion_x(E)) < 3
+    for call in (lambda: torsion_subgroup(E),
+                 lambda: reduction_torsion_bound(E),
+                 lambda: count_points_fp(E, 101),
+                 lambda: trace_of_frobenius(E, 101),
+                 lambda: summand_forms(E, 101),
+                 lambda: mestre_nagao_sum(E, 1000),
+                 lambda: mestre_nagao_sums([E15A, E], 1000)):
+        with pytest.raises(FormMismatch, match="three two-torsion"):
+            call()

@@ -13,11 +13,10 @@ from diocurves import sieve, torsion, weierstrass
 from diocurves.descent import descent_image, naive_point_search
 from diocurves.errors import BadReduction, FormMismatch
 from diocurves.factoring import is_probable_prime
-from diocurves.families import dataset_record, paper_dataset, z2z8_family
+from diocurves.families import (dataset_record, paper_dataset, z2z6_triple,
+                                z2z8_family)
 from diocurves.torsion import (
     ALLOWED_SHAPES,
-    _division_poly,
-    _torsion_candidates_from_poly,
     halve_point,
     point_order,
     points_with_x,
@@ -30,17 +29,29 @@ from diocurves.rationals import is_perfect_square
 from diocurves.sieve import count_points_fp
 from diocurves.triples import canonical_points, induced_curves, make_triple
 from diocurves.weierstrass import (INFINITY, CurveQ, ModelMap, PointQ, add,
-                                   complete_the_square, dbl, is_on_curve,
+                                   complete_the_square, dbl, invariants,
                                    map_point, minimal_model, scalar_mul)
 
+# curves with one rational point of order two or none, and their torsion as
+# the multiples of a generator, for the checks that stay general
 E37 = CurveQ(0, 0, 1, -1, 0)          # trivial torsion
 E11 = CurveQ(0, -1, 1, -10, -20)      # Z/5
 E14 = CurveQ(1, 0, 1, 4, -6)          # Z/6
 E15 = CurveQ(1, 1, 1, 0, 0)           # Z/4
 E27 = CurveQ(0, 0, 1, 0, 0)           # Z/3
+CYCLIC = {E37: (INFINITY, 1), E11: (PointQ(5, 5), 5),
+          E14: (PointQ(9, 23), 6), E15: (PointQ(0, 0), 4),
+          E27: (PointQ(0, 0), 3)}
+# curves with three rational points of order two, the domain of the torsion
+# group and the point counts
 EK = CurveQ(0, 2, 0, -3, 0)           # y^2 = x(x-1)(x+3), Z/2 x Z/4
 # integral, with the order-2 point (-1/4, 1/8): x may have denominator 4
-EQ4 = CurveQ(1, 4, 0, 1, 0)
+EQ4 = CurveQ(1, 4, 0, 1, 0)           # Z/2 x Z/4
+# 15a1, integral, odd a1 and a3: the two-torsion x are -1, 3 and -13/4
+E15A = CurveQ(1, 1, 1, -10, -10)      # Z/2 x Z/4
+# y^2 = x^3 - x: its two-torsion x are 0 and +-1, distinct mod 3, where
+# every induced curve tried has bad reduction
+E32 = CurveQ(0, 0, 0, -1, 0)          # Z/2 x Z/2
 
 
 def tate_normal_form(n, d):
@@ -68,6 +79,32 @@ def tate_normal_form(n, d):
 # integral (d = 2) and non-integral (d = 5/3) models
 KUBERT = [(n, tate_normal_form(n, d)) for n in (7, 8, 9, 10, 12)
           for d in (2, F(5, 3))]
+
+
+def split_tate_normal_form(n, t):
+    """Kubert's curve with (0, 0) of order n and torsion Z/2 x Z/n."""
+    t = F(t)
+    if n == 4:
+        b, c = t ** 2 - F(1, 16), 0
+    elif n == 6:
+        c = (10 - 2 * t) / (t ** 2 - 9)
+        b = c + c ** 2
+    else:
+        d = t * (8 * t + 2) / (8 * t ** 2 - 1)
+        b = (2 * d - 1) * (d - 1)
+        c = b / d
+    return CurveQ(1 - c, -b, -b, 0, 0)
+
+
+KUBERT_SPLIT = [(n, split_tate_normal_form(n, t)) for n, ts in
+                ((4, (3, F(5, 7))), (6, (F(7, 3), F(1, 2))),
+                 (8, (F(1, 3), F(2, 5)))) for t in ts]
+
+
+def _cyclic_torsion(E):
+    """The torsion points of a curve of CYCLIC, from its generator."""
+    P, n = CYCLIC[E]
+    return [scalar_mul(E, k, P) for k in range(n)]
 
 
 def test_rational_roots():
@@ -106,10 +143,19 @@ def test_rational_roots_match_sympy():
         for r in planted:                       # multiply by (x - r)
             poly = [a - r * b for a, b in zip(poly + [0], [0] + poly)]
         polys.append(poly)
+    # a planted repeated root for certain: (3x - 2)^2 (x + 5)
+    polys.append([F(9), F(33), F(-56), F(20)])
+    # the 3-division polynomial and the two-torsion cubic, which the
+    # package solves; the Z/2 x Z/6 member has a rational point of order 3
     curves = [induced_curves(make_triple(1, 3, 8)).curve,
               induced_curves(z2z8_family(3)).curve,
-              dataset_record("s6-connell").curve]
-    polys += [_division_poly(E, q) for E in curves for q in (3, 4, 5, 7, 8, 9)]
+              dataset_record("s6-connell").curve,
+              induced_curves(z2z6_triple(F(2, 7))).curve]
+    for E in curves:
+        inv = invariants(E)
+        polys += [[3, inv.b2, 3 * inv.b4, 3 * inv.b6, inv.b8],
+                  [4, inv.b2, 2 * inv.b4, inv.b6]]
+    assert oracle(polys[-2])
     for poly in polys:
         assert rational_roots(poly) == oracle(poly)
 
@@ -138,10 +184,10 @@ def test_point_order():
 
 
 def test_reduction_bound_divisible_by_torsion():
-    assert reduction_torsion_bound(E11) % 5 == 0
-    assert reduction_torsion_bound(E15) % 4 == 0
+    assert reduction_torsion_bound(E15A) % 8 == 0
+    assert reduction_torsion_bound(EQ4) % 8 == 0
     assert reduction_torsion_bound(EK) % 8 == 0
-    assert reduction_torsion_bound(E37) == 1
+    assert reduction_torsion_bound(E32) == 4
 
 
 def _reference_bound_walk(E, prime_count=20):
@@ -185,7 +231,7 @@ def test_reduction_bound_walks_the_same_primes(monkeypatch, prime_count):
     # 80 good primes run past the first sieve range, which then doubles;
     # the bound is the reference walk's, from the first prime_count odd
     # good primes, counted in one call
-    curves = [E11, E15, EK, E37] + _z2z8_members(20)
+    curves = [E15A, EQ4, EK, E32] + _z2z8_members(20)
     want = [_reference_bound_walk(E, prime_count)[0] for E in curves]
     calls = []
     real = torsion._count_points_at
@@ -210,29 +256,10 @@ def test_reduction_bound_walks_the_same_primes(monkeypatch, prime_count):
         int_rows.clear()
         assert reduction_torsion_bound(E, prime_count) == bound
         assert calls == [primes]
-        # with split two-torsion, every prime is below the int loop's
-        # cut and counted by it in one loop over cached rows
-        split = len(two_torsion_points(E)) == 3
-        assert int_rows == (primes if split else [])
+        # every prime is below the int loop's cut and counted by it in one
+        # loop over cached rows
+        assert int_rows == primes
         assert primes[-1] < sieve._INT_BELOW
-
-
-def test_torsion_trivial():
-    T = torsion_subgroup(E37)
-    assert T.order == 1 and T.invariants == ()
-    assert T.points == (INFINITY,)
-    assert T.exact
-
-
-def test_torsion_cyclic_groups():
-    for E, n in ((E11, 5), (E15, 4), (E27, 3), (E14, 6)):
-        T = torsion_subgroup(E)
-        assert T.order == n
-        assert T.invariants == (n,)
-        for P in T.points:
-            assert is_on_curve(E, P)
-            o = point_order(E, P)
-            assert o is not None and n % o == 0
 
 
 def test_torsion_bound_mismatch_raises(monkeypatch):
@@ -575,33 +602,32 @@ def _reference_point_order(E, P, cap=12):
 
 def _reference_torsion(E, prime_count=20):
     """The fixpoint-closure assembly torsion_subgroup used before it built
-    the group as the direct sum of its 2-primary and odd parts."""
+    the group as the direct sum of its 2-primary and odd parts, on a curve
+    with three rational points of order two, where 3 is the one odd order
+    a torsion point can have."""
     bound = reduction_torsion_bound(E, prime_count)
     two = two_torsion_points(E)
+    assert len(two) == 3
     pts = {INFINITY, *two}
-    if len(two) == 3:
-        if bound % 4 == 0:
-            order4 = []
-            for T in two:
-                for S in halve_point(E, T):
-                    if _reference_point_order(E, S) == 4:
-                        order4.append(S)
-                        pts.add(S)
-            if bound % 8 == 0 and order4:
-                for S in order4:
-                    for R in halve_point(E, S):
-                        if _reference_point_order(E, R) == 8:
-                            pts.add(R)
-    else:
-        for q in (4, 8):
-            if bound % q == 0:
-                for P in _torsion_candidates_from_poly(E, q):
-                    if _reference_point_order(E, P) is not None:
-                        pts.add(P)
-    for q in (3, 5, 7, 9):
-        if bound % q == 0:
-            for P in _torsion_candidates_from_poly(E, q):
-                if _reference_point_order(E, P) is not None:
+    if bound % 4 == 0:
+        order4 = []
+        for T in two:
+            for S in halve_point(E, T):
+                if _reference_point_order(E, S) == 4:
+                    order4.append(S)
+                    pts.add(S)
+        if bound % 8 == 0 and order4:
+            for S in order4:
+                for R in halve_point(E, S):
+                    if _reference_point_order(E, R) == 8:
+                        pts.add(R)
+    if bound % 3 == 0:
+        # the x-coordinates of the points of order 3 are the roots of
+        # psi_3 = 3x^4 + b2 x^3 + 3b4 x^2 + 3b6 x + b8
+        inv = invariants(E)
+        for x0 in rational_roots([3, inv.b2, 3 * inv.b4, 3 * inv.b6, inv.b8]):
+            for P in points_with_x(E, x0):
+                if _reference_point_order(E, P) == 3:
                     pts.add(P)
     changed = True
     while changed:
@@ -616,12 +642,8 @@ def _reference_torsion(E, prime_count=20):
         assert len(pts) <= 16
     order = len(pts)
     n_two = sum(1 for P in pts if not P.is_infinity and dbl(E, P).is_infinity)
-    if order == 1:
-        shape = ()
-    elif n_two == 3:
-        shape = (2, order // 2)
-    else:
-        shape = (order,)
+    assert n_two == 3
+    shape = (2, order // 2)
     assert shape in ALLOWED_SHAPES and bound % order == 0
     points = sorted(pts, key=lambda P: (0, 0, 0) if P.is_infinity
                     else (1, P.x, P.y))
@@ -649,11 +671,11 @@ def _light_record_curves():
 
 
 TORSION_CASES = {
-    "small": lambda: [E11, E14, E15, E27, EK, E37, EQ4],
+    "small": lambda: [E15A, E32, EK, EQ4],
     "heavy-records": lambda: [rec.curve for rec in _heavy_records()],
     "light-records": _light_record_curves,
     "z2z8-family": _z2z8_members,
-    "kubert": lambda: [E for _, E in KUBERT],
+    "kubert": lambda: [E for _, E in KUBERT_SPLIT],
 }
 
 
@@ -666,10 +688,13 @@ def test_torsion_subgroup_matches_reference(case):
 
 
 def test_kubert_curves_have_their_torsion():
-    for n, E in KUBERT:
+    # Kubert's curves with torsion Z/2 x Z/n, integral and not, with a1 and
+    # a3 nonzero; (0, 0) has order n
+    for n, E in KUBERT_SPLIT:
         assert _reference_point_order(E, PointQ(0, 0)) == n
         T = torsion_subgroup(E)
         assert T.order % n == 0 and PointQ(0, 0) in T.points
+        assert T.invariants == (2, n)
 
 
 def test_point_order_matches_add_chain():
@@ -677,14 +702,18 @@ def test_point_order_matches_add_chain():
     for E in (E11, E14, E15, E27, EK, E37, EQ4):
         pts = [P for x in range(-5, 6) for P in points_with_x(E, F(x))]
         pts += [scalar_mul(E, k, P) for P in pts[:4] for k in (2, 3)]
-        cases.append((E, list(torsion_subgroup(E).points) + pts))
+        torsion = (_cyclic_torsion(E) if E in CYCLIC
+                   else list(torsion_subgroup(E).points))
+        cases.append((E, torsion + pts))
     for rec in _heavy_records():
         cases.append((rec.curve, list(rec.torsion_points + rec.points[:3])))
     for rec in paper_dataset()[:20]:
         t = rec.triple
         ic = induced_curves(t)
         cases.append((ic.curve, list(canonical_points(t, ic).all_points())))
-    for _, E in KUBERT:
+    for n, E in KUBERT:
+        cases.append((E, [scalar_mul(E, k, PointQ(0, 0)) for k in range(n)]))
+    for _, E in KUBERT_SPLIT:
         cases.append((E, list(torsion_subgroup(E).points)))
     integral = non_integral = 0
     for E, pts in cases:
